@@ -121,16 +121,24 @@ def _resolve_nodes(graph: Graph, node_list: str) -> list[int]:
     nodes = []
     for token in node_list.split(","):
         token = token.strip()
-        if token in by_label:
-            nodes.append(by_label[token])
-            continue
         try:
-            node = int(token)
+            index = int(token)
         except ValueError:
-            raise GraphFormatError(f"unknown node {token!r}") from None
-        if not (0 <= node < graph.node_count):
-            raise GraphFormatError(f"node index {node} out of range [0,{graph.node_count})")
-        nodes.append(node)
+            index = None
+        if token in by_label:
+            node = by_label[token]
+            if index is not None and 0 <= index < graph.node_count and index != node:
+                raise GraphFormatError(
+                    f"ambiguous node {token!r}: it is the label of node {node} "
+                    f"and the index of node {index}"
+                )
+            nodes.append(node)
+            continue
+        if index is None:
+            raise GraphFormatError(f"unknown node {token!r}")
+        if not (0 <= index < graph.node_count):
+            raise GraphFormatError(f"node index {index} out of range [0,{graph.node_count})")
+        nodes.append(index)
     return nodes
 
 

@@ -248,12 +248,14 @@ def sensitivity_sweep(
     base_seed: int = 0,
     n_targets: int | None = None,
     out_path: str | None = None,
+    max_steps: int | None = None,
 ) -> SweepResult:
     """Mean mission cost per (alpha, beta) over a shared mission set.
 
     Every cell runs the exact same missions with the exact same per-trial
     seeds, so differences isolate the parameter pair. Each output row logs
-    the mission hash as evidence of the sharing.
+    the mission hash as evidence of the sharing. ``max_steps`` is the step
+    cap of every run (``run_mission``'s default when None).
     """
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha and beta grids must be non-empty")
@@ -275,7 +277,8 @@ def sensitivity_sweep(
             cell_costs: list[float] = []
             aborted = False
             for trial, mission in enumerate(missions):
-                res = run_mission(mission, params, seed=base_seed + trial, cache=cache)
+                res = run_mission(mission, params, seed=base_seed + trial, cache=cache,
+                                  max_steps=max_steps)
                 rows.append({
                     "alpha": alpha,
                     "beta": beta,
@@ -293,8 +296,9 @@ def sensitivity_sweep(
             mean_cost[(alpha, beta)] = math.inf if aborted else statistics.fmean(cell_costs)
 
     best = min(mean_cost.values())
+    # An aborted cell scores 0 even when every cell aborted and best is inf.
     score = {
-        cell: (best / mean if mean != math.inf and mean > 0 else (1.0 if mean == best else 0.0))
+        cell: 0.0 if mean == math.inf else (best / mean if mean > 0 else 1.0)
         for cell, mean in mean_cost.items()
     }
     if out_path is not None:

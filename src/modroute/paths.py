@@ -5,6 +5,57 @@ lexicographically smallest node sequence wins, so outputs are identical
 across runs and platforms. A path's weight is always the left-to-right
 fold of its edge weights, which keeps floating-point results reproducible
 and lets independent recomputations compare exactly.
+
+How the k-shortest search is made fast without changing any answer:
+
+* **Reverse distances.** ``h[v]`` is the shortest distance from ``v`` to
+  the destination, from one Dijkstra over ``Graph.in_edges``. ``PathCache``
+  computes it once per destination and reuses it for every query and spur
+  search towards that destination.
+* **A\\* search.** ``_lex_shortest`` is a label-setting search over labels
+  (g, node sequence), where g is the fold of the sequence's edge weights.
+  Its heap key is ``(g + h'[v], g, nodes)`` with ``h' = h * (1 - 2**-10)``,
+  and it never enters a node with ``h = inf``, which cannot reach the
+  destination. With ``h' = 0`` it is plain Dijkstra keyed on ``(g, nodes)``.
+* **Exact ties.** Plain Dijkstra keyed on ``(g, nodes)`` settles each node
+  y with a label L(y) that extends the label L(x) of the node x before y on
+  its path. A* settles every node with the same label if its key never
+  decreases along such an edge x -> y, rounding included:
+  ``fl(g_x + h'_x) <= fl(g_y + h'_y)`` with ``g_y = fl(g_x + w)``. (A tie
+  is broken by g or, when g did not grow, by the shorter sequence.) Then,
+  while y is unsettled, a label on L(y)'s path sits in the heap with a
+  smaller key than any label for y, so y is settled only after L(y) has
+  been pushed. For one node the key orders labels as ``(g, nodes)`` does,
+  and labels pushed from nodes that plain Dijkstra settles after y are
+  larger than L(y), so L(y) wins. Rounding is monotone, so it is enough
+  that the exact sums satisfy ``g_x + h'_x <= g_y + h'_y``. Let u = 2**-53
+  (unit roundoff), e = 2**-10, W the sum of all edge weights and w_min the
+  smallest weight. Dijkstra guarantees ``h_x <= fl(h_y + w)``. Writing each
+  rounding as a factor (1 +- u) gives the sufficient condition
+  ``e * w >= u * (g_x + 3 * h_y + 3 * w) + O(u**2 * W)``. Both ``g_x + w``
+  and ``h_y + w`` are sums over distinct edges, rounded, so at most
+  W(1 + 2**-12), and the right side is at most 4.01 * u * W. The condition
+  therefore holds on every edge when ``w_min / W >= 4.01 * 2**-43``; the
+  code checks the stricter ``w_min / W >= 2**-40``. Without the shrink
+  factor the key can tie or decrease after rounding, and the search
+  returned two equal-weight paths in the wrong order on weights such as
+  0.1, 0.2 and 0.3. A graph that fails the bound, such as one with weights
+  1e-12 and 7e3, gets ``h = 0`` on every node that can reach the
+  destination: the same search with a zero heuristic, which is plain
+  Dijkstra.
+* **Lawler's deviation pruning.** Yen's method spurs a new path from each
+  of its nodes. Each candidate remembers the spur index i it was first
+  generated at, and when it becomes a result it is spurred only from i
+  onward. A spur at j < i repeats an earlier search exactly. Its root, the
+  first j + 1 nodes, is shared with the path it deviated from, so the root
+  already has a found path and a spur at j. A found path adds a new banned
+  next edge at j only if it deviated at or before j, and then it was itself
+  spurred at j. So the latest spur made at that root had the same root and
+  the same banned edges, and its result is already found or queued.
+  Skipping the repeat leaves the output unchanged.
+
+The output is therefore the same path sets, in the same order and with the
+same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
 """
 
 from __future__ import annotations
@@ -12,8 +63,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Graph
+
+# Heuristic shrink factor 1 - 2**-10 and the smallest min-weight / total-weight
+# ratio for which it keeps exact ties (derivation in the module docstring).
+_SHRINK = 1.0 - 2.0**-10
+_MIN_WEIGHT_SHARE = 2.0**-40
+
+Edges = Callable[[int], tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -44,108 +103,150 @@ def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
     return total
 
 
-def dijkstra(graph: Graph, src: int) -> dict[int, tuple[float, int | None]]:
-    """Single-source shortest distances with predecessors.
-
-    Unreachable nodes map to ``(inf, None)``; ``src`` maps to ``(0, None)``.
-    """
-    m = graph.node_count
-    if not (0 <= src < m):
-        raise ValueError(f"source {src} out of range [0,{m})")
+def _dijkstra(edges: Edges, m: int, src: int) -> tuple[list[float], list[int | None]]:
+    """Dense distances and predecessors from ``src`` along ``edges(u)``."""
     dist = [math.inf] * m
     pred: list[int | None] = [None] * m
     dist[src] = 0.0
     heap: list[tuple[float, int]] = [(0.0, src)]
-    settled = [False] * m
+    settled = bytearray(m)
     while heap:
         d, u = heapq.heappop(heap)
         if settled[u]:
             continue
-        settled[u] = True
-        for v, w in graph.out_edges(u):
+        settled[u] = 1
+        for v, w in edges(u):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
                 heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def dijkstra(
+    graph: Graph, src: int, edges: Edges | None = None
+) -> dict[int, tuple[float, int | None]]:
+    """Single-source shortest distances with predecessors.
+
+    ``edges`` gives each node's (neighbour, weight) pairs and defaults to
+    ``graph.out_edges``; pass ``graph.in_edges`` for distances *to* ``src``.
+    Unreachable nodes map to ``(inf, None)``; ``src`` maps to ``(0, None)``.
+    """
+    m = graph.node_count
+    if not (0 <= src < m):
+        raise ValueError(f"source {src} out of range [0,{m})")
+    dist, pred = _dijkstra(edges or graph.out_edges, m, src)
     return {v: (dist[v], pred[v]) for v in range(m)}
+
+
+def _shrink_factor(graph: Graph) -> float:
+    """Heuristic scale: 1 - 2**-10 if ties provably survive rounding, else 0."""
+    weights = [w for u in range(graph.node_count) for _, w in graph.out_edges(u)]
+    if min(weights, default=math.inf) >= _MIN_WEIGHT_SHARE * math.fsum(weights):
+        return _SHRINK
+    return 0.0
+
+
+def _heuristic(graph: Graph, dst: int, factor: float) -> list[float]:
+    """Scaled distance from every node to ``dst``; inf where it cannot reach it."""
+    dist = _dijkstra(graph.in_edges, graph.node_count, dst)[0]
+    return [d * factor if d < math.inf else math.inf for d in dist]
 
 
 def _lex_shortest(
     graph: Graph,
     src: int,
     dst: int,
-    banned_nodes: set[int] = frozenset(),
-    banned_edges: set[tuple[int, int]] = frozenset(),
+    h: list[float],
+    banned_next: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[tuple[int, ...], float] | None:
     """Minimum-weight src->dst path, lexicographically smallest among ties.
 
-    Label-setting search keyed on (distance, node sequence): the first time
-    the destination is settled its key is minimal under that order. Banned
-    nodes and directed edges are skipped, which is what the deviation step
-    of the k-shortest search needs.
+    A* keyed on (g + h[v], g, node sequence); see the module docstring for
+    why this returns the same path as plain Dijkstra keyed on (g, sequence).
+    ``h`` is inf on every node the path may not enter. The search also sets
+    it to inf on each node it settles, so the caller passes a copy. The
+    first hop may not go to a node in ``banned_next``; that is the deviation
+    step's banned-edge set, whose edges all leave ``src``. Requires
+    src != dst.
     """
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
-    settled: set[int] = set()
+    inf = math.inf
+    out_edges = graph.out_edges
+    push, pop = heapq.heappush, heapq.heappop
+    h[src] = inf
+    heap = [
+        (w + h[v], w, (src, v))
+        for v, w in out_edges(src)
+        if h[v] != inf and v not in banned_next
+    ]
+    heapq.heapify(heap)
     while heap:
-        d, nodes = heapq.heappop(heap)
+        _, g, nodes = pop(heap)
         u = nodes[-1]
-        if u in settled:
-            continue
-        settled.add(u)
+        if h[u] == inf:
+            continue  # settled by an earlier label
         if u == dst:
-            return nodes, d
-        for v, w in graph.out_edges(u):
-            if v in settled or v in banned_nodes or (u, v) in banned_edges:
-                continue
-            heapq.heappush(heap, (d + w, nodes + (v,)))
+            return nodes, g
+        h[u] = inf
+        for v, w in out_edges(u):
+            hv = h[v]
+            if hv != inf:
+                ng = g + w
+                push(heap, (ng + hv, ng, nodes + (v,)))
     return None
 
 
-def yen_k_shortest(graph: Graph, src: int, dst: int, k: int) -> PathSet:
+def yen_k_shortest(
+    graph: Graph, src: int, dst: int, k: int, h: list[float] | None = None
+) -> PathSet:
     """The k shortest loopless src->dst paths by deviation search.
 
     Returns fewer than k paths when fewer exist and an empty PathSet when
     the destination is unreachable. ``src == dst`` yields the single
     zero-length path. Candidates are kept in a heap keyed by
-    (weight, node sequence) so the output order is deterministic.
+    (weight, node sequence) so the output order is deterministic. ``h`` is
+    the search heuristic towards ``dst`` (``PathCache`` passes its cached
+    one); it is computed here when not given.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
-    first = _lex_shortest(graph, src, dst)
+    if h is None:
+        h = _heuristic(graph, dst, _shrink_factor(graph))
+    first = _lex_shortest(graph, src, dst, h[:])
     if first is None:
         return PathSet(src, dst, ())
 
-    found: list[tuple[tuple[int, ...], float]] = [(first[0], path_weight(graph, first[0]))]
-    found_set = {first[0]}
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    in_candidates: set[tuple[int, ...]] = set()
-
+    found = [first]
+    seen = {first[0]}  # every path found or queued as a candidate
+    candidates: list[tuple[float, tuple[int, ...], int]] = []
+    start = 0  # spur index the newest found path deviated at
     while len(found) < k:
-        prev_nodes, _ = found[-1]
-        for i in range(len(prev_nodes) - 1):
-            spur = prev_nodes[i]
-            root = prev_nodes[: i + 1]
-            banned_edges = {
-                (p[i], p[i + 1]) for p, _ in found if len(p) > i + 1 and p[: i + 1] == root
-            }
-            banned_nodes = set(root[:-1])
-            spur_result = _lex_shortest(graph, spur, dst, banned_nodes, banned_edges)
-            if spur_result is None:
-                continue
-            total = root[:-1] + spur_result[0]
-            if total in found_set or total in in_candidates:
-                continue
-            heapq.heappush(candidates, (path_weight(graph, total), total))
-            in_candidates.add(total)
+        prev = found[-1][0]
+        # Found paths sharing prev's root up to the current spur node.
+        sharing = [p for p, _ in found if p[: start + 1] == prev[: start + 1]]
+        open_h = h[:]  # h with the root's nodes closed
+        for node in prev[:start]:
+            open_h[node] = math.inf
+        for i in range(start, len(prev) - 1):
+            spur = prev[i]
+            if i > start:
+                sharing = [p for p in sharing if p[i] == spur]
+            spur_result = _lex_shortest(
+                graph, spur, dst, open_h[:], {p[i + 1] for p in sharing}
+            )
+            if spur_result is not None:
+                total = prev[:i] + spur_result[0]
+                if total not in seen:
+                    heapq.heappush(candidates, (path_weight(graph, total), total, i))
+                    seen.add(total)
+            open_h[spur] = math.inf
         if not candidates:
             break
-        w, nodes = heapq.heappop(candidates)
-        in_candidates.discard(nodes)
+        w, nodes, start = heapq.heappop(candidates)
         found.append((nodes, w))
-        found_set.add(nodes)
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))
 
@@ -153,15 +254,18 @@ def yen_k_shortest(graph: Graph, src: int, dst: int, k: int) -> PathSet:
 class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
-    Dijkstra distance maps and k-shortest path sets are pure functions of
-    the graph, so results can be shared across steps, missions, and whole
-    experiment batches without affecting determinism.
+    Dijkstra distance maps, reverse-distance heuristics and k-shortest path
+    sets are pure functions of the graph, so results can be shared across
+    steps, missions, and whole experiment batches without affecting
+    determinism.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._dist: dict[int, list[float]] = {}
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
+        self._to: dict[int, list[float]] = {}
+        self._factor = _shrink_factor(graph)
 
     def distances(self, src: int) -> list[float]:
         """Dense distance vector from ``src`` (inf where unreachable)."""
@@ -179,6 +283,9 @@ class PathCache:
         key = (src, dst, k)
         cached = self._kpaths.get(key)
         if cached is None:
-            cached = yen_k_shortest(self.graph, src, dst, k)
+            h = self._to.get(dst)
+            if h is None:
+                h = self._to[dst] = _heuristic(self.graph, dst, self._factor)
+            cached = yen_k_shortest(self.graph, src, dst, k, h=h)
             self._kpaths[key] = cached
         return cached

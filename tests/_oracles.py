@@ -1,9 +1,12 @@
 """Independent brute-force oracles used to check the library's algorithms.
 
 These deliberately avoid the library's own search code: Floyd-Warshall for
-all-pairs distances and exhaustive DFS enumeration of simple paths.
+all-pairs distances, exhaustive DFS enumeration of simple paths, and a
+frozen copy of the original plain Yen search over Dijkstra, the reference
+the goal-directed search must match path for path and bit for bit.
 """
 
+import heapq
 import math
 
 
@@ -70,3 +73,73 @@ def random_digraph(rng, max_nodes=10, edge_prob=0.45):
             if u != v and rng.random() < edge_prob:
                 edges.append((u, v, float(rng.randint(1, 9))))
     return m, edges
+
+
+def reference_lex_shortest(graph, src, dst, banned_nodes=frozenset(), banned_edges=frozenset()):
+    """Plain label-setting search keyed on (distance, node sequence).
+
+    A frozen copy of the library's original spur search, before it became
+    goal-directed. Returns (node tuple, weight) or None.
+    """
+    heap = [(0.0, (src,))]
+    settled = set()
+    while heap:
+        d, nodes = heapq.heappop(heap)
+        u = nodes[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == dst:
+            return nodes, d
+        for v, w in graph.out_edges(u):
+            if v in settled or v in banned_nodes or (u, v) in banned_edges:
+                continue
+            heapq.heappush(heap, (d + w, nodes + (v,)))
+    return None
+
+
+def reference_yen(graph, src, dst, k):
+    """Yen's deviation search over ``reference_lex_shortest``, spurring from
+    every node of each new path; a frozen copy of the library's original.
+
+    Returns the paths as a list of (weight, node tuple).
+    """
+
+    def weight_of(nodes):
+        total = 0.0
+        for u, v in zip(nodes, nodes[1:]):
+            total += graph.weight(u, v)
+        return total
+
+    if src == dst:
+        return [(0.0, (src,))]
+    first = reference_lex_shortest(graph, src, dst)
+    if first is None:
+        return []
+    found = [(first[0], weight_of(first[0]))]
+    found_set = {first[0]}
+    candidates = []
+    in_candidates = set()
+    while len(found) < k:
+        prev_nodes, _ = found[-1]
+        for i in range(len(prev_nodes) - 1):
+            spur = prev_nodes[i]
+            root = prev_nodes[: i + 1]
+            banned_edges = {
+                (p[i], p[i + 1]) for p, _ in found if len(p) > i + 1 and p[: i + 1] == root
+            }
+            spur_result = reference_lex_shortest(graph, spur, dst, set(root[:-1]), banned_edges)
+            if spur_result is None:
+                continue
+            total = root[:-1] + spur_result[0]
+            if total in found_set or total in in_candidates:
+                continue
+            heapq.heappush(candidates, (weight_of(total), total))
+            in_candidates.add(total)
+        if not candidates:
+            break
+        w, nodes = heapq.heappop(candidates)
+        in_candidates.discard(nodes)
+        found.append((nodes, w))
+        found_set.add(nodes)
+    return [(w, nodes) for nodes, w in found]

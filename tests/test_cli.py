@@ -134,6 +134,31 @@ class TestBadInput:
         assert code == 1
         assert "unknown node" in err
 
+    def test_label_that_is_another_nodes_index_exits_1(self, capsys, tmp_path):
+        # Raw ids 1, 2, 3 load as indices 0, 1, 2: "2" is node 1's label
+        # and node 2's index.
+        path = tmp_path / "shifted.edges"
+        path.write_text("1 2 1 undirected\n2 3 1 undirected\n")
+        code, _, err = run_cli(
+            capsys, "validate", "--graph", str(path), "--starts", "2", "--target-nodes", "3",
+        )
+        assert code == 1
+        assert "ambiguous node '2'" in err
+        assert "label of node 1" in err and "index of node 2" in err
+
+    def test_label_equal_to_its_own_index_is_accepted(self, capsys, tmp_path):
+        # Raw ids 0, 1, 5 load as indices 0, 1, 2: "1" is node 1's label and
+        # index, and "5" is a label whose index reading is out of range.
+        path = tmp_path / "gap.edges"
+        path.write_text("0 1 1 undirected\n1 5 1 undirected\n")
+        code, out, _ = run_cli(
+            capsys, "validate", "--graph", str(path), "--starts", "1", "--target-nodes", "5",
+        )
+        assert code == 0
+        assert json.loads(out)["mission"] == {
+            "starts": [1], "targets": [2], "start_labels": ["1"], "target_labels": ["5"],
+        }
+
     def test_bad_grid_string_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "run", "--grid", "notagrid", "--agents", "1")
         assert code == 1

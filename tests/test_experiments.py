@@ -144,6 +144,14 @@ class TestSensitivitySweep:
                                base_seed=23)
         assert sw.score[(0.5, 1.0)] > sw.score[(1.0, 0.1)]
 
+    def test_all_aborted_cells_score_zero(self):
+        g = make_grid_graph(6, 6, seed=0)
+        sw = sensitivity_sweep(g, 2, trials=2, alpha_grid=[0.3, 0.6], beta_grid=[1.0],
+                               base_seed=4, max_steps=1)
+        assert not any(row["completed"] for row in sw.rows)
+        assert all(mean == float("inf") for mean in sw.mean_cost.values())
+        assert sw.score == {(0.3, 1.0): 0.0, (0.6, 1.0): 0.0}
+
     def test_empty_grid_rejected(self):
         g = make_grid_graph(6, 6, seed=0)
         with pytest.raises(ValueError, match="non-empty"):

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from modroute import Graph, PathCache, dijkstra, load_edge_list, path_weight, yen_k_shortest
+from modroute.paths import _shrink_factor
 
 from _fixtures import eight_node_graph
-from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph
+from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_yen
 
 
 class TestDijkstra:
@@ -46,6 +47,18 @@ class TestDijkstra:
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             dijkstra(eight_node_graph(), 99)
+
+    def test_in_edges_give_distances_to_the_source(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            m, edges = random_digraph(rng)
+            if not edges:
+                continue
+            g = Graph(m, edges)
+            expected = floyd_warshall(g)
+            for dst in range(m):
+                got = dijkstra(g, dst, g.in_edges)
+                assert [got[v][0] for v in range(m)] == [expected[v][dst] for v in range(m)]
 
 
 class TestYen:
@@ -114,6 +127,55 @@ class TestYen:
             for p in ps.paths:
                 assert len(set(p.nodes)) == len(p.nodes)
                 assert path_weight(g, p.nodes) == p.total_weight
+
+
+# Edge-weight draws for the equivalence check against the plain search.
+# Integers sum exactly. Non-dyadic values tie after rounding in ways that
+# reorder paths under an unshrunk A* key. Near-ulp offsets of 7e3 mixed
+# with 1e-12-scale weights fail the heuristic's rounding bound, so those
+# graphs run with the zero heuristic.
+WEIGHT_FAMILIES = {
+    "integer": lambda rng: float(rng.randint(1, 9)),
+    "tie_prone": lambda rng: rng.choice((0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0)),
+    "extreme_spread": lambda rng: rng.choice(
+        (4e-13, 6e-13, 1e-12, 1.3e-12, 2.2e-12, 7e3, 7e3 + 2**-40, 7e3 + 2**-39)
+    ),
+}
+
+
+class TestMatchesPlainYen:
+    """The goal-directed search returns exactly what plain Yen over plain
+    Dijkstra returns: same paths, same order, bit-identical weights."""
+
+    @pytest.mark.parametrize("family", sorted(WEIGHT_FAMILIES))
+    def test_randomized_queries(self, family):
+        draw = WEIGHT_FAMILIES[family]
+        rng = random.Random(f"yen-{family}")
+        mismatches, queries, zero_heuristic = [], 0, 0
+        while queries < 2500:
+            m = rng.randint(4, 8)
+            edges = [
+                (u, v, draw(rng)) for u in range(m) for v in range(m)
+                if u != v and rng.random() < 0.45
+            ]
+            if not edges:
+                continue
+            g = Graph(m, edges)
+            zero_heuristic += _shrink_factor(g) == 0.0
+            cache = PathCache(g)
+            for _ in range(4):
+                src, dst = rng.sample(range(m), 2)
+                k = rng.randint(1, 8)
+                expected = reference_yen(g, src, dst, k)
+                for got in (yen_k_shortest(g, src, dst, k), cache.k_shortest(src, dst, k)):
+                    if [(p.total_weight, p.nodes) for p in got.paths] != expected:
+                        mismatches.append((edges, src, dst, k))
+                queries += 1
+        assert mismatches == []
+        if family == "extreme_spread":
+            assert zero_heuristic > 0
+        else:
+            assert zero_heuristic == 0
 
 
 class TestPathWeight:
