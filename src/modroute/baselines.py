@@ -10,9 +10,17 @@ exists so heuristic results can be checked against true optima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .engine import AgentState, MissionResult, MoveIntent, StepRecord, assign_targets
+from .engine import (
+    MissionResult,
+    MoveIntent,
+    StepRecord,
+    assign_targets,
+    claim_targets,
+    move_agents,
+    simulate,
+)
 from .graph import InfeasibleMissionError, Mission, validate
 from .paths import PathCache
 
@@ -37,72 +45,28 @@ def run_nonmodular_baseline(
 ) -> MissionResult:
     """Route conventional, non-joining vehicles by nearest-target steps.
 
-    Each unfinished agent is re-assigned the nearest unclaimed unvisited
-    target every step and advances one edge along the shortest path toward
-    it. Every traversed edge is paid per agent per traversal: two agents on
-    the same edge at the same time pay it twice. StepRecord.traversed still
-    holds the deduplicated edge set, but step_cost here charges per agent.
+    Runs in the router's loop, ``engine.simulate``, with the same step cap
+    and abort diagnostics. Each step every unfinished agent claims a target
+    by ``assign_targets`` and takes one hop along the shortest path to it.
+    Every edge is paid per agent: two agents crossing it together pay it
+    twice. ``StepRecord.traversed`` is still the deduplicated edge set.
     """
-    diags = validate(mission)
-    if diags:
-        raise InfeasibleMissionError("; ".join(diags))
     graph = mission.graph
     cache = cache or PathCache(graph)
-    if max_steps is None:
-        max_steps = 4 * graph.node_count * graph.node_count
 
-    agents = [AgentState(i, start) for i, start in enumerate(mission.starts)]
-    unvisited = frozenset(mission.targets) - {a.position for a in agents}
-    records: list[StepRecord] = []
-    diagnostic: str | None = None
-
-    while unvisited:
-        if all(a.finished for a in agents):
-            diagnostic = f"all agents finished with targets still unvisited: {sorted(unvisited)}"
-            break
-        if len(records) >= max_steps:
-            diagnostic = f"step cap {max_steps} reached with targets still unvisited: {sorted(unvisited)}"
-            break
-        assignment = assign_targets(graph, agents, unvisited, cache)
-        staged = []
-        for agent in agents:
-            if agent.finished:
-                staged.append(agent)
-                continue
-            target = assignment[agent.agent_id]
-            if target is None:
-                staged.append(replace(agent, assigned_target=None, finished=True))
-            else:
-                staged.append(replace(agent, assigned_target=target))
-        intents = []
-        step_cost = 0.0
-        for agent in staged:
-            if agent.finished or agent.position == agent.assigned_target:
-                continue
-            route = cache.k_shortest(agent.position, agent.assigned_target, 1).paths[0]
-            nxt = route.nodes[1]
-            intents.append(MoveIntent(agent.agent_id, agent.position, nxt))
-            step_cost += graph.weight(agent.position, nxt)
-        moved = {i.agent_id: i.dst for i in intents}
-        staged = [
-            replace(a, position=moved.get(a.agent_id, a.position),
-                    history=a.history + (moved.get(a.agent_id, a.position),))
-            for a in staged
+    def advance(agents, unvisited, t):
+        agents = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
+        intents = [
+            MoveIntent(a.agent_id, a.position,
+                       cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1])
+            for a in agents if not a.finished
         ]
+        step_cost = sum((graph.weight(i.src, i.dst) for i in intents), 0.0)
+        agents, unvisited = move_agents(agents, intents, unvisited)
         traversed = frozenset((i.src, i.dst) for i in intents)
-        records.append(StepRecord(t=len(records) + 1, traversed=traversed,
-                                  intents=tuple(intents), step_cost=step_cost))
-        agents = staged
-        unvisited = unvisited - {a.position for a in agents}
+        return agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
 
-    return MissionResult(
-        per_agent_paths=tuple(a.history for a in agents),
-        steps=tuple(records),
-        total_cost=sum(r.step_cost for r in records),
-        completed=not unvisited,
-        steps_taken=len(records),
-        diagnostic=diagnostic,
-    )
+    return simulate(mission, max_steps, advance)
 
 
 def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:

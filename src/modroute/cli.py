@@ -58,8 +58,6 @@ def _add_param_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=0.5, help="agent-agent attraction scale")
     sub.add_argument("--beta", type=float, default=1.0, help="agent-target attraction scale")
     sub.add_argument("--k", type=int, default=5, help="sampled cheapest paths per attraction source")
-    sub.add_argument("--max-steps", type=int, default=None, help="step cap (default 4*m^2)")
-    sub.add_argument("--wait-cost", type=float, default=0.0, help="cost charged per waiting agent per step")
     sub.add_argument("--force-sum", action="store_true",
                      help="sum all sampled paths per candidate edge instead of taking the strongest")
 
@@ -72,6 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(run_p)
     _add_mission_args(run_p)
     _add_param_args(run_p)
+    run_p.add_argument("--max-steps", type=int, default=None, help="step cap (default 4*m^2)")
+    run_p.add_argument("--wait-cost", type=float, default=0.0, help="cost charged per waiting agent per step")
 
     batch_p = subs.add_parser("batch", help="compare methods over seeded trials")
     _add_graph_args(batch_p)

@@ -15,6 +15,7 @@ deterministic for a fixed (mission, parameters, seed).
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
@@ -47,17 +48,12 @@ class ForceParams:
 
 @dataclass(frozen=True)
 class AgentState:
-    """One agent: position, claimed target, and the nodes visited so far."""
+    """One agent: position, claimed target, and whether it has stopped."""
 
     agent_id: int
     position: int
     assigned_target: int | None = None
     finished: bool = False
-    history: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.history:
-            object.__setattr__(self, "history", (self.position,))
 
 
 @dataclass(frozen=True)
@@ -269,6 +265,75 @@ def resolve_waits(
     return [current[i.agent_id] for i in intents]
 
 
+def claim_targets(agents: list[AgentState], assignment: dict[int, int | None]) -> list[AgentState]:
+    """Give each unfinished agent its assigned target; one with none finishes."""
+    staged = []
+    for agent in agents:
+        if not agent.finished:
+            target = assignment[agent.agent_id]
+            agent = replace(agent, assigned_target=target, finished=target is None)
+        staged.append(agent)
+    return staged
+
+
+def move_agents(
+    agents: list[AgentState], intents: list[MoveIntent], unvisited: frozenset[int] | set[int]
+) -> tuple[list[AgentState], frozenset[int]]:
+    """Move everyone at once (no intent: stay); a target under any agent becomes visited."""
+    moved = {i.agent_id: i.dst for i in intents}
+    next_agents = [replace(a, position=moved.get(a.agent_id, a.position)) for a in agents]
+    return next_agents, frozenset(unvisited) - {a.position for a in next_agents}
+
+
+def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> MissionResult:
+    """Run ``advance(agents, unvisited, t)`` once per timestep until done.
+
+    This is the one run loop of both the force-based router and the
+    non-modular baseline; ``advance`` is the method's timestep and returns
+    the moved agents, the still-unvisited targets and the step record.
+    Targets occupied at the start count as visited at t=0. The run aborts
+    with ``completed=False`` and a diagnostic when the step cap (default
+    ``4 * m**2``, a generous multiple of the worst-case step count) is hit,
+    which signals oscillation, or when every agent has finished while
+    targets remain unreachable.
+    """
+    diags = validate(mission)
+    if diags:
+        raise InfeasibleMissionError("; ".join(diags))
+    if max_steps is None:
+        max_steps = 4 * mission.graph.node_count * mission.graph.node_count
+
+    agents = [AgentState(i, start) for i, start in enumerate(mission.starts)]
+    paths = [[start] for start in mission.starts]
+    unvisited = frozenset(mission.targets) - set(mission.starts)
+    records: list[StepRecord] = []
+    diagnostic: str | None = None
+
+    while unvisited:
+        if all(a.finished for a in agents):
+            diagnostic = f"all agents finished with targets still unvisited: {sorted(unvisited)}"
+            break
+        if len(records) >= max_steps:
+            diagnostic = (
+                f"step cap {max_steps} reached with targets still unvisited: "
+                f"{sorted(unvisited)} (likely oscillation)"
+            )
+            break
+        agents, unvisited, record = advance(agents, unvisited, len(records) + 1)
+        records.append(record)
+        for path, agent in zip(paths, agents):
+            path.append(agent.position)
+
+    return MissionResult(
+        per_agent_paths=tuple(tuple(path) for path in paths),
+        steps=tuple(records),
+        total_cost=sum(r.step_cost for r in records),
+        completed=not unvisited,
+        steps_taken=len(records),
+        diagnostic=diagnostic,
+    )
+
+
 def step(
     graph: Graph,
     agents: list[AgentState],
@@ -291,18 +356,7 @@ def step(
     agent.
     """
     cache = cache or PathCache(graph)
-    assignment = assign_targets(graph, agents, unvisited, cache)
-    staged: list[AgentState] = []
-    for agent in agents:
-        if agent.finished:
-            staged.append(agent)
-            continue
-        target = assignment[agent.agent_id]
-        if target is None:
-            staged.append(replace(agent, assigned_target=None, finished=True))
-        else:
-            staged.append(replace(agent, assigned_target=target))
-
+    staged = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
     active = [a for a in staged if not a.finished]
     intents = [
         select_edge(
@@ -314,19 +368,12 @@ def step(
     if waiting:
         intents = resolve_waits(graph, intents, active, rng, cache)
 
-    moved = {i.agent_id: i.dst for i in intents}
-    next_agents = [
-        replace(a, position=moved.get(a.agent_id, a.position),
-                history=a.history + (moved.get(a.agent_id, a.position),))
-        for a in staged
-    ]
-
+    next_agents, unvisited = move_agents(staged, intents, unvisited)
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
     step_cost = sum(graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
-    occupied = {a.position for a in next_agents}
     record = StepRecord(t=t, traversed=traversed, intents=tuple(intents), step_cost=step_cost)
-    return next_agents, frozenset(unvisited) - occupied, record
+    return next_agents, unvisited, record
 
 
 def run_mission(
@@ -341,50 +388,14 @@ def run_mission(
 ) -> MissionResult:
     """Run the force-based router until all targets are visited.
 
-    Targets occupied at the start count as visited at t=0. The run aborts
-    with ``completed=False`` and a diagnostic when the step cap (default
-    ``4 * m**2``, a generous multiple of the worst-case step count) is hit,
-    which signals oscillation, or when every agent has finished while
-    targets remain unreachable.
+    Each timestep is one ``step``; ``simulate`` runs the loop, so the
+    step cap and the abort diagnostics are those it describes.
     """
-    diags = validate(mission)
-    if diags:
-        raise InfeasibleMissionError("; ".join(diags))
     graph = mission.graph
     params = params or ForceParams()
     cache = cache or PathCache(graph)
     rng = random.Random(seed)
-    if max_steps is None:
-        max_steps = 4 * graph.node_count * graph.node_count
-
-    agents = [AgentState(i, start) for i, start in enumerate(mission.starts)]
-    unvisited = frozenset(mission.targets) - {a.position for a in agents}
-    records: list[StepRecord] = []
-    diagnostic: str | None = None
-
-    while unvisited:
-        if all(a.finished for a in agents):
-            diagnostic = (
-                f"all agents finished with targets still unvisited: {sorted(unvisited)}"
-            )
-            break
-        if len(records) >= max_steps:
-            diagnostic = (
-                f"step cap {max_steps} reached with targets still unvisited: "
-                f"{sorted(unvisited)} (likely oscillation)"
-            )
-            break
-        agents, unvisited, record = step(
-            graph, agents, unvisited, params, rng,
-            t=len(records) + 1, cache=cache, wait_cost=wait_cost, waiting=waiting,
-        )
-        records.append(record)
-
-    return MissionResult(
-        per_agent_paths=tuple(a.history for a in agents),
-        steps=tuple(records),
-        total_cost=sum(r.step_cost for r in records),
-        completed=not unvisited,
-        steps_taken=len(records),
-        diagnostic=diagnostic,
-    )
+    return simulate(mission, max_steps, lambda agents, unvisited, t: step(
+        graph, agents, unvisited, params, rng,
+        t=t, cache=cache, wait_cost=wait_cost, waiting=waiting,
+    ))

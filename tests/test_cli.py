@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,15 @@ class TestBatchAndSweep:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--max-steps=1", "--wait-cost=100"])
+    def test_batch_rejects_run_only_flags(self, capsys, flag):
+        # batch runs neither a step cap nor a wait cost, so it must not
+        # accept the flags and silently ignore them.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--grid", "4x4", "--agents", "2", "--trials", "3", flag])
+        assert excinfo.value.code == 1
+        assert flag.split("=")[0] in capsys.readouterr().err
+
 
 class TestBadInput:
     def test_unknown_node_exits_1(self, capsys, demo_graph_file):
@@ -173,3 +186,25 @@ class TestBadInput:
             capsys, "run", "--graph", "/nonexistent.edges", "--agents", "1"
         )
         assert code == 1
+
+
+class TestHashSeedIndependence:
+    def test_run_and_batch_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            cwd = tmp_path / f"hashseed{hash_seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            runs = [
+                subprocess.run([sys.executable, "-m", "modroute", *argv], cwd=cwd, env=env,
+                               capture_output=True, check=True).stdout
+                for argv in (
+                    ["run", "--grid", "6x6", "--agents", "3", "--seed", "7"],
+                    ["batch", "--grid", "6x6", "--agents", "3", "--trials", "5", "--seed", "7",
+                     "--out", "rows.csv"],
+                )
+            ]
+            outputs.append((runs, (cwd / "rows.csv").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -1,0 +1,55 @@
+"""The run loop shared by the force-based router and the baseline.
+
+The pinned digest freezes both methods' full output on seeded 8x8 runs, so
+any change to the loop that alters a trajectory, an intent or a cost shows
+here as a different hash.
+"""
+
+import hashlib
+
+import pytest
+
+from modroute import (
+    BatchConfig,
+    ForceParams,
+    generate_random_mission,
+    make_grid_graph,
+    run_batch,
+    run_mission,
+    run_nonmodular_baseline,
+)
+
+from _fixtures import chain_mission
+
+PINNED_DIGEST = "a891490ebd10395f03f4f4e6906e6a95a7eaf38767be187a0f4fbfa16e6f1f87"
+
+
+def _result_repr(res) -> str:
+    steps = [(r.t, r.step_cost, sorted(r.traversed), r.intents) for r in res.steps]
+    return repr((res.per_agent_paths, steps, res.total_cost, res.completed, res.steps_taken))
+
+
+def test_pinned_output_of_both_methods():
+    graph = make_grid_graph(8, 8, seed=0)
+    params = ForceParams()
+    h = hashlib.sha256()
+    for n in (2, 3, 5):
+        for seed in range(3):
+            mission = generate_random_mission(graph, n, 2 * n, seed=100 * n + seed)
+            for waiting in (True, False):
+                res = run_mission(mission, params, seed=seed, max_steps=200,
+                                  wait_cost=0.25, waiting=waiting)
+                h.update(_result_repr(res).encode())
+            h.update(_result_repr(run_nonmodular_baseline(mission)).encode())
+    config = BatchConfig(graph=graph, n_agents=3, trials=5, params=params, base_seed=7)
+    h.update(repr(run_batch(config)).encode())
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
+def test_step_cap_aborts_both_methods(method):
+    # Neither target is within one hop of either start.
+    res = method(chain_mission(), max_steps=1)
+    assert res.completed is False
+    assert res.steps_taken == 1
+    assert "step cap" in res.diagnostic
