@@ -389,7 +389,12 @@ def run_mission(
     """Run the force-based router until all targets are visited.
 
     Each timestep is one ``step``; ``simulate`` runs the loop, so the
-    step cap and the abort diagnostics are those it describes.
+    step cap and the abort diagnostics are those it describes. With
+    ``waiting=False`` nothing breaks a head-on swap deadlock: two agents
+    can trade nodes forever, and such a run ends only at the step cap
+    (``4 * m**2`` steps by default) with ``completed=False``. This happens
+    on ordinary missions, e.g. 3 of 9 seeded 8x8 missions in
+    ``tests/test_simulate.py``.
     """
     graph = mission.graph
     params = params or ForceParams()

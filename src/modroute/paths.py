@@ -53,6 +53,34 @@ How the k-shortest search is made fast without changing any answer:
   spurred at j. So the latest spur made at that root had the same root and
   the same banned edges, and its result is already found or queued.
   Skipping the repeat leaves the output unchanged.
+* **Bounded spur search.** With r = k - (paths found) outputs still to
+  come, ``bound`` is the weight of the r-th lightest queued candidate (inf
+  while fewer than r are queued). A path heavier than ``bound`` is never
+  output: r queued paths sort before it and the next r pops take them or
+  lighter ones. ``bound`` never increases. A push can only lower the r-th
+  weight, and a pop takes the lightest candidate while r drops by one, so
+  the new (r-1)-th weight is the old r-th. A path heavier than ``bound``
+  at one time is thus heavier at every later time too. Each spur search
+  gets ``limit = fl(fl(bound - root_w) + fl(s * bound))``, where ``root_w``
+  is the fold of the root's edges and s = 8 * N * u with N the node
+  count. It stops once a popped key exceeds ``limit``. Keys pop in
+  non-decreasing order: with ``h'`` shrunk by the bound proved above, and
+  trivially with ``h = 0`` since ``fl(g + w) >= g``. The destination's key
+  is ``fl(g + 0) = g``. So a cut search's path P has spur weight
+  ``g_P > limit``. Its candidate weight W is the fold of P's n < N edges
+  continued from ``root_w``. Let S be their exact sum. If
+  ``root_w + S >= 2 * bound`` then ``W >= (1 - n * u)(root_w + S) > bound``.
+  Otherwise ``root_w`` and S are below 2 * bound, so the fold errors of
+  ``g_P`` and W and the three roundings in ``limit`` add up to less than
+  ``(4.02 * n + 2) * u * bound``, which is below ``s * bound``. Hence
+  ``W > bound``, and the cut path is never output. An exact tie with
+  ``bound`` is never cut. A path cut now but met again later is at most
+  queued, never output, and it is the only kind of path whose first spur
+  index can differ, so every output carries the same spur index as
+  without the cut. Lawler's skip stays valid when the earlier spur at that
+  root was cut rather than queued: the repeat would find the same path,
+  which weighs more than an earlier ``bound`` and so more than the
+  current one.
 
 The output is therefore the same path sets, in the same order and with the
 same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
@@ -60,6 +88,7 @@ same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -71,6 +100,9 @@ from .graph import Graph
 # ratio for which it keeps exact ties (derivation in the module docstring).
 _SHRINK = 1.0 - 2.0**-10
 _MIN_WEIGHT_SHARE = 2.0**-40
+# Relative slack per graph node in the spur search's weight limit,
+# 8 * 2**-53 (derivation in the module docstring).
+_BOUND_SLACK = 2.0**-50
 
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
 
@@ -160,6 +192,7 @@ def _lex_shortest(
     dst: int,
     h: list[float],
     banned_next: set[int] | frozenset[int] = frozenset(),
+    limit: float = math.inf,
 ) -> tuple[tuple[int, ...], float] | None:
     """Minimum-weight src->dst path, lexicographically smallest among ties.
 
@@ -168,8 +201,10 @@ def _lex_shortest(
     ``h`` is inf on every node the path may not enter. The search also sets
     it to inf on each node it settles, so the caller passes a copy. The
     first hop may not go to a node in ``banned_next``; that is the deviation
-    step's banned-edge set, whose edges all leave ``src``. Requires
-    src != dst.
+    step's banned-edge set, whose edges all leave ``src``. Keys pop in
+    non-decreasing order and the destination's key is its g, so the search
+    returns None as soon as a popped key exceeds ``limit``: the path it
+    would have returned weighs more than ``limit``. Requires src != dst.
     """
     inf = math.inf
     out_edges = graph.out_edges
@@ -182,7 +217,9 @@ def _lex_shortest(
     ]
     heapq.heapify(heap)
     while heap:
-        _, g, nodes = pop(heap)
+        key, g, nodes = pop(heap)
+        if key > limit:
+            return None
         u = nodes[-1]
         if h[u] == inf:
             continue  # settled by an earlier label
@@ -219,33 +256,48 @@ def yen_k_shortest(
     if first is None:
         return PathSet(src, dst, ())
 
+    weight = graph.weight
+    slack = _BOUND_SLACK * graph.node_count
     found = [first]
     seen = {first[0]}  # every path found or queued as a candidate
     candidates: list[tuple[float, tuple[int, ...], int]] = []
+    queued: list[float] = []  # the candidates' weights, ascending
     start = 0  # spur index the newest found path deviated at
     while len(found) < k:
         prev = found[-1][0]
+        r = k - len(found)  # paths still to find
         # Found paths sharing prev's root up to the current spur node.
         sharing = [p for p, _ in found if p[: start + 1] == prev[: start + 1]]
         open_h = h[:]  # h with the root's nodes closed
-        for node in prev[:start]:
-            open_h[node] = math.inf
+        root_w = 0.0  # left-to-right fold of the root's edge weights
+        for i in range(start):
+            open_h[prev[i]] = math.inf
+            root_w += weight(prev[i], prev[i + 1])
         for i in range(start, len(prev) - 1):
             spur = prev[i]
             if i > start:
                 sharing = [p for p in sharing if p[i] == spur]
+            bound = queued[r - 1] if len(queued) >= r else math.inf
             spur_result = _lex_shortest(
-                graph, spur, dst, open_h[:], {p[i + 1] for p in sharing}
+                graph, spur, dst, open_h[:], {p[i + 1] for p in sharing},
+                bound - root_w + slack * bound,
             )
             if spur_result is not None:
-                total = prev[:i] + spur_result[0]
+                spur_nodes = spur_result[0]
+                total = prev[:i] + spur_nodes
                 if total not in seen:
-                    heapq.heappush(candidates, (path_weight(graph, total), total, i))
+                    total_w = root_w
+                    for u, v in zip(spur_nodes, spur_nodes[1:]):
+                        total_w += weight(u, v)
+                    heapq.heappush(candidates, (total_w, total, i))
+                    bisect.insort(queued, total_w)
                     seen.add(total)
             open_h[spur] = math.inf
+            root_w += weight(spur, prev[i + 1])
         if not candidates:
             break
         w, nodes, start = heapq.heappop(candidates)
+        del queued[0]
         found.append((nodes, w))
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))

@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from modroute import Graph, PathCache, dijkstra, load_edge_list, path_weight, yen_k_shortest
-from modroute.paths import _shrink_factor
+from modroute import (
+    Graph,
+    PathCache,
+    dijkstra,
+    load_edge_list,
+    make_grid_graph,
+    path_weight,
+    yen_k_shortest,
+)
+from modroute import paths
+from modroute.paths import _heuristic, _lex_shortest, _shrink_factor
 
 from _fixtures import eight_node_graph
 from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_yen
@@ -176,6 +185,74 @@ class TestMatchesPlainYen:
             assert zero_heuristic > 0
         else:
             assert zero_heuristic == 0
+
+
+def _integer_grid(width, height, rng):
+    """4-connected grid with one integer weight in 1..3 per lattice edge."""
+    edges = []
+    for u, v, _ in make_grid_graph(width, height).edges():
+        if u < v:
+            w = float(rng.randint(1, 3))
+            edges += [(u, v, w), (v, u, w)]
+    return Graph(width * height, edges)
+
+
+class TestGridsMatchPlainYen:
+    """Grids, as in the benchmark, are where the spur-search bound cuts
+    hardest; integer weights 1..3 add many exact ties at the bound."""
+
+    @pytest.mark.parametrize("family", ["grid_weights", "integer_1_3"])
+    def test_seeded_grid_queries(self, family):
+        rng = random.Random(f"grid-{family}")
+        mismatches, queries = [], 0
+        for side in (5, 6):
+            for graph_seed in range(4):
+                if family == "grid_weights":
+                    g = make_grid_graph(side, side, seed=graph_seed)
+                else:
+                    g = _integer_grid(side, side, rng)
+                cache = PathCache(g)
+                for k in range(1, 9):
+                    for _ in range(3):
+                        src, dst = rng.sample(range(g.node_count), 2)
+                        expected = reference_yen(g, src, dst, k)
+                        for got in (yen_k_shortest(g, src, dst, k), cache.k_shortest(src, dst, k)):
+                            if [(p.total_weight, p.nodes) for p in got.paths] != expected:
+                                mismatches.append((side, graph_seed, src, dst, k))
+                        queries += 1
+        assert queries == 192
+        assert mismatches == []
+
+
+class TestBoundedSpurSearch:
+    def test_limit_cuts_below_the_shortest_weight_and_keeps_exact_ties(self):
+        g = eight_node_graph()
+        h = _heuristic(g, 5, _shrink_factor(g))
+        # With the first hop to 4 banned, 0->2->5 and 0->3->5 tie at 4.0.
+        assert _lex_shortest(g, 0, 5, h[:], {4}) == ((0, 2, 5), 4.0)
+        assert _lex_shortest(g, 0, 5, h[:], {4}, limit=4.0) == ((0, 2, 5), 4.0)
+        assert _lex_shortest(g, 0, 5, h[:], {4}, limit=math.nextafter(4.0, 0.0)) is None
+        assert _lex_shortest(g, 0, 5, h[:], limit=3.0) == ((0, 4, 5), 3.0)
+        assert _lex_shortest(g, 0, 5, h[:], limit=2.5) is None
+
+    def test_some_spur_search_stops_at_the_bound(self, monkeypatch):
+        search = paths._lex_shortest
+        cut = []
+
+        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+            unbounded = search(graph, src, dst, h[:], banned_next)
+            got = search(graph, src, dst, h, banned_next, limit)
+            if got is None and unbounded is not None:
+                cut.append((src, dst, limit))
+            return got
+
+        monkeypatch.setattr(paths, "_lex_shortest", counting_search)
+        g = make_grid_graph(8, 8, seed=3)
+        rng = random.Random(5)
+        for _ in range(10):
+            src, dst = rng.sample(range(g.node_count), 2)
+            yen_k_shortest(g, src, dst, 5)
+        assert cut
 
 
 class TestPathWeight:

@@ -46,6 +46,16 @@ def test_pinned_output_of_both_methods():
     assert h.hexdigest() == PINNED_DIGEST
 
 
+def test_without_waiting_a_swap_deadlock_runs_to_the_step_cap():
+    graph = make_grid_graph(8, 8, seed=0)
+    mission = generate_random_mission(graph, 2, 4, seed=200)
+    stuck = run_mission(mission, ForceParams(), seed=0, max_steps=200, waiting=False)
+    assert stuck.completed is False
+    assert stuck.steps_taken == 200
+    assert stuck.diagnostic.endswith("(likely oscillation)")
+    assert run_mission(mission, ForceParams(), seed=0, max_steps=200).completed
+
+
 @pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
 def test_step_cap_aborts_both_methods(method):
     # Neither target is within one hop of either start.
