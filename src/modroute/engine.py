@@ -14,9 +14,10 @@ deterministic for a fixed (mission, parameters, seed).
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
 from .paths import PathCache
@@ -38,8 +39,8 @@ class ForceParams:
     force_sum: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not (self.alpha >= 0 and self.beta >= 0):  # also rejects NaN
+            raise ValueError(f"alpha and beta must be non-negative, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
         if self.k < 1:
@@ -117,16 +118,15 @@ def assign_targets(
     targets = sorted(unvisited)
     for agent in sorted((a for a in agents if not a.finished), key=lambda a: a.agent_id):
         dist = cache.distances(agent.position)
-        reachable = [t for t in targets if dist[t] < float("inf")]
-        if not reachable:
+        d_min = min((dist[t] for t in targets), default=math.inf)
+        if d_min == math.inf:
             result[agent.agent_id] = None
             continue
-        d_min = min(dist[t] for t in reachable)
-        nearest = [t for t in reachable if dist[t] == d_min]
+        nearest = [t for t in targets if dist[t] == d_min]
         free = [t for t in nearest if t not in claimed]
         if free:
             choice = free[0]
-        elif all(t in claimed for t in reachable):
+        elif all(t in claimed or dist[t] == math.inf for t in targets):
             result[agent.agent_id] = None
             continue
         else:
@@ -137,10 +137,17 @@ def assign_targets(
 
 
 def attractive_force(scale: float, d: float) -> float:
-    """Inverse-square attraction ``scale / d**2`` for a path of weight d."""
+    """Inverse-square attraction ``scale / d**2`` for a path of weight d.
+
+    Raises ValueError for ``d <= 0`` and for a positive d so small that
+    ``d * d`` underflows to 0.
+    """
     if d <= 0:
         raise ValueError(f"attraction undefined for non-positive distance {d}")
-    return scale / (d * d)
+    d2 = d * d
+    if d2 == 0:
+        raise ValueError(f"attraction undefined: distance {d!r} squared underflows to 0")
+    return scale / d2
 
 
 def compute_edge_forces(
@@ -158,6 +165,11 @@ def compute_edge_forces(
     edge. Per source, only the strongest path through a given first edge
     counts (all of them with ``force_sum``); the per-edge totals sum over
     sources. Edges that start no sampled path are absent from the map.
+
+    The paths come grouped by first edge from ``PathSet.first_hops``, each
+    group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
+    d, so the strongest path of a group is its first, bit for bit; with
+    ``force_sum`` the group's forces are folded onto 0.0 in path order.
     """
     cache = cache or PathCache(graph)
     destinations: list[tuple[int, float]] = []
@@ -171,19 +183,17 @@ def compute_edge_forces(
                 continue  # co-located pair: zero distance, excluded
             destinations.append((other.position, params.alpha))
 
+    position, k, force_sum = agent.position, params.k, params.force_sum
     entries: dict[tuple[int, int], float] = {}
     for dest, scale in destinations:
-        per_edge: dict[tuple[int, int], float] = {}
-        for path in cache.k_shortest(agent.position, dest, params.k).paths:
-            if len(path.nodes) < 2:
-                continue
-            edge = (path.nodes[0], path.nodes[1])
-            force = attractive_force(scale, path.total_weight)
-            if params.force_sum:
-                per_edge[edge] = per_edge.get(edge, 0.0) + force
+        for hop, weights in cache.k_shortest(position, dest, k).first_hops:
+            if force_sum:
+                force = 0.0
+                for d in weights:
+                    force += attractive_force(scale, d)
             else:
-                per_edge[edge] = max(per_edge.get(edge, 0.0), force)
-        for edge, force in per_edge.items():
+                force = attractive_force(scale, weights[0])
+            edge = (position, hop)
             entries[edge] = entries.get(edge, 0.0) + force
     return EdgeForces(agent.agent_id, entries)
 
@@ -235,8 +245,8 @@ def resolve_waits(
         return cache.distance(agent.position, agent.assigned_target)
 
     def make_wait(agent_id: int) -> None:
-        pos = by_id[agent_id].position
-        current[agent_id] = replace(current[agent_id], dst=pos, waiting=True)
+        src = current[agent_id].src
+        current[agent_id] = MoveIntent(agent_id, src, by_id[agent_id].position, waiting=True)
 
     for idx, first_id in enumerate(order):
         for second_id in order[idx + 1 :]:
@@ -271,7 +281,7 @@ def claim_targets(agents: list[AgentState], assignment: dict[int, int | None]) -
     for agent in agents:
         if not agent.finished:
             target = assignment[agent.agent_id]
-            agent = replace(agent, assigned_target=target, finished=target is None)
+            agent = AgentState(agent.agent_id, agent.position, target, target is None)
         staged.append(agent)
     return staged
 
@@ -281,7 +291,10 @@ def move_agents(
 ) -> tuple[list[AgentState], frozenset[int]]:
     """Move everyone at once (no intent: stay); a target under any agent becomes visited."""
     moved = {i.agent_id: i.dst for i in intents}
-    next_agents = [replace(a, position=moved.get(a.agent_id, a.position)) for a in agents]
+    next_agents = [
+        AgentState(a.agent_id, moved.get(a.agent_id, a.position), a.assigned_target, a.finished)
+        for a in agents
+    ]
     return next_agents, frozenset(unvisited) - {a.position for a in next_agents}
 
 

@@ -89,6 +89,7 @@ same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -122,6 +123,22 @@ class PathSet:
     origin: int
     destination: int
     paths: tuple[Path, ...]
+
+    @functools.cached_property
+    def first_hops(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
+        """``(next_node, weights)`` per distinct first hop, in order of first
+        appearance, each with the weights of the paths through it.
+
+        The paths are sorted by weight, so each ``weights`` ascends. Built on
+        first use and kept on the instance, outside the dataclass fields, so
+        equality, hashing and repr ignore it; ``PathCache`` keeps its sets,
+        so each table is built once per cache entry.
+        """
+        hops: dict[int, list[float]] = {}
+        for path in self.paths:
+            if len(path.nodes) > 1:
+                hops.setdefault(path.nodes[1], []).append(path.total_weight)
+        return tuple((hop, tuple(weights)) for hop, weights in hops.items())
 
 
 def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:

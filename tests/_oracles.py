@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to check the library's algorithms.
 
 These deliberately avoid the library's own search code: Floyd-Warshall for
-all-pairs distances, exhaustive DFS enumeration of simple paths, and a
+all-pairs distances, exhaustive DFS enumeration of simple paths, a
 frozen copy of the original plain Yen search over Dijkstra, the reference
-the goal-directed search must match path for path and bit for bit.
+the goal-directed search must match path for path and bit for bit, and a
+frozen copy of the original per-path force loop, which the first-hop
+force computation must match entry for entry and bit for bit.
 """
 
 import heapq
@@ -143,3 +145,42 @@ def reference_yen(graph, src, dst, k):
         found.append((nodes, w))
         found_set.add(nodes)
     return [(w, nodes) for nodes, w in found]
+
+
+def reference_edge_forces(cache, agent, others, params):
+    """Per-edge attraction as the engine first computed it, path by path.
+
+    A frozen copy of the original ``compute_edge_forces`` loop: every
+    sampled path's force ``scale / (d * d)`` is credited to its first edge,
+    taking the per-source maximum over paths (``max`` seeded with 0.0) or,
+    with ``force_sum``, their sum folded onto 0.0 in path order; the
+    per-source maps are then added into one dict in order of first
+    appearance. Returns that dict.
+    """
+    destinations = []
+    if agent.assigned_target is not None and params.beta > 0:
+        destinations.append((agent.assigned_target, params.beta))
+    if params.alpha > 0:
+        for other in sorted(others, key=lambda a: a.agent_id):
+            if other.finished or other.agent_id == agent.agent_id:
+                continue
+            if other.position == agent.position:
+                continue
+            destinations.append((other.position, params.alpha))
+
+    entries = {}
+    for dest, scale in destinations:
+        per_edge = {}
+        for path in cache.k_shortest(agent.position, dest, params.k).paths:
+            if len(path.nodes) < 2:
+                continue
+            edge = (path.nodes[0], path.nodes[1])
+            d = path.total_weight
+            force = scale / (d * d)
+            if params.force_sum:
+                per_edge[edge] = per_edge.get(edge, 0.0) + force
+            else:
+                per_edge[edge] = max(per_edge.get(edge, 0.0), force)
+        for edge, force in per_edge.items():
+            entries[edge] = entries.get(edge, 0.0) + force
+    return entries

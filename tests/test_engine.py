@@ -7,6 +7,7 @@ from modroute import (
     AgentState,
     EdgeForces,
     ForceParams,
+    Graph,
     InfeasibleMissionError,
     Mission,
     MoveIntent,
@@ -32,6 +33,7 @@ from _fixtures import (
     eight_node_mission,
     shared_corridor_mission,
 )
+from _oracles import reference_edge_forces
 
 
 class TestForceParams:
@@ -49,6 +51,12 @@ class TestForceParams:
         with pytest.raises(ValueError):
             ForceParams(k=0)
 
+    def test_rejects_nan_scales(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ForceParams(alpha=math.nan)
+        with pytest.raises(ValueError, match="non-negative"):
+            ForceParams(beta=math.nan)
+
 
 class TestAttractiveForce:
     def test_inverse_square_values(self):
@@ -63,6 +71,13 @@ class TestAttractiveForce:
             attractive_force(1.0, 0.0)
         with pytest.raises(ValueError):
             attractive_force(1.0, -2.0)
+
+    def test_distance_whose_square_underflows_rejected(self):
+        with pytest.raises(ValueError, match="distance 1e-170 squared underflows"):
+            attractive_force(1.0, 1e-170)
+        # squares that are tiny but positive, even subnormal, keep the plain formula
+        assert attractive_force(1.0, 1e-150) == 1.0 / (1e-150 * 1e-150)
+        assert attractive_force(2.0**-1000, 2.0**-537) == 2.0**74
 
 
 class TestAssignTargets:
@@ -144,6 +159,61 @@ class TestComputeEdgeForces:
         # paths (0,1,2) w=2 and (0,1,3,2) w=3 both start with (0,1)
         assert max_variant.entries[(0, 1)] == 1 / 4
         assert sum_variant.entries[(0, 1)] == 1 / 4 + 1 / 9
+
+
+def _seeded_force_states(graph_seed, count):
+    """Random 8x8 fleets: some agents co-located, some finished, some
+    without a target; yields (agent, others) with agents in id order."""
+    rng = random.Random(f"forces-{graph_seed}")
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        spots = rng.sample(range(64), rng.randint(1, n))
+        fleet = [
+            AgentState(i, rng.choice(spots), rng.choice([None] + list(range(64))),
+                       rng.random() < 0.2)
+            for i in range(n)
+        ]
+        for agent in fleet:
+            if not agent.finished:
+                yield agent, [o for o in fleet if o is not agent]
+
+
+class TestFirstHopForcesMatchPerPathLoop:
+    """``compute_edge_forces`` over first-hop tables gives exactly what the
+    original per-path loop gave: same edges, same order, same float bits."""
+
+    SCALES = [(0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0), (3.7, 0.3), (0.1, 2.9)]
+
+    @pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])
+    def test_seeded_8x8_states(self, force_sum):
+        mismatches, calls, colocated, finished = [], 0, 0, 0
+        multi_hop_groups, order_sensitive_sums = 0, 0
+        for graph_seed in range(3):
+            graph = make_grid_graph(8, 8, seed=graph_seed)
+            cache = PathCache(graph)
+            for agent, others in _seeded_force_states(graph_seed, 40):
+                colocated += any(o.position == agent.position for o in others)
+                finished += any(o.finished for o in others)
+                for alpha, beta in self.SCALES:
+                    for k in (1, 3, 5, 8):
+                        params = ForceParams(alpha, beta, k, force_sum)
+                        got = compute_edge_forces(graph, agent, others, params, cache).entries
+                        want = reference_edge_forces(cache, agent, others, params)
+                        if [(e, f.hex()) for e, f in got.items()] != [
+                            (e, f.hex()) for e, f in want.items()
+                        ]:
+                            mismatches.append((graph_seed, agent, others, params))
+                        calls += 1
+                if agent.assigned_target is not None:
+                    for _, weights in cache.k_shortest(agent.position, agent.assigned_target, 8).first_hops:
+                        forces = [1.0 / (d * d) for d in weights]
+                        multi_hop_groups += len(set(weights)) > 1
+                        order_sensitive_sums += sum(forces, 0.0) != sum(reversed(forces), 0.0)
+        assert mismatches == []
+        assert calls > 2000
+        # the states exercise every case the two loops could disagree on
+        assert colocated > 0 and finished > 0
+        assert multi_hop_groups > 0 and order_sensitive_sums > 0
 
 
 class TestSelectEdge:
@@ -264,6 +334,13 @@ class TestRunMission:
         g = eight_node_graph()
         res = run_mission(Mission(g, (6,), frozenset({6})), EIGHT_NODE_PARAMS, seed=0)
         assert res.completed and res.total_cost == 0.0 and res.steps_taken == 0
+
+    def test_underflowing_force_raises_value_error(self):
+        # a valid path graph whose path weights square to 0 in floating point
+        w = 1e-170
+        g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
+        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
+            run_mission(Mission(g, (0,), frozenset({2})), seed=0)
 
     def test_infeasible_mission_raises(self):
         g = load_edge_list("0 1 1.0\n2 3 1.0")

@@ -266,6 +266,39 @@ class TestPathWeight:
             path_weight(eight_node_graph(), (0, 6))
 
 
+class TestFirstHops:
+    def test_fixture_tables(self):
+        cache = PathCache(eight_node_graph())
+        to_goal = cache.k_shortest(0, 6, 3)
+        to_agent = cache.k_shortest(0, 1, 3)
+        assert to_goal.first_hops == ((4, (4.0,)), (2, (5.0,)), (3, (5.0,)))
+        assert to_agent.first_hops == ((4, (2.0,)), (2, (3.0,)), (3, (3.0,)))
+        # README's worked example: edge (0,4) pulls 1/4^2 + 1/2^2
+        (_, goal_w), (_, agent_w) = to_goal.first_hops[0], to_agent.first_hops[0]
+        assert 1.0 / goal_w[0] ** 2 + 1.0 / agent_w[0] ** 2 == 0.3125
+
+    def test_groups_keep_first_appearance_and_ascending_weights(self):
+        g = load_edge_list("0 1 1.0\n1 2 1.0\n1 3 1.0\n3 2 1.0\n0 4 1.5\n4 2 1.0\n")
+        table = yen_k_shortest(g, 0, 2, 3).first_hops
+        # paths (0,1,2) w=2, (0,4,2) w=2.5, (0,1,3,2) w=3: hop 1 comes first
+        assert table == ((1, (2.0, 3.0)), (4, (2.5,)))
+
+    def test_trivial_and_empty_sets_have_no_hops(self):
+        g = load_edge_list("0 1 1.0\n2 3 1.0")
+        assert yen_k_shortest(g, 0, 0, 3).first_hops == ()
+        assert yen_k_shortest(g, 0, 3, 3).first_hops == ()
+
+    def test_built_table_leaves_equality_hash_and_repr_alone(self):
+        g = eight_node_graph()
+        built, fresh = yen_k_shortest(g, 0, 6, 3), yen_k_shortest(g, 0, 6, 3)
+        assert built is not fresh
+        table = built.first_hops
+        assert built.first_hops is table
+        assert "first_hops" in vars(built) and "first_hops" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+
+
 class TestPathCache:
     def test_cached_results_match_direct_calls(self):
         g = eight_node_graph()

@@ -1,0 +1,92 @@
+"""Property tests: run invariants on small random grids and missions.
+
+For any grid, mission, parameters and seed, every run of either method
+must move agents only along graph edges or by waiting in place, bill each
+step by its method's rule (the router charges an edge crossed together
+once, the baseline charges every agent), charge a total cost equal to the
+sum of its step costs, and, when it reports completion, have visited every
+target.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from modroute import (  # noqa: E402
+    ForceParams,
+    generate_random_mission,
+    make_grid_graph,
+    run_mission,
+    run_nonmodular_baseline,
+)
+
+
+@st.composite
+def missions(draw):
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    graph = make_grid_graph(width, height, seed=draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 3))
+    n_targets = draw(st.integers(1, min(4, width * height - n)))
+    return generate_random_mission(graph, n, n_targets, seed=draw(st.integers(0, 2**16)))
+
+
+scales = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def force_params(draw):
+    alpha = draw(scales)
+    beta = draw(scales.filter(lambda b: alpha > 0 or b > 0))
+    return ForceParams(alpha, beta, draw(st.integers(1, 5)), draw(st.booleans()))
+
+
+def assert_invariants(mission, res, charge):
+    """``charge(record)`` is what the method should bill for one step."""
+    graph = mission.graph
+    for path in res.per_agent_paths:
+        assert len(path) == res.steps_taken + 1
+        for u, v in zip(path, path[1:]):
+            assert u == v or graph.has_edge(u, v)
+    for record in res.steps:
+        for intent in record.intents:
+            assert intent.src == intent.dst or graph.has_edge(intent.src, intent.dst)
+            assert not intent.waiting or intent.src == intent.dst
+        assert record.traversed == {(i.src, i.dst) for i in record.intents if i.src != i.dst}
+        assert math.isclose(record.step_cost, charge(record), rel_tol=1e-12)
+    assert res.steps_taken == len(res.steps)
+    assert sum(r.step_cost for r in res.steps) == res.total_cost
+    visited = {v for path in res.per_agent_paths for v in path}
+    if res.completed:
+        assert mission.targets <= visited
+    else:
+        assert res.diagnostic
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(missions(), force_params(), st.integers(0, 2**16), st.booleans(),
+       st.sampled_from([0.0, 0.5]))
+def test_router_runs_keep_their_invariants(mission, params, seed, waiting, wait_cost):
+    graph = mission.graph
+    res = run_mission(mission, params, seed=seed, max_steps=4 * graph.node_count,
+                      wait_cost=wait_cost, waiting=waiting)
+
+    def shared_edges_once(record):
+        waits = sum(1 for i in record.intents if i.waiting)
+        return sum(graph.weight(u, v) for u, v in record.traversed) + wait_cost * waits
+
+    assert_invariants(mission, res, shared_edges_once)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(missions())
+def test_baseline_runs_keep_their_invariants(mission):
+    graph = mission.graph
+    res = run_nonmodular_baseline(mission, max_steps=4 * graph.node_count)
+
+    def every_agent_pays(record):
+        return sum(graph.weight(i.src, i.dst) for i in record.intents if i.src != i.dst)
+
+    assert_invariants(mission, res, every_agent_pays)
