@@ -86,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mission_args(sweep_p)
     sweep_p.add_argument("--trials", type=int, default=100)
     sweep_p.add_argument("--k", type=int, default=5)
+    sweep_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
     sweep_p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_SWEEP_GRID))
     sweep_p.add_argument("--betas", default=",".join(str(b) for b in DEFAULT_SWEEP_GRID))
     sweep_p.add_argument("--out", help="CSV output path")
@@ -208,7 +209,7 @@ def _cmd_sweep(args) -> int:
     n_targets = args.targets if args.targets is not None else 2 * args.agents
     result = sensitivity_sweep(graph, args.agents, args.trials, alphas, betas,
                                k=args.k, base_seed=args.seed, n_targets=n_targets,
-                               out_path=args.out)
+                               out_path=args.out, max_steps=args.max_steps)
     for (alpha, beta), mean in sorted(result.mean_cost.items()):
         print(f"alpha={alpha} beta={beta} mean_cost={mean:.4f} score={result.score[(alpha, beta)]:.3f}")
     if args.out:

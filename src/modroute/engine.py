@@ -18,6 +18,7 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
 from .paths import PathCache
@@ -116,13 +117,17 @@ def assign_targets(
     result: dict[int, int | None] = {}
     claimed: set[int] = set()
     targets = sorted(unvisited)
-    for agent in sorted((a for a in agents if not a.finished), key=lambda a: a.agent_id):
-        dist = cache.distances(agent.position)
-        d_min = min((dist[t] for t in targets), default=math.inf)
-        if d_min == math.inf:
+    nearest_at: dict[int, tuple[list[float], list[int]]] = {}
+    for agent in sorted((a for a in agents if not a.finished), key=attrgetter("agent_id")):
+        if agent.position not in nearest_at:
+            dist = cache.distances(agent.position)
+            d_min = min((dist[t] for t in targets), default=math.inf)
+            nearest = [t for t in targets if dist[t] == d_min] if d_min < math.inf else []
+            nearest_at[agent.position] = dist, nearest
+        dist, nearest = nearest_at[agent.position]
+        if not nearest:
             result[agent.agent_id] = None
             continue
-        nearest = [t for t in targets if dist[t] == d_min]
         free = [t for t in nearest if t not in claimed]
         if free:
             choice = free[0]
@@ -165,6 +170,7 @@ def compute_edge_forces(
     edge. Per source, only the strongest path through a given first edge
     counts (all of them with ``force_sum``); the per-edge totals sum over
     sources. Edges that start no sampled path are absent from the map.
+    ``others`` may include the agent itself, which is skipped by id.
 
     The paths come grouped by first edge from ``PathSet.first_hops``, each
     group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
@@ -176,7 +182,7 @@ def compute_edge_forces(
     if agent.assigned_target is not None and params.beta > 0:
         destinations.append((agent.assigned_target, params.beta))
     if params.alpha > 0:
-        for other in sorted(others, key=lambda a: a.agent_id):
+        for other in sorted(others, key=attrgetter("agent_id")):
             if other.finished or other.agent_id == agent.agent_id:
                 continue
             if other.position == agent.position:
@@ -233,13 +239,23 @@ def resolve_waits(
       step so the arriving agent joins it instead of chasing a vacated
       node; otherwise both proceed.
 
-    A single pass runs per timestep, re-checking current intents so an
-    agent already converted to waiting triggers no further pair.
+    A single pass runs per timestep over the pairs in ascending id order,
+    re-checking current intents so an agent already converted to waiting
+    triggers no further pair. Waiting only ever switches triggers off, so
+    the pass visits just the pairs where one agent's original intent lands
+    on the other's node.
     """
     cache = cache or PathCache(graph)
     by_id = {a.agent_id: a for a in agents}
-    order = sorted(i.agent_id for i in intents)
     current = {i.agent_id: i for i in intents}
+    at: dict[int, list[int]] = {}
+    for agent_id in current:
+        at.setdefault(by_id[agent_id].position, []).append(agent_id)
+    pairs = sorted({
+        (min(a_id, b_id), max(a_id, b_id))
+        for a_id, intent in current.items() if not intent.waiting
+        for b_id in at.get(intent.dst, ()) if b_id != a_id
+    })
 
     def target_distance(agent: AgentState) -> float:
         return cache.distance(agent.position, agent.assigned_target)
@@ -248,30 +264,29 @@ def resolve_waits(
         src = current[agent_id].src
         current[agent_id] = MoveIntent(agent_id, src, by_id[agent_id].position, waiting=True)
 
-    for idx, first_id in enumerate(order):
-        for second_id in order[idx + 1 :]:
-            a, b = by_id[first_id], by_id[second_id]
-            ia, ib = current[first_id], current[second_id]
-            if a.position == b.position:
-                continue
-            if a.assigned_target is None or b.assigned_target is None:
-                continue
-            a_lands_on_b = not ia.waiting and ia.dst == b.position
-            b_lands_on_a = not ib.waiting and ib.dst == a.position
-            if not (a_lands_on_b or b_lands_on_a):
-                continue
-            dist_a, dist_b = target_distance(a), target_distance(b)
-            if a_lands_on_b and b_lands_on_a:
-                if dist_a < dist_b:
-                    make_wait(first_id)
-                elif dist_b < dist_a:
-                    make_wait(second_id)
-                else:
-                    make_wait(first_id if rng.random() < 0.5 else second_id)
-            elif a_lands_on_b and dist_b < dist_a:
-                make_wait(second_id)
-            elif b_lands_on_a and dist_a < dist_b:
+    for first_id, second_id in pairs:
+        a, b = by_id[first_id], by_id[second_id]
+        ia, ib = current[first_id], current[second_id]
+        if a.position == b.position:
+            continue
+        if a.assigned_target is None or b.assigned_target is None:
+            continue
+        a_lands_on_b = not ia.waiting and ia.dst == b.position
+        b_lands_on_a = not ib.waiting and ib.dst == a.position
+        if not (a_lands_on_b or b_lands_on_a):
+            continue
+        dist_a, dist_b = target_distance(a), target_distance(b)
+        if a_lands_on_b and b_lands_on_a:
+            if dist_a < dist_b:
                 make_wait(first_id)
+            elif dist_b < dist_a:
+                make_wait(second_id)
+            else:
+                make_wait(first_id if rng.random() < 0.5 else second_id)
+        elif a_lands_on_b and dist_b < dist_a:
+            make_wait(second_id)
+        elif b_lands_on_a and dist_a < dist_b:
+            make_wait(first_id)
     return [current[i.agent_id] for i in intents]
 
 
@@ -281,7 +296,8 @@ def claim_targets(agents: list[AgentState], assignment: dict[int, int | None]) -
     for agent in agents:
         if not agent.finished:
             target = assignment[agent.agent_id]
-            agent = AgentState(agent.agent_id, agent.position, target, target is None)
+            if target is None or target != agent.assigned_target:
+                agent = AgentState(agent.agent_id, agent.position, target, target is None)
         staged.append(agent)
     return staged
 
@@ -292,7 +308,8 @@ def move_agents(
     """Move everyone at once (no intent: stay); a target under any agent becomes visited."""
     moved = {i.agent_id: i.dst for i in intents}
     next_agents = [
-        AgentState(a.agent_id, moved.get(a.agent_id, a.position), a.assigned_target, a.finished)
+        a if (dst := moved.get(a.agent_id, a.position)) == a.position
+        else AgentState(a.agent_id, dst, a.assigned_target, a.finished)
         for a in agents
     ]
     return next_agents, frozenset(unvisited) - {a.position for a in next_agents}
@@ -308,8 +325,10 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     with ``completed=False`` and a diagnostic when the step cap (default
     ``4 * m**2``, a generous multiple of the worst-case step count) is hit,
     which signals oscillation, or when every agent has finished while
-    targets remain unreachable.
+    targets remain unreachable. A negative ``max_steps`` raises ValueError.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     diags = validate(mission)
     if diags:
         raise InfeasibleMissionError("; ".join(diags))
@@ -367,17 +386,25 @@ def step(
     standing under an agent becomes visited. The step cost sums the weights
     of the deduplicated traversed edge set plus ``wait_cost`` per waiting
     agent.
+
+    Co-located agents with the same target form a platoon that is scored
+    once: they skip each other and see the same other agents, so every
+    member's forces and chosen edge are the first member's, bit for bit.
     """
     cache = cache or PathCache(graph)
     staged = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
     active = [a for a in staged if not a.finished]
-    intents = [
-        select_edge(
-            compute_edge_forces(graph, agent, [o for o in active if o is not agent], params, cache),
-            agent.position,
-        )
-        for agent in active
-    ]
+    leads: dict[tuple[int, int | None], MoveIntent] = {}
+    intents = []
+    for agent in active:
+        key = agent.position, agent.assigned_target
+        lead = leads.get(key)
+        if lead is None:
+            forces = compute_edge_forces(graph, agent, active, params, cache)
+            lead = leads[key] = select_edge(forces, agent.position)
+            intents.append(lead)
+        else:
+            intents.append(MoveIntent(agent.agent_id, lead.src, lead.dst, lead.waiting))
     if waiting:
         intents = resolve_waits(graph, intents, active, rng, cache)
 
@@ -407,8 +434,11 @@ def run_mission(
     can trade nodes forever, and such a run ends only at the step cap
     (``4 * m**2`` steps by default) with ``completed=False``. This happens
     on ordinary missions, e.g. 3 of 9 seeded 8x8 missions in
-    ``tests/test_simulate.py``.
+    ``tests/test_simulate.py``. A negative, NaN or infinite ``wait_cost``
+    raises ValueError.
     """
+    if not 0 <= wait_cost < math.inf:  # also rejects NaN
+        raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
     graph = mission.graph
     params = params or ForceParams()
     cache = cache or PathCache(graph)

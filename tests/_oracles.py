@@ -5,11 +5,15 @@ all-pairs distances, exhaustive DFS enumeration of simple paths, a
 frozen copy of the original plain Yen search over Dijkstra, the reference
 the goal-directed search must match path for path and bit for bit, and a
 frozen copy of the original per-path force loop, which the first-hop
-force computation must match entry for entry and bit for bit.
+force computation must match entry for entry and bit for bit, and a
+frozen copy of the original per-agent step, which the platoon-shared step
+must match record for record and draw for draw.
 """
 
 import heapq
 import math
+
+from modroute.engine import AgentState, MoveIntent, StepRecord, compute_edge_forces, select_edge
 
 
 def floyd_warshall(graph):
@@ -184,3 +188,103 @@ def reference_edge_forces(cache, agent, others, params):
         for edge, force in per_edge.items():
             entries[edge] = entries.get(edge, 0.0) + force
     return entries
+
+
+def reference_step(graph, agents, unvisited, params, rng, *, t=1, cache, wait_cost=0.0, waiting=True):
+    """One timestep as the engine first computed it, agent by agent.
+
+    A frozen copy of the original ``step``: every agent claims its nearest
+    target with its own distance scan, every active agent scores its edges
+    against a freshly filtered list of the others, and ``resolve_waits``
+    visits every pair of agents in ascending id order. Returns
+    (next agents, unvisited, StepRecord) like ``engine.step``.
+    """
+    assignment = _reference_assign_targets(agents, unvisited, cache)
+    staged = [
+        a if a.finished else AgentState(a.agent_id, a.position, assignment[a.agent_id],
+                                        assignment[a.agent_id] is None)
+        for a in agents
+    ]
+    active = [a for a in staged if not a.finished]
+    intents = [
+        select_edge(
+            compute_edge_forces(graph, agent, [o for o in active if o is not agent], params, cache),
+            agent.position,
+        )
+        for agent in active
+    ]
+    if waiting:
+        intents = _reference_resolve_waits(intents, active, rng, cache)
+    moved = {i.agent_id: i.dst for i in intents}
+    next_agents = [
+        AgentState(a.agent_id, moved.get(a.agent_id, a.position), a.assigned_target, a.finished)
+        for a in staged
+    ]
+    unvisited = frozenset(unvisited) - {a.position for a in next_agents}
+    traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
+    n_waiting = sum(1 for i in intents if i.waiting)
+    step_cost = sum(graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
+    return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
+
+
+def _reference_assign_targets(agents, unvisited, cache):
+    result = {}
+    claimed = set()
+    targets = sorted(unvisited)
+    for agent in sorted((a for a in agents if not a.finished), key=lambda a: a.agent_id):
+        dist = cache.distances(agent.position)
+        d_min = min((dist[t] for t in targets), default=math.inf)
+        if d_min == math.inf:
+            result[agent.agent_id] = None
+            continue
+        nearest = [t for t in targets if dist[t] == d_min]
+        free = [t for t in nearest if t not in claimed]
+        if free:
+            choice = free[0]
+        elif all(t in claimed or dist[t] == math.inf for t in targets):
+            result[agent.agent_id] = None
+            continue
+        else:
+            choice = nearest[0]
+        result[agent.agent_id] = choice
+        claimed.add(choice)
+    return result
+
+
+def _reference_resolve_waits(intents, agents, rng, cache):
+    by_id = {a.agent_id: a for a in agents}
+    order = sorted(i.agent_id for i in intents)
+    current = {i.agent_id: i for i in intents}
+
+    def target_distance(agent):
+        return cache.distance(agent.position, agent.assigned_target)
+
+    def make_wait(agent_id):
+        src = current[agent_id].src
+        current[agent_id] = MoveIntent(agent_id, src, by_id[agent_id].position, waiting=True)
+
+    for idx, first_id in enumerate(order):
+        for second_id in order[idx + 1 :]:
+            a, b = by_id[first_id], by_id[second_id]
+            ia, ib = current[first_id], current[second_id]
+            if a.position == b.position:
+                continue
+            if a.assigned_target is None or b.assigned_target is None:
+                continue
+            a_lands_on_b = not ia.waiting and ia.dst == b.position
+            b_lands_on_a = not ib.waiting and ib.dst == a.position
+            if not (a_lands_on_b or b_lands_on_a):
+                continue
+            dist_a, dist_b = target_distance(a), target_distance(b)
+            if a_lands_on_b and b_lands_on_a:
+                if dist_a < dist_b:
+                    make_wait(first_id)
+                elif dist_b < dist_a:
+                    make_wait(second_id)
+                else:
+                    make_wait(first_id if rng.random() < 0.5 else second_id)
+            elif a_lands_on_b and dist_b < dist_a:
+                make_wait(second_id)
+            elif b_lands_on_a and dist_a < dist_b:
+                make_wait(first_id)
+    return [current[i.agent_id] for i in intents]

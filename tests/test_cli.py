@@ -128,6 +128,19 @@ class TestBatchAndSweep:
         )
         assert code == 0
 
+    def test_sweep_step_cap_applies_to_every_run(self, capsys, tmp_path):
+        out_csv = tmp_path / "capped.csv"
+        argv = ["sweep", "--grid", "6x6", "--agents", "2", "--trials", "2",
+                "--alphas", "0.5", "--betas", "1.0", "--seed", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--max-steps", "1", "--out", str(out_csv))
+        assert code == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()]
+        steps, completed = rows[0].index("steps"), rows[0].index("completed")
+        assert [(row[steps], row[completed]) for row in rows[1:]] == [("1", "False")] * 2
+        assert "mean_cost=inf score=0.000" in out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "score=1.000" in out
+
     @pytest.mark.parametrize("flag", ["--max-steps=1", "--wait-cost=100"])
     def test_batch_rejects_run_only_flags(self, capsys, flag):
         # batch runs neither a step cap nor a wait cost, so it must not
@@ -171,6 +184,15 @@ class TestBadInput:
         assert json.loads(out)["mission"] == {
             "starts": [1], "targets": [2], "start_labels": ["1"], "target_labels": ["5"],
         }
+
+    @pytest.mark.parametrize("flag", [
+        "--wait-cost=nan", "--wait-cost=-5", "--wait-cost=inf", "--max-steps=-3",
+    ])
+    def test_bad_run_input_exits_1(self, capsys, flag):
+        code, out, err = run_cli(capsys, "run", "--grid", "4x4", "--agents", "2", flag)
+        assert code == 1
+        assert out == ""
+        assert flag[2:].split("=")[0].replace("-", "_") in err
 
     def test_bad_grid_string_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "run", "--grid", "notagrid", "--agents", "1")

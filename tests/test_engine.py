@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -33,7 +34,7 @@ from _fixtures import (
     eight_node_mission,
     shared_corridor_mission,
 )
-from _oracles import reference_edge_forces
+from _oracles import reference_edge_forces, reference_step
 
 
 class TestForceParams:
@@ -216,6 +217,74 @@ class TestFirstHopForcesMatchPerPathLoop:
         assert multi_hop_groups > 0 and order_sensitive_sums > 0
 
 
+def _integer_grid(seed):
+    """8x8 grid with integer weights 1-3, so equal distances are common and
+    co-located agents fan out over equally near targets."""
+    rng = random.Random(seed)
+    edges = []
+    for node in range(64):
+        for nbr in ([node + 1] if node % 8 < 7 else []) + ([node + 8] if node < 56 else []):
+            w = float(rng.randint(1, 3))
+            edges += [(node, nbr, w), (nbr, node, w)]
+    return Graph(64, edges)
+
+
+class TestPlatoonStepMatchesPerAgentStep:
+    """``step`` scores each co-located group once, assigns targets once per
+    position and visits only triggering wait pairs, yet gives exactly what
+    the original per-agent step gave: same agents, same unvisited set, same
+    record, same float bits and the same random draws."""
+
+    PARAMS = [
+        ForceParams(alpha, beta, k, force_sum)
+        for alpha, beta in [(0.5, 1.0), (0.0, 1.0), (0.5, 0.0)]
+        for k in (1, 5)
+        for force_sum in (False, True)
+    ]
+
+    def test_seeded_8x8_states(self):
+        mismatches, compared, same_target, split_targets, draws = [], 0, 0, 0, 0
+        for graph_no, graph in enumerate(
+            [make_grid_graph(8, 8, seed=0), _integer_grid(1), _integer_grid(2)]
+        ):
+            cache = PathCache(graph)
+            rng = random.Random(f"platoons-{graph_no}")
+            for _ in range(8):
+                spots = rng.sample(range(64), rng.randint(1, 3))
+                fleet = [AgentState(i, rng.choice(spots), None, rng.random() < 0.1)
+                         for i in range(rng.randint(2, 7))]
+                free = [v for v in range(64) if v not in spots]
+                targets = frozenset(rng.sample(free, rng.randint(2, 10)))
+                for params, waiting in itertools.product(self.PARAMS, (True, False)):
+                    agents, unvisited = fleet, targets
+                    seed = rng.getrandbits(32)
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    for t in range(1, 9):
+                        if not unvisited:
+                            break
+                        kwargs = dict(t=t, cache=cache, wait_cost=0.25, waiting=waiting)
+                        before = want_rng.getstate()
+                        got = step(graph, agents, unvisited, params, got_rng, **kwargs)
+                        want = reference_step(graph, agents, unvisited, params, want_rng, **kwargs)
+                        if (got != want or got[2].step_cost.hex() != want[2].step_cost.hex()
+                                or got_rng.getstate() != want_rng.getstate()):
+                            mismatches.append((graph_no, agents, unvisited, params, waiting))
+                        compared += 1
+                        draws += want_rng.getstate() != before
+                        target_of = {a.agent_id: a.assigned_target for a in want[0]}
+                        groups = {}
+                        for intent in want[2].intents:
+                            groups.setdefault(intent.src, []).append(target_of[intent.agent_id])
+                        for group in groups.values():
+                            same_target += len(set(group)) < len(group)
+                            split_targets += len(set(group)) > 1
+                        agents, unvisited = want[:2]
+        assert mismatches == []
+        assert compared > 2000
+        # co-located groups both share and split targets, and tie draws happen
+        assert same_target > 0 and split_targets > 0 and draws > 0
+
+
 class TestSelectEdge:
     def test_argmax_edge_wins(self):
         forces = EdgeForces(0, {(0, 4): 0.3125, (0, 3): 0.15, (0, 2): 0.15})
@@ -341,6 +410,11 @@ class TestRunMission:
         g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
         with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
             run_mission(Mission(g, (0,), frozenset({2})), seed=0)
+
+    @pytest.mark.parametrize("wait_cost", [-5.0, math.nan, math.inf])
+    def test_bad_wait_cost_raises_value_error(self, wait_cost):
+        with pytest.raises(ValueError, match="wait_cost"):
+            run_mission(eight_node_mission(), EIGHT_NODE_PARAMS, wait_cost=wait_cost)
 
     def test_infeasible_mission_raises(self):
         g = load_edge_list("0 1 1.0\n2 3 1.0")

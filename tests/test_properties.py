@@ -5,7 +5,9 @@ must move agents only along graph edges or by waiting in place, bill each
 step by its method's rule (the router charges an edge crossed together
 once, the baseline charges every agent), charge a total cost equal to the
 sum of its step costs, and, when it reports completion, have visited every
-target.
+target. Two more properties pin the router's decisions: scaling alpha and
+beta together by a power of two changes no run, and a run that completes
+within a horizon never beats the exact optimum over that horizon.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modroute import (  # noqa: E402
     ForceParams,
+    brute_force_optimal,
     generate_random_mission,
     make_grid_graph,
     run_mission,
@@ -25,10 +28,11 @@ from modroute import (  # noqa: E402
 
 
 @st.composite
-def missions(draw):
-    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+def missions(draw, max_agents=3, max_nodes=16):
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(2, min(4, max_nodes // width)))
     graph = make_grid_graph(width, height, seed=draw(st.integers(0, 2**16)))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_agents))
     n_targets = draw(st.integers(1, min(4, width * height - n)))
     return generate_random_mission(graph, n, n_targets, seed=draw(st.integers(0, 2**16)))
 
@@ -90,3 +94,29 @@ def test_baseline_runs_keep_their_invariants(mission):
         return sum(graph.weight(i.src, i.dst) for i in record.intents if i.src != i.dst)
 
     assert_invariants(mission, res, every_agent_pays)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(missions(), force_params(), st.integers(-4, 4), st.integers(0, 2**16), st.booleans())
+def test_scaling_alpha_and_beta_by_a_power_of_two_changes_nothing(mission, params, j, seed, waiting):
+    # Multiplying by 2**j is exact for every force, so every comparison
+    # between edges, and so every decision, comes out the same.
+    scaled = ForceParams(params.alpha * 2.0**j, params.beta * 2.0**j, params.k, params.force_sum)
+    cap = 4 * mission.graph.node_count
+    base = run_mission(mission, params, seed=seed, max_steps=cap, waiting=waiting)
+    other = run_mission(mission, scaled, seed=seed, max_steps=cap, waiting=waiting)
+    assert other.per_agent_paths == base.per_agent_paths
+    assert [r.intents for r in other.steps] == [r.intents for r in base.steps]
+    assert other.total_cost == base.total_cost
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(missions(max_agents=2, max_nodes=12), force_params(), st.integers(2, 10),
+       st.integers(0, 2**16))
+def test_a_run_within_the_horizon_never_beats_the_exact_optimum(mission, params, horizon, seed):
+    res = run_mission(mission, params, seed=seed, max_steps=horizon)
+    if not res.completed:
+        return  # the optimum over the horizon bounds only runs that fit in it
+    optimal = brute_force_optimal(mission, horizon=horizon).optimal_cost
+    # the two sum the same step costs in different orders
+    assert res.total_cost >= optimal - 1e-9

@@ -63,3 +63,9 @@ def test_step_cap_aborts_both_methods(method):
     assert res.completed is False
     assert res.steps_taken == 1
     assert "step cap" in res.diagnostic
+
+
+@pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
+def test_negative_step_cap_is_rejected_by_both_methods(method):
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -3"):
+        method(chain_mission(), max_steps=-3)
