@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .engine import (
     MissionResult,
-    MoveIntent,
     StepRecord,
+    _cache_for,
+    _intent,
     assign_targets,
     claim_targets,
     move_agents,
@@ -50,15 +51,17 @@ def run_nonmodular_baseline(
     by ``assign_targets`` and takes one hop along the shortest path to it.
     Every edge is paid per agent: two agents crossing it together pay it
     twice. ``StepRecord.traversed`` is still the deduplicated edge set.
+    A ``cache`` built for a graph whose edges or weights differ from
+    ``mission.graph``'s raises ValueError.
     """
     graph = mission.graph
-    cache = cache or PathCache(graph)
+    cache = _cache_for(graph, cache)
 
     def advance(agents, unvisited, t):
         agents = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
         intents = [
-            MoveIntent(a.agent_id, a.position,
-                       cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1])
+            _intent(a.agent_id, a.position,
+                    cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1], False)
             for a in agents if not a.finished
         ]
         step_cost = sum((graph.weight(i.src, i.dst) for i in intents), 0.0)

@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mission_args(batch_p)
     _add_param_args(batch_p)
     batch_p.add_argument("--trials", type=int, default=100)
+    batch_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
     batch_p.add_argument("--starts-from", help="comma-separated node labels to sample starts from")
     batch_p.add_argument("--out", help="CSV output path")
 
@@ -191,6 +192,7 @@ def _cmd_batch(args) -> int:
         params=ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum),
         base_seed=args.seed,
         start_pool=start_pool,
+        max_steps=args.max_steps,
     )
     result = run_batch(config, out_path=args.out)
     for method in METHODS:

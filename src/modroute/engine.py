@@ -14,6 +14,7 @@ deterministic for a fixed (mission, parameters, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Callable
@@ -48,7 +49,7 @@ class ForceParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentState:
     """One agent: position, claimed target, and whether it has stopped."""
 
@@ -58,7 +59,7 @@ class AgentState:
     finished: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeForces:
     """Total attraction per candidate edge out of one agent's position."""
 
@@ -66,7 +67,7 @@ class EdgeForces:
     entries: dict[tuple[int, int], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveIntent:
     """One agent's move for the current step; ``src == dst`` is a wait."""
 
@@ -76,7 +77,7 @@ class MoveIntent:
     waiting: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Edges traversed at one timestep and the cost charged for them."""
 
@@ -86,7 +87,7 @@ class StepRecord:
     step_cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissionResult:
     per_agent_paths: tuple[tuple[int, ...], ...]
     steps: tuple[StepRecord, ...]
@@ -94,6 +95,15 @@ class MissionResult:
     completed: bool
     steps_taken: int
     diagnostic: str | None = None
+
+
+# Memoised constructors: one shared instance per distinct value, reused
+# across agents, steps and runs. Sound because the records are frozen and
+# their fields are ints, bools and None; typed keys keep 1 and True apart.
+# Internal code passes every field positionally, so equal values share a key.
+_INTERNED = 1 << 14
+_agent = functools.lru_cache(maxsize=_INTERNED, typed=True)(AgentState)
+_intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 
 
 def assign_targets(
@@ -215,8 +225,8 @@ def select_edge(forces: EdgeForces, position: int) -> MoveIntent:
         if force > best_force or (force == best_force and edge[1] < best_edge[1]):
             best_edge, best_force = edge, force
     if best_edge is None:
-        return MoveIntent(forces.agent_id, position, position, waiting=True)
-    return MoveIntent(forces.agent_id, best_edge[0], best_edge[1])
+        return _intent(forces.agent_id, position, position, True)
+    return _intent(forces.agent_id, best_edge[0], best_edge[1], False)
 
 
 def resolve_waits(
@@ -262,7 +272,7 @@ def resolve_waits(
 
     def make_wait(agent_id: int) -> None:
         src = current[agent_id].src
-        current[agent_id] = MoveIntent(agent_id, src, by_id[agent_id].position, waiting=True)
+        current[agent_id] = _intent(agent_id, src, by_id[agent_id].position, True)
 
     for first_id, second_id in pairs:
         a, b = by_id[first_id], by_id[second_id]
@@ -297,7 +307,7 @@ def claim_targets(agents: list[AgentState], assignment: dict[int, int | None]) -
         if not agent.finished:
             target = assignment[agent.agent_id]
             if target is None or target != agent.assigned_target:
-                agent = AgentState(agent.agent_id, agent.position, target, target is None)
+                agent = _agent(agent.agent_id, agent.position, target, target is None)
         staged.append(agent)
     return staged
 
@@ -309,10 +319,19 @@ def move_agents(
     moved = {i.agent_id: i.dst for i in intents}
     next_agents = [
         a if (dst := moved.get(a.agent_id, a.position)) == a.position
-        else AgentState(a.agent_id, dst, a.assigned_target, a.finished)
+        else _agent(a.agent_id, dst, a.assigned_target, a.finished)
         for a in agents
     ]
     return next_agents, frozenset(unvisited) - {a.position for a in next_agents}
+
+
+def _cache_for(graph: Graph, cache: PathCache | None) -> PathCache:
+    """``cache``, or a new one over ``graph``; ValueError if it serves another graph."""
+    if cache is None:
+        return PathCache(graph)
+    if not cache.graph.same_edges(graph):
+        raise ValueError("the PathCache was built for another graph than the mission's")
+    return cache
 
 
 def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> MissionResult:
@@ -335,7 +354,7 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     if max_steps is None:
         max_steps = 4 * mission.graph.node_count * mission.graph.node_count
 
-    agents = [AgentState(i, start) for i, start in enumerate(mission.starts)]
+    agents = [_agent(i, start, None, False) for i, start in enumerate(mission.starts)]
     paths = [[start] for start in mission.starts]
     unvisited = frozenset(mission.targets) - set(mission.starts)
     records: list[StepRecord] = []
@@ -404,7 +423,7 @@ def step(
             lead = leads[key] = select_edge(forces, agent.position)
             intents.append(lead)
         else:
-            intents.append(MoveIntent(agent.agent_id, lead.src, lead.dst, lead.waiting))
+            intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))
     if waiting:
         intents = resolve_waits(graph, intents, active, rng, cache)
 
@@ -435,13 +454,14 @@ def run_mission(
     (``4 * m**2`` steps by default) with ``completed=False``. This happens
     on ordinary missions, e.g. 3 of 9 seeded 8x8 missions in
     ``tests/test_simulate.py``. A negative, NaN or infinite ``wait_cost``
-    raises ValueError.
+    raises ValueError, and so does a ``cache`` built for a graph whose
+    edges or weights differ from ``mission.graph``'s.
     """
     if not 0 <= wait_cost < math.inf:  # also rejects NaN
         raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
     graph = mission.graph
     params = params or ForceParams()
-    cache = cache or PathCache(graph)
+    cache = _cache_for(graph, cache)
     rng = random.Random(seed)
     return simulate(mission, max_steps, lambda agents, unvisited, t: step(
         graph, agents, unvisited, params, rng,

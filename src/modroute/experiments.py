@@ -112,7 +112,11 @@ def mission_hash(mission: Mission) -> str:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """One batch comparison: n agents, defaults to 2n targets, 100 trials."""
+    """One batch comparison: n agents, defaults to 2n targets, 100 trials.
+
+    ``max_steps`` is the step cap of every run of both methods (their
+    default when None).
+    """
 
     graph: Graph
     n_agents: int
@@ -121,6 +125,7 @@ class BatchConfig:
     params: ForceParams = field(default_factory=ForceParams)
     base_seed: int = 0
     start_pool: tuple[int, ...] | None = None
+    max_steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -164,11 +169,17 @@ def run_batch(
 
     Both methods run on the identical mission in every trial. Missions are
     generated from the per-trial seed unless an explicit list is supplied
-    (the list length must then match ``trials``). A run that aborts on the
-    step cap is recorded with ``completed=False`` and never counts as best.
+    (the list length must then match ``trials``, and every mission's graph
+    must have ``config.graph``'s edges and weights). A run that aborts on
+    the step cap is recorded with ``completed=False`` and never counts as
+    best.
     """
-    if missions is not None and len(missions) != config.trials:
-        raise ValueError("explicit mission list must match the trial count")
+    if missions is not None:
+        if len(missions) != config.trials:
+            raise ValueError("explicit mission list must match the trial count")
+        for trial, mission in enumerate(missions):
+            if not mission.graph.same_edges(config.graph):
+                raise ValueError(f"mission {trial} is on another graph than the batch config's")
     cache = PathCache(config.graph)
     rows: list[dict] = []
     costs: dict[str, list[float]] = {m: [] for m in METHODS}
@@ -183,8 +194,9 @@ def run_batch(
                 start_pool=list(config.start_pool) if config.start_pool else None,
             )
         results = {
-            FORCE_BASED: run_mission(mission, config.params, seed=seed, cache=cache),
-            NONMODULAR: run_nonmodular_baseline(mission, cache=cache),
+            FORCE_BASED: run_mission(mission, config.params, seed=seed, cache=cache,
+                                     max_steps=config.max_steps),
+            NONMODULAR: run_nonmodular_baseline(mission, cache=cache, max_steps=config.max_steps),
         }
         for method in METHODS:
             res = results[method]
@@ -255,10 +267,15 @@ def sensitivity_sweep(
     Every cell runs the exact same missions with the exact same per-trial
     seeds, so differences isolate the parameter pair. Each output row logs
     the mission hash as evidence of the sharing. ``max_steps`` is the step
-    cap of every run (``run_mission``'s default when None).
+    cap of every run (``run_mission``'s default when None). A value that
+    appears twice in a grid raises ValueError.
     """
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha and beta grids must be non-empty")
+    for name, grid in (("alpha", alpha_grid), ("beta", beta_grid)):
+        for i, value in enumerate(grid):
+            if value in grid[:i]:
+                raise ValueError(f"{name} grid repeats the value {value}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n_targets is None:

@@ -94,6 +94,10 @@ class Graph:
         """All stored edges as (src, dst, weight), sorted."""
         return sorted((s, d, w) for (s, d), w in self._weights.items())
 
+    def same_edges(self, other: Graph) -> bool:
+        """Whether ``other`` has the same node count and weighted edges; labels are ignored."""
+        return self is other or self._adj == other._adj
+
     def label(self, node: int) -> str:
         if self.node_labels and node in self.node_labels:
             return self.node_labels[node]

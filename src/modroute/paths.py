@@ -108,7 +108,7 @@ _BOUND_SLACK = 2.0**-50
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A loopless node sequence together with its total edge weight."""
 

@@ -63,6 +63,13 @@ class TestNonmodularBaseline:
         with pytest.raises(InfeasibleMissionError):
             run_nonmodular_baseline(Mission(g, (0,), frozenset({3})))
 
+    def test_cache_for_another_graph_raises(self):
+        # Used silently, the seed-2 cache cut this mission from 9.9254 to 5.1207.
+        mission = generate_random_mission(make_grid_graph(4, 4, seed=1), 2, 4, 7)
+        assert run_nonmodular_baseline(mission).total_cost == 9.925432368617793
+        with pytest.raises(ValueError, match="another graph"):
+            run_nonmodular_baseline(mission, cache=PathCache(make_grid_graph(4, 4, seed=2)))
+
 
 class TestBruteForceOptimal:
     def test_demo_mission_optimum(self):

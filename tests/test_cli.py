@@ -141,10 +141,32 @@ class TestBatchAndSweep:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and "score=1.000" in out
 
-    @pytest.mark.parametrize("flag", ["--max-steps=1", "--wait-cost=100"])
+    def test_batch_step_cap_applies_to_every_run(self, capsys, tmp_path):
+        out_csv = tmp_path / "capped.csv"
+        argv = ["batch", "--grid", "6x6", "--agents", "2", "--trials", "2", "--seed", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--max-steps", "1", "--out", str(out_csv))
+        assert code == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()]
+        steps, completed = rows[0].index("steps"), rows[0].index("completed")
+        assert [(row[steps], row[completed]) for row in rows[1:]] == [("1", "False")] * 4
+        assert "force_based: mean=inf" in out and "nonmodular: mean=inf" in out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "mean=inf" not in out
+
+    def test_sweep_repeated_grid_value_exits_1(self, capsys, tmp_path):
+        out_csv = tmp_path / "twice.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--grid", "4x4", "--agents", "2", "--trials", "2",
+            "--alphas", "0.5,0.5", "--betas", "1.0", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert out == "" and "alpha grid repeats the value 0.5" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flag", ["--wait-cost=100"])
     def test_batch_rejects_run_only_flags(self, capsys, flag):
-        # batch runs neither a step cap nor a wait cost, so it must not
-        # accept the flags and silently ignore them.
+        # batch runs no wait cost, so it must not accept the flag and
+        # silently ignore it.
         with pytest.raises(SystemExit) as excinfo:
             main(["batch", "--grid", "4x4", "--agents", "2", "--trials", "3", flag])
         assert excinfo.value.code == 1

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -11,8 +14,11 @@ from modroute import (
     Graph,
     InfeasibleMissionError,
     Mission,
+    MissionResult,
     MoveIntent,
+    Path,
     PathCache,
+    StepRecord,
     assign_targets,
     attractive_force,
     compute_edge_forces,
@@ -23,6 +29,7 @@ from modroute import (
     select_edge,
     step,
 )
+from modroute.engine import _INTERNED, _agent, _intent
 from modroute.experiments import generate_random_mission
 
 from _fixtures import (
@@ -421,6 +428,20 @@ class TestRunMission:
         with pytest.raises(InfeasibleMissionError):
             run_mission(Mission(g, (0,), frozenset({3})), EIGHT_NODE_PARAMS, seed=0)
 
+    @pytest.mark.parametrize("other", [make_grid_graph(4, 4, seed=2), make_grid_graph(5, 5, seed=1)])
+    def test_cache_for_another_graph_raises(self, other):
+        # Used silently, the seed-2 cache "completed" this mission at 5.1207
+        # in 4 steps instead of 8.0077 in 10.
+        mission = generate_random_mission(make_grid_graph(4, 4, seed=1), 2, 4, 7)
+        with pytest.raises(ValueError, match="another graph"):
+            run_mission(mission, seed=0, cache=PathCache(other))
+
+    def test_cache_for_an_equal_graph_is_accepted(self):
+        mission = generate_random_mission(make_grid_graph(4, 4, seed=1), 2, 4, 7)
+        res = run_mission(mission, seed=0, cache=PathCache(make_grid_graph(4, 4, seed=1)))
+        assert res == run_mission(mission, seed=0)
+        assert (res.total_cost, res.steps_taken) == (8.007651622243962, 10)
+
     def test_deterministic_for_same_seed(self):
         mission = eight_node_mission()
         a = run_mission(mission, EIGHT_NODE_PARAMS, seed=5)
@@ -501,3 +522,68 @@ class TestRunMission:
     def test_chain_completes_with_waiting(self):
         res = run_mission(chain_mission(), CHAIN_PARAMS, seed=0)
         assert res.completed and res.total_cost == 4.0
+
+
+def _fresh_intent(intent):
+    return MoveIntent(intent.agent_id, intent.src, intent.dst, waiting=intent.waiting)
+
+
+class TestSlottedInternedRecords:
+    @pytest.mark.parametrize("record", [
+        AgentState(0, 1),
+        EdgeForces(0, {}),
+        MoveIntent(0, 1, 2),
+        StepRecord(1, frozenset(), (), 0.0),
+        MissionResult(((0,),), (), 0.0, True, 0),
+        Path((0, 1), 1.0),
+    ], ids=lambda record: type(record).__name__)
+    def test_records_are_slotted_and_frozen(self, record):
+        assert "__slots__" in vars(type(record))
+        assert not hasattr(record, "__dict__")
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+
+    def test_run_records_match_fresh_ones(self):
+        mission = shared_corridor_mission()
+        res = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
+        assert any(i.waiting for r in res.steps for i in r.intents)
+        for record in res.steps:
+            fresh = tuple(_fresh_intent(i) for i in record.intents)
+            for intent, new in zip(record.intents, fresh):
+                assert intent is not new
+                assert intent == new and hash(intent) == hash(new) and repr(intent) == repr(new)
+            rebuilt = StepRecord(record.t, record.traversed, fresh, record.step_cost)
+            assert record == rebuilt and hash(record) == hash(rebuilt) and repr(record) == repr(rebuilt)
+        agents = [AgentState(i, s) for i, s in enumerate(mission.starts)]
+        agents, _, _ = step(mission.graph, agents, mission.targets, SHARED_CORRIDOR_PARAMS, random.Random(0))
+        for agent in agents:
+            new = AgentState(agent.agent_id, agent.position, agent.assigned_target, agent.finished)
+            assert agent == new and hash(agent) == hash(new) and repr(agent) == repr(new)
+
+    def test_two_runs_share_their_intents(self):
+        mission = shared_corridor_mission()
+        a = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
+        b = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
+        assert a == b
+        for ra, rb in zip(a.steps, b.steps, strict=True):
+            assert ra is not rb
+            assert all(ia is ib for ia, ib in zip(ra.intents, rb.intents, strict=True))
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "deepcopy", "replace"])
+    def test_mission_result_round_trips(self, clone):
+        res = run_mission(shared_corridor_mission(), SHARED_CORRIDOR_PARAMS, seed=0)
+        copied = clone(res)
+        assert copied == res and repr(copied) == repr(res)
+        assert dataclasses.replace(res, total_cost=1.0).total_cost == 1.0
+
+    def test_tables_are_bounded_and_typed(self):
+        for table in (_agent, _intent):
+            assert table.cache_info().maxsize == _INTERNED
+        assert _intent(0, 1, 1, True) is _intent(0, 1, 1, True)
+        assert _intent(0, 1, 1, 1) is not _intent(0, 1, 1, True)
+        assert repr(_intent(0, 1, 1, 1)) != repr(_intent(0, 1, 1, True))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from modroute import (
@@ -117,6 +119,22 @@ class TestRunBatch:
         assert len(result.rows) == 6
         assert {r["method"] for r in result.rows} == {FORCE_BASED, NONMODULAR}
 
+    def test_mission_on_another_graph_rejected(self):
+        # Used silently, both methods reported 5.1207 for this mission.
+        mission = generate_random_mission(make_grid_graph(4, 4, seed=1), 2, 4, 7)
+        config = BatchConfig(graph=make_grid_graph(4, 4, seed=2), n_agents=2, n_targets=4, trials=1)
+        with pytest.raises(ValueError, match="mission 0 is on another graph"):
+            run_batch(config, missions=[mission])
+
+    def test_step_cap_applies_to_both_methods(self):
+        g = make_grid_graph(6, 6, seed=0)
+        capped = run_batch(BatchConfig(graph=g, n_agents=2, trials=3, base_seed=1, max_steps=1))
+        assert [(r["steps"], r["completed"]) for r in capped.rows] == [(1, False)] * 6
+        assert capped.mean_cost == {FORCE_BASED: math.inf, NONMODULAR: math.inf}
+        free = run_batch(BatchConfig(graph=g, n_agents=2, trials=3, base_seed=1))
+        assert all(r["completed"] and r["steps"] > 1 for r in free.rows)
+        assert BatchConfig(graph=g, n_agents=2).max_steps is None
+
 
 class TestSensitivitySweep:
     def test_single_cell_scores_one(self):
@@ -156,6 +174,15 @@ class TestSensitivitySweep:
         g = make_grid_graph(6, 6, seed=0)
         with pytest.raises(ValueError, match="non-empty"):
             sensitivity_sweep(g, 2, trials=2, alpha_grid=[], beta_grid=[1.0])
+
+    @pytest.mark.parametrize("alphas, betas, message", [
+        ([0.5, 0.5], [1.0], "alpha grid repeats the value 0.5"),
+        ([0.3], [1.0, 0.7, 1.0], "beta grid repeats the value 1.0"),
+    ])
+    def test_repeated_grid_value_rejected(self, alphas, betas, message):
+        g = make_grid_graph(4, 4, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sensitivity_sweep(g, 2, trials=2, alpha_grid=alphas, beta_grid=betas)
 
     def test_default_grid_constant(self):
         assert DEFAULT_SWEEP_GRID == (0.1, 0.3, 0.5, 0.7, 0.9)
