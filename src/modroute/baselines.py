@@ -58,7 +58,7 @@ def run_nonmodular_baseline(
     cache = _cache_for(graph, cache)
 
     def advance(agents, unvisited, t):
-        agents = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
+        agents = claim_targets(agents, assign_targets(cache, agents, unvisited))
         intents = [
             _intent(a.agent_id, a.position,
                     cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1], False)
@@ -80,7 +80,8 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
     sequence covers all targets in time. Pruning: abandon branches whose
     partial cost meets the incumbent, and memoize the best partial cost per
     (positions, visited, t) state. Hard instance limits keep the search at
-    desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12.
+    desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A negative
+    horizon raises ValueError.
     """
     graph = mission.graph
     n = len(mission.starts)
@@ -90,6 +91,8 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
         raise OracleLimitError(f"at most 12 nodes (got {graph.node_count})")
     if horizon > 12:
         raise OracleLimitError(f"horizon at most 12 (got {horizon})")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     diags = validate(mission)
     if diags:
         raise InfeasibleMissionError("; ".join(diags))

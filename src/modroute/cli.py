@@ -225,7 +225,7 @@ def _cmd_oracle(args) -> int:
     result = brute_force_optimal(mission, horizon=args.horizon)
     payload = {
         "mission": _mission_json(graph, mission),
-        "optimal_cost": result.optimal_cost,
+        "optimal_cost": result.optimal_cost if result.paths else None,
         "paths": [list(p) for p in result.paths] if result.paths else None,
         "explored_states": result.explored_states,
     }

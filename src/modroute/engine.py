@@ -107,10 +107,9 @@ _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 
 
 def assign_targets(
-    graph: Graph,
+    cache: PathCache,
     agents: list[AgentState],
     unvisited: frozenset[int] | set[int],
-    cache: PathCache | None = None,
 ) -> dict[int, int | None]:
     """Point each unfinished agent at its nearest unvisited target.
 
@@ -123,7 +122,6 @@ def assign_targets(
     unvisited target or every unvisited target is already claimed while
     none of its nearest ones is free.
     """
-    cache = cache or PathCache(graph)
     result: dict[int, int | None] = {}
     claimed: set[int] = set()
     targets = sorted(unvisited)
@@ -166,11 +164,10 @@ def attractive_force(scale: float, d: float) -> float:
 
 
 def compute_edge_forces(
-    graph: Graph,
+    cache: PathCache,
     agent: AgentState,
     others: list[AgentState],
     params: ForceParams,
-    cache: PathCache | None = None,
 ) -> EdgeForces:
     """Score the agent's candidate edges by total attraction.
 
@@ -187,7 +184,6 @@ def compute_edge_forces(
     d, so the strongest path of a group is its first, bit for bit; with
     ``force_sum`` the group's forces are folded onto 0.0 in path order.
     """
-    cache = cache or PathCache(graph)
     destinations: list[tuple[int, float]] = []
     if agent.assigned_target is not None and params.beta > 0:
         destinations.append((agent.assigned_target, params.beta))
@@ -230,11 +226,10 @@ def select_edge(forces: EdgeForces, position: int) -> MoveIntent:
 
 
 def resolve_waits(
-    graph: Graph,
+    cache: PathCache,
     intents: list[MoveIntent],
     agents: list[AgentState],
     rng: random.Random,
-    cache: PathCache | None = None,
 ) -> list[MoveIntent]:
     """Order agents to wait where a one-step delay lets another one join.
 
@@ -255,7 +250,6 @@ def resolve_waits(
     the pass visits just the pairs where one agent's original intent lands
     on the other's node.
     """
-    cache = cache or PathCache(graph)
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
     at: dict[int, list[int]] = {}
@@ -386,14 +380,13 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
 
 
 def step(
-    graph: Graph,
+    cache: PathCache,
     agents: list[AgentState],
     unvisited: frozenset[int] | set[int],
     params: ForceParams,
     rng: random.Random,
     *,
     t: int = 1,
-    cache: PathCache | None = None,
     wait_cost: float = 0.0,
     waiting: bool = True,
 ) -> tuple[list[AgentState], frozenset[int], StepRecord]:
@@ -403,15 +396,15 @@ def step(
     move every agent simultaneously. Agents without a claimable target are
     marked finished and stop moving. After movement any unvisited target
     standing under an agent becomes visited. The step cost sums the weights
-    of the deduplicated traversed edge set plus ``wait_cost`` per waiting
-    agent.
+    of the deduplicated traversed edge set, from ``cache.graph``, plus
+    ``wait_cost`` per waiting agent. As in every layer function, the cache
+    is the only handle on the graph, so paths and weights cannot disagree.
 
     Co-located agents with the same target form a platoon that is scored
     once: they skip each other and see the same other agents, so every
     member's forces and chosen edge are the first member's, bit for bit.
     """
-    cache = cache or PathCache(graph)
-    staged = claim_targets(agents, assign_targets(graph, agents, unvisited, cache))
+    staged = claim_targets(agents, assign_targets(cache, agents, unvisited))
     active = [a for a in staged if not a.finished]
     leads: dict[tuple[int, int | None], MoveIntent] = {}
     intents = []
@@ -419,18 +412,18 @@ def step(
         key = agent.position, agent.assigned_target
         lead = leads.get(key)
         if lead is None:
-            forces = compute_edge_forces(graph, agent, active, params, cache)
+            forces = compute_edge_forces(cache, agent, active, params)
             lead = leads[key] = select_edge(forces, agent.position)
             intents.append(lead)
         else:
             intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))
     if waiting:
-        intents = resolve_waits(graph, intents, active, rng, cache)
+        intents = resolve_waits(cache, intents, active, rng)
 
     next_agents, unvisited = move_agents(staged, intents, unvisited)
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
-    step_cost = sum(graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
+    step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
     record = StepRecord(t=t, traversed=traversed, intents=tuple(intents), step_cost=step_cost)
     return next_agents, unvisited, record
 
@@ -459,11 +452,9 @@ def run_mission(
     """
     if not 0 <= wait_cost < math.inf:  # also rejects NaN
         raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
-    graph = mission.graph
     params = params or ForceParams()
-    cache = _cache_for(graph, cache)
+    cache = _cache_for(mission.graph, cache)
     rng = random.Random(seed)
     return simulate(mission, max_steps, lambda agents, unvisited, t: step(
-        graph, agents, unvisited, params, rng,
-        t=t, cache=cache, wait_cost=wait_cost, waiting=waiting,
+        cache, agents, unvisited, params, rng, t=t, wait_cost=wait_cost, waiting=waiting,
     ))

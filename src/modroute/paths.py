@@ -175,18 +175,18 @@ def _dijkstra(edges: Edges, m: int, src: int) -> tuple[list[float], list[int | N
 
 def dijkstra(
     graph: Graph, src: int, edges: Edges | None = None
-) -> dict[int, tuple[float, int | None]]:
-    """Single-source shortest distances with predecessors.
+) -> tuple[list[float], list[int | None]]:
+    """Single-source shortest distances and predecessors, dense by node id.
 
     ``edges`` gives each node's (neighbour, weight) pairs and defaults to
     ``graph.out_edges``; pass ``graph.in_edges`` for distances *to* ``src``.
-    Unreachable nodes map to ``(inf, None)``; ``src`` maps to ``(0, None)``.
+    An unreachable node has distance inf and predecessor None; ``src`` has
+    distance 0 and predecessor None.
     """
     m = graph.node_count
     if not (0 <= src < m):
         raise ValueError(f"source {src} out of range [0,{m})")
-    dist, pred = _dijkstra(edges or graph.out_edges, m, src)
-    return {v: (dist[v], pred[v]) for v in range(m)}
+    return _dijkstra(edges or graph.out_edges, m, src)
 
 
 def _shrink_factor(graph: Graph) -> float:
@@ -258,7 +258,7 @@ def yen_k_shortest(
 
     Returns fewer than k paths when fewer exist and an empty PathSet when
     the destination is unreachable. ``src == dst`` yields the single
-    zero-length path. Candidates are kept in a heap keyed by
+    zero-length path. Candidates are kept in one list sorted by
     (weight, node sequence) so the output order is deterministic. ``h`` is
     the search heuristic towards ``dst`` (``PathCache`` passes its cached
     one); it is computed here when not given.
@@ -277,8 +277,7 @@ def yen_k_shortest(
     slack = _BOUND_SLACK * graph.node_count
     found = [first]
     seen = {first[0]}  # every path found or queued as a candidate
-    candidates: list[tuple[float, tuple[int, ...], int]] = []
-    queued: list[float] = []  # the candidates' weights, ascending
+    candidates: list[tuple[float, tuple[int, ...], int]] = []  # sorted, lightest first
     start = 0  # spur index the newest found path deviated at
     while len(found) < k:
         prev = found[-1][0]
@@ -294,7 +293,7 @@ def yen_k_shortest(
             spur = prev[i]
             if i > start:
                 sharing = [p for p in sharing if p[i] == spur]
-            bound = queued[r - 1] if len(queued) >= r else math.inf
+            bound = candidates[r - 1][0] if len(candidates) >= r else math.inf
             spur_result = _lex_shortest(
                 graph, spur, dst, open_h[:], {p[i + 1] for p in sharing},
                 bound - root_w + slack * bound,
@@ -306,15 +305,13 @@ def yen_k_shortest(
                     total_w = root_w
                     for u, v in zip(spur_nodes, spur_nodes[1:]):
                         total_w += weight(u, v)
-                    heapq.heappush(candidates, (total_w, total, i))
-                    bisect.insort(queued, total_w)
+                    bisect.insort(candidates, (total_w, total, i))
                     seen.add(total)
             open_h[spur] = math.inf
             root_w += weight(spur, prev[i + 1])
         if not candidates:
             break
-        w, nodes, start = heapq.heappop(candidates)
-        del queued[0]
+        w, nodes, start = candidates.pop(0)
         found.append((nodes, w))
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))
@@ -340,9 +337,7 @@ class PathCache:
         """Dense distance vector from ``src`` (inf where unreachable)."""
         cached = self._dist.get(src)
         if cached is None:
-            full = dijkstra(self.graph, src)
-            cached = [full[v][0] for v in range(self.graph.node_count)]
-            self._dist[src] = cached
+            cached = self._dist[src] = dijkstra(self.graph, src)[0]
         return cached
 
     def distance(self, src: int, dst: int) -> float:

@@ -190,7 +190,7 @@ def reference_edge_forces(cache, agent, others, params):
     return entries
 
 
-def reference_step(graph, agents, unvisited, params, rng, *, t=1, cache, wait_cost=0.0, waiting=True):
+def reference_step(cache, agents, unvisited, params, rng, *, t=1, wait_cost=0.0, waiting=True):
     """One timestep as the engine first computed it, agent by agent.
 
     A frozen copy of the original ``step``: every agent claims its nearest
@@ -208,7 +208,7 @@ def reference_step(graph, agents, unvisited, params, rng, *, t=1, cache, wait_co
     active = [a for a in staged if not a.finished]
     intents = [
         select_edge(
-            compute_edge_forces(graph, agent, [o for o in active if o is not agent], params, cache),
+            compute_edge_forces(cache, agent, [o for o in active if o is not agent], params),
             agent.position,
         )
         for agent in active
@@ -223,7 +223,7 @@ def reference_step(graph, agents, unvisited, params, rng, *, t=1, cache, wait_co
     unvisited = frozenset(unvisited) - {a.position for a in next_agents}
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
-    step_cost = sum(graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
+    step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
     return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
 
 

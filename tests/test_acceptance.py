@@ -72,13 +72,13 @@ def grid_batches(grid64, tmp_path_factory):
 
 def test_criterion_1_worked_example_is_exact():
     started = time.perf_counter()
-    graph = eight_node_graph()
+    cache = PathCache(eight_node_graph())
     a0 = AgentState(0, 0, assigned_target=6)
     a1 = AgentState(1, 1, assigned_target=7)
-    forces = compute_edge_forces(graph, a0, [a1], EIGHT_NODE_PARAMS)
+    forces = compute_edge_forces(cache, a0, [a1], EIGHT_NODE_PARAMS)
     mission = eight_node_mission()
     agents = [AgentState(i, s) for i, s in enumerate(mission.starts)]
-    moved, _, _ = step(graph, agents, set(mission.targets), EIGHT_NODE_PARAMS,
+    moved, _, _ = step(cache, agents, set(mission.targets), EIGHT_NODE_PARAMS,
                        random.Random(0), t=1)
     elapsed = time.perf_counter() - started
     ok = (
@@ -158,9 +158,8 @@ def test_criterion_3_oracle_dominance():
 
 
 def test_criterion_4_shared_edge_accounting(grid64):
-    graph = eight_node_graph()
     agents = [AgentState(0, 4), AgentState(1, 4)]
-    _, _, record = step(graph, agents, {6, 7}, EIGHT_NODE_PARAMS, random.Random(0), t=1)
+    _, _, record = step(PathCache(eight_node_graph()), agents, {6, 7}, EIGHT_NODE_PARAMS, random.Random(0), t=1)
     ok = record.traversed == frozenset({(4, 5)}) and record.step_cost == 2.0
 
     cache = PathCache(grid64)

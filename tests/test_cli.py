@@ -96,6 +96,27 @@ class TestOracle:
         assert code == 1
         assert "12 nodes" in err
 
+    def test_no_covering_sequence_prints_valid_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--grid", "3x3", "--agents", "1", "--targets", "2",
+            "--seed", "1", "--horizon", "1",
+        )
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert payload["optimal_cost"] is None and payload["paths"] is None
+
+    def test_negative_horizon_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--grid", "3x3", "--agents", "1", "--targets", "2",
+            "--seed", "1", "--horizon", "-1",
+        )
+        assert code == 1 and out == ""
+        assert "horizon must be >= 0" in err
+
 
 class TestBatchAndSweep:
     def test_batch_writes_csv(self, capsys, tmp_path):

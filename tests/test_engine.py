@@ -92,42 +92,42 @@ class TestAssignTargets:
     def test_tie_breaks_toward_smaller_target_id(self):
         g = eight_node_graph()
         agents = [AgentState(0, 0)]
-        assert assign_targets(g, agents, {6, 7}) == {0: 6}
+        assert assign_targets(PathCache(g), agents, {6, 7}) == {0: 6}
 
     def test_empty_unvisited_maps_everyone_to_none(self):
         g = eight_node_graph()
         agents = [AgentState(0, 0), AgentState(1, 1)]
-        assert assign_targets(g, agents, set()) == {0: None, 1: None}
+        assert assign_targets(PathCache(g), agents, set()) == {0: None, 1: None}
 
     def test_agent_standing_on_only_target_claims_it(self):
         g = eight_node_graph()
-        assert assign_targets(g, [AgentState(0, 6)], {6}) == {0: 6}
+        assert assign_targets(PathCache(g), [AgentState(0, 6)], {6}) == {0: 6}
 
     def test_colocated_agents_fan_out_over_tied_targets(self):
         g = eight_node_graph()
         agents = [AgentState(0, 5), AgentState(1, 5)]
-        assert assign_targets(g, agents, {6, 7}) == {0: 6, 1: 7}
+        assert assign_targets(PathCache(g), agents, {6, 7}) == {0: 6, 1: 7}
 
     def test_strictly_nearest_target_may_be_shared(self):
         # both agents are strictly nearest to node 2; no tie, so they conflict
         g = load_edge_list("0 1 1.0\n1 2 1.0\n3 2 1.0\n2 4 5.0\n4 5 1.0")
         agents = [AgentState(0, 1), AgentState(1, 3)]
-        assert assign_targets(g, agents, {2, 5}) == {0: 2, 1: 2}
+        assert assign_targets(PathCache(g), agents, {2, 5}) == {0: 2, 1: 2}
 
     def test_surplus_agent_with_all_targets_claimed_gets_none(self):
         g = eight_node_graph()
         agents = [AgentState(0, 5), AgentState(1, 5), AgentState(2, 5)]
-        out = assign_targets(g, agents, {6, 7})
+        out = assign_targets(PathCache(g), agents, {6, 7})
         assert out[0] == 6 and out[1] == 7 and out[2] is None
 
     def test_unreachable_target_gives_none(self):
         g = load_edge_list("0 1 1.0\n2 3 1.0")
-        assert assign_targets(g, [AgentState(0, 0)], {3}) == {0: None}
+        assert assign_targets(PathCache(g), [AgentState(0, 0)], {3}) == {0: None}
 
     def test_finished_agents_are_skipped(self):
         g = eight_node_graph()
         agents = [AgentState(0, 0, finished=True), AgentState(1, 1)]
-        out = assign_targets(g, agents, {6, 7})
+        out = assign_targets(PathCache(g), agents, {6, 7})
         assert 0 not in out and out[1] == 6
 
 
@@ -136,7 +136,7 @@ class TestComputeEdgeForces:
         g = eight_node_graph()
         a0 = AgentState(0, 0, assigned_target=6)
         a1 = AgentState(1, 1, assigned_target=7)
-        forces = compute_edge_forces(g, a0, [a1], EIGHT_NODE_PARAMS)
+        forces = compute_edge_forces(PathCache(g), a0, [a1], EIGHT_NODE_PARAMS)
         assert forces.entries[(0, 4)] == 0.3125
         assert forces.entries[(0, 3)] == 1 / 9 + 1 / 25
         assert forces.entries[(0, 2)] == 1 / 9 + 1 / 25
@@ -144,7 +144,7 @@ class TestComputeEdgeForces:
 
     def test_lone_agent_without_target_has_empty_map(self):
         g = eight_node_graph()
-        forces = compute_edge_forces(g, AgentState(0, 0), [], EIGHT_NODE_PARAMS)
+        forces = compute_edge_forces(PathCache(g), AgentState(0, 0), [], EIGHT_NODE_PARAMS)
         assert forces.entries == {}
 
     def test_colocated_and_finished_agents_exert_no_pull(self):
@@ -152,8 +152,8 @@ class TestComputeEdgeForces:
         a0 = AgentState(0, 0, assigned_target=6)
         samespot = AgentState(1, 0)
         done = AgentState(2, 1, finished=True)
-        forces = compute_edge_forces(g, a0, [samespot, done], EIGHT_NODE_PARAMS)
-        only_target = compute_edge_forces(g, a0, [], EIGHT_NODE_PARAMS)
+        forces = compute_edge_forces(PathCache(g), a0, [samespot, done], EIGHT_NODE_PARAMS)
+        only_target = compute_edge_forces(PathCache(g), a0, [], EIGHT_NODE_PARAMS)
         assert forces.entries == only_target.entries
 
     def test_force_sum_variant_adds_paths_sharing_first_edge(self):
@@ -162,8 +162,8 @@ class TestComputeEdgeForces:
         # use a diamond where two sampled paths share the first edge.
         g = load_edge_list("0 1 1.0\n1 2 1.0\n1 3 1.0\n3 2 1.0\n")
         agent = AgentState(0, 0, assigned_target=2)
-        max_variant = compute_edge_forces(g, agent, [], ForceParams(0.5, 1.0, 3))
-        sum_variant = compute_edge_forces(g, agent, [], ForceParams(0.5, 1.0, 3, force_sum=True))
+        max_variant = compute_edge_forces(PathCache(g), agent, [], ForceParams(0.5, 1.0, 3))
+        sum_variant = compute_edge_forces(PathCache(g), agent, [], ForceParams(0.5, 1.0, 3, force_sum=True))
         # paths (0,1,2) w=2 and (0,1,3,2) w=3 both start with (0,1)
         assert max_variant.entries[(0, 1)] == 1 / 4
         assert sum_variant.entries[(0, 1)] == 1 / 4 + 1 / 9
@@ -205,7 +205,7 @@ class TestFirstHopForcesMatchPerPathLoop:
                 for alpha, beta in self.SCALES:
                     for k in (1, 3, 5, 8):
                         params = ForceParams(alpha, beta, k, force_sum)
-                        got = compute_edge_forces(graph, agent, others, params, cache).entries
+                        got = compute_edge_forces(cache, agent, others, params).entries
                         want = reference_edge_forces(cache, agent, others, params)
                         if [(e, f.hex()) for e, f in got.items()] != [
                             (e, f.hex()) for e, f in want.items()
@@ -269,10 +269,10 @@ class TestPlatoonStepMatchesPerAgentStep:
                     for t in range(1, 9):
                         if not unvisited:
                             break
-                        kwargs = dict(t=t, cache=cache, wait_cost=0.25, waiting=waiting)
+                        kwargs = dict(t=t, wait_cost=0.25, waiting=waiting)
                         before = want_rng.getstate()
-                        got = step(graph, agents, unvisited, params, got_rng, **kwargs)
-                        want = reference_step(graph, agents, unvisited, params, want_rng, **kwargs)
+                        got = step(cache, agents, unvisited, params, got_rng, **kwargs)
+                        want = reference_step(cache, agents, unvisited, params, want_rng, **kwargs)
                         if (got != want or got[2].step_cost.hex() != want[2].step_cost.hex()
                                 or got_rng.getstate() != want_rng.getstate()):
                             mismatches.append((graph_no, agents, unvisited, params, waiting))
@@ -314,7 +314,7 @@ class TestResolveWaits:
         a = AgentState(0, 0, assigned_target=2)
         b = AgentState(1, 1, assigned_target=3)
         intents = [MoveIntent(0, 0, 1), MoveIntent(1, 1, 0)]
-        out = resolve_waits(g, intents, [a, b], random.Random(0))
+        out = resolve_waits(PathCache(g), intents, [a, b], random.Random(0))
         assert out[0].waiting and out[0].dst == 0
         assert not out[1].waiting and out[1].dst == 0
 
@@ -323,17 +323,17 @@ class TestResolveWaits:
         a = AgentState(0, 0, assigned_target=6)
         b = AgentState(1, 1, assigned_target=7)
         intents = [MoveIntent(0, 0, 4), MoveIntent(1, 1, 4)]
-        assert resolve_waits(g, intents, [a, b], random.Random(0)) == intents
+        assert resolve_waits(PathCache(g), intents, [a, b], random.Random(0)) == intents
 
     def test_equal_distance_tie_uses_seeded_draw(self):
         g = load_edge_list("0 1 1.0\n0 2 5.0\n1 3 5.0")
         a = AgentState(0, 0, assigned_target=2)
         b = AgentState(1, 1, assigned_target=3)
         intents = [MoveIntent(0, 0, 1), MoveIntent(1, 1, 0)]
-        out = resolve_waits(g, intents, [a, b], random.Random(42))
+        out = resolve_waits(PathCache(g), intents, [a, b], random.Random(42))
         # frozen draw: with seed 42 the second agent waits
         assert [i.waiting for i in out] == [False, True]
-        again = resolve_waits(g, intents, [a, b], random.Random(42))
+        again = resolve_waits(PathCache(g), intents, [a, b], random.Random(42))
         assert again == out
         assert sum(i.waiting for i in out) == 1
 
@@ -343,7 +343,7 @@ class TestResolveWaits:
         host = AgentState(0, 1, assigned_target=2)
         lander = AgentState(1, 0, assigned_target=4)
         intents = [MoveIntent(0, 1, 2), MoveIntent(1, 0, 1)]
-        out = resolve_waits(g, intents, [host, lander], random.Random(0))
+        out = resolve_waits(PathCache(g), intents, [host, lander], random.Random(0))
         assert out[0].waiting and out[0].dst == 1
         assert not out[1].waiting
 
@@ -352,7 +352,7 @@ class TestResolveWaits:
         host = AgentState(0, 1, assigned_target=2)
         lander = AgentState(1, 0, assigned_target=3)
         intents = [MoveIntent(0, 1, 2), MoveIntent(1, 0, 1)]
-        out = resolve_waits(g, intents, [host, lander], random.Random(0))
+        out = resolve_waits(PathCache(g), intents, [host, lander], random.Random(0))
         assert out == intents
 
 
@@ -362,7 +362,7 @@ class TestStep:
         g = mission.graph
         agents = [AgentState(i, s) for i, s in enumerate(mission.starts)]
         new_agents, unvisited, record = step(
-            g, agents, set(mission.targets), EIGHT_NODE_PARAMS, random.Random(0), t=1
+            PathCache(g), agents, set(mission.targets), EIGHT_NODE_PARAMS, random.Random(0), t=1
         )
         assert [a.position for a in new_agents] == [4, 4]
         assert record.traversed == frozenset({(0, 4), (1, 4)})
@@ -373,7 +373,7 @@ class TestStep:
         g = eight_node_graph()
         agents = [AgentState(0, 0), AgentState(1, 1)]
         new_agents, unvisited, record = step(
-            g, agents, set(), EIGHT_NODE_PARAMS, random.Random(0), t=1
+            PathCache(g), agents, set(), EIGHT_NODE_PARAMS, random.Random(0), t=1
         )
         assert all(a.finished for a in new_agents)
         assert record.traversed == frozenset() and record.step_cost == 0.0
@@ -382,7 +382,7 @@ class TestStep:
         g = eight_node_graph()
         agents = [AgentState(0, 4), AgentState(1, 4)]
         new_agents, _, record = step(
-            g, agents, {6, 7}, EIGHT_NODE_PARAMS, random.Random(0), t=1
+            PathCache(g), agents, {6, 7}, EIGHT_NODE_PARAMS, random.Random(0), t=1
         )
         assert [a.position for a in new_agents] == [5, 5]
         assert record.traversed == frozenset({(4, 5)})
@@ -392,7 +392,7 @@ class TestStep:
         g = load_edge_list("0 1 1.0 undirected\n0 2 5.0 undirected\n1 3 7.0 undirected")
         a = [AgentState(0, 0), AgentState(1, 1)]
         params = ForceParams(alpha=5.0, beta=1.0, k=2)
-        _, _, record = step(g, a, {2, 3}, params, random.Random(0), t=1, wait_cost=0.25)
+        _, _, record = step(PathCache(g), a, {2, 3}, params, random.Random(0), t=1, wait_cost=0.25)
         n_wait = sum(1 for i in record.intents if i.waiting)
         moved = sum(g.weight(i.src, i.dst) for i in record.intents if not i.waiting)
         assert record.step_cost == moved + 0.25 * n_wait
@@ -556,7 +556,8 @@ class TestSlottedInternedRecords:
             rebuilt = StepRecord(record.t, record.traversed, fresh, record.step_cost)
             assert record == rebuilt and hash(record) == hash(rebuilt) and repr(record) == repr(rebuilt)
         agents = [AgentState(i, s) for i, s in enumerate(mission.starts)]
-        agents, _, _ = step(mission.graph, agents, mission.targets, SHARED_CORRIDOR_PARAMS, random.Random(0))
+        agents, _, _ = step(PathCache(mission.graph), agents, mission.targets,
+                            SHARED_CORRIDOR_PARAMS, random.Random(0))
         for agent in agents:
             new = AgentState(agent.agent_id, agent.position, agent.assigned_target, agent.finished)
             assert agent == new and hash(agent) == hash(new) and repr(agent) == repr(new)

@@ -126,12 +126,24 @@ class TestGraphml:
         with pytest.raises(GraphFormatError, match="unparseable"):
             load_graphml(str(path))
 
-    def test_undirected_default_doubles_edge_count(self, tmp_path):
-        text = GRAPHML_MINIMAL.replace('edgedefault="directed"', 'edgedefault="undirected"')
+    @pytest.mark.parametrize(
+        "edgedefault, override, edges",
+        [
+            ("undirected", "", [(0, 1, 5.0), (1, 0, 5.0)]),
+            ("directed", ' directed="false"', [(0, 1, 5.0), (1, 0, 5.0)]),
+            ("undirected", ' directed="true"', [(0, 1, 5.0)]),
+        ],
+        ids=["undirected-default", "directed-false-override", "directed-true-override"],
+    )
+    def test_undirected_default_doubles_edge_count(self, tmp_path, edgedefault, override, edges):
+        # a per-edge ``directed`` attribute overrides the graph's edgedefault
+        text = GRAPHML_MINIMAL.replace('edgedefault="directed"', f'edgedefault="{edgedefault}"')
+        text = text.replace('<edge source="a" target="b"', f'<edge source="a" target="b"{override}')
         path = tmp_path / "undir.graphml"
         path.write_text(text)
         g = load_graphml(str(path))
-        assert g.edge_count == 2
+        assert g.edge_count == len(edges)
+        assert g.edges() == edges
 
     def test_custom_weight_attribute(self, tmp_path):
         text = GRAPHML_MINIMAL.replace('attr.name="length"', 'attr.name="metres"')
@@ -195,5 +207,5 @@ class TestValidate:
 
     def test_dijkstra_confirms_fixture_reachability(self):
         g = eight_node_graph()
-        dist = dijkstra(g, 0)
-        assert dist[6][0] < math.inf and dist[7][0] < math.inf
+        dist = dijkstra(g, 0)[0]
+        assert dist[6] < math.inf and dist[7] < math.inf

@@ -22,24 +22,24 @@ from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, ref
 class TestDijkstra:
     def test_fixture_distances(self):
         g = eight_node_graph()
-        dist = dijkstra(g, 0)
-        assert dist[6][0] == 4.0
-        assert dist[0] == (0.0, None)
+        dist, pred = dijkstra(g, 0)
+        assert dist[6] == 4.0
+        assert (dist[0], pred[0]) == (0.0, None)
 
     def test_unreachable_is_infinite(self):
         g = load_edge_list("0 1 1.0\n2 3 1.0")
-        dist = dijkstra(g, 0)
-        assert dist[3] == (math.inf, None)
+        dist, pred = dijkstra(g, 0)
+        assert (dist[3], pred[3]) == (math.inf, None)
 
     def test_predecessors_reconstruct_shortest_path(self):
         g = eight_node_graph()
-        dist = dijkstra(g, 0)
+        dist, pred = dijkstra(g, 0)
         node, path = 6, [6]
-        while dist[node][1] is not None:
-            node = dist[node][1]
+        while pred[node] is not None:
+            node = pred[node]
             path.append(node)
         path.reverse()
-        assert path_weight(g, path) == dist[6][0]
+        assert path_weight(g, path) == dist[6]
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(11)
@@ -50,8 +50,7 @@ class TestDijkstra:
             g = Graph(m, edges)
             expected = floyd_warshall(g)
             for src in range(m):
-                got = dijkstra(g, src)
-                assert [got[v][0] for v in range(m)] == expected[src]
+                assert dijkstra(g, src)[0] == expected[src]
 
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -66,8 +65,8 @@ class TestDijkstra:
             g = Graph(m, edges)
             expected = floyd_warshall(g)
             for dst in range(m):
-                got = dijkstra(g, dst, g.in_edges)
-                assert [got[v][0] for v in range(m)] == [expected[v][dst] for v in range(m)]
+                got = dijkstra(g, dst, g.in_edges)[0]
+                assert got == [expected[v][dst] for v in range(m)]
 
 
 class TestYen:
@@ -103,7 +102,7 @@ class TestYen:
             g = Graph(m, edges)
             src, dst = rng.sample(range(m), 2)
             ps = yen_k_shortest(g, src, dst, 1)
-            expected = dijkstra(g, src)[dst][0]
+            expected = dijkstra(g, src)[0][dst]
             if ps.paths:
                 assert ps.paths[0].total_weight == expected
             else:
@@ -306,5 +305,4 @@ class TestPathCache:
         assert cache.distance(0, 6) == 4.0
         assert cache.k_shortest(0, 6, 3) is cache.k_shortest(0, 6, 3)
         assert cache.k_shortest(0, 6, 3) == yen_k_shortest(g, 0, 6, 3)
-        direct = dijkstra(g, 0)
-        assert cache.distances(0) == [direct[v][0] for v in range(g.node_count)]
+        assert cache.distances(0) == dijkstra(g, 0)[0]
