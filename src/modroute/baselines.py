@@ -9,6 +9,7 @@ exists so heuristic results can be checked against true optima.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,23 +126,15 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
         if seen.get(key, math.inf) <= cost:
             return
         seen[key] = cost
-
-        def expand(idx: int, joint: list[int]) -> None:
-            if idx == n:
-                move = tuple(joint)
-                edges = {(positions[i], move[i]) for i in range(n) if move[i] != positions[i]}
-                inc = sum(graph.weight(u, v) for u, v in sorted(edges))
-                new_visited = visited | (targets & set(move))
-                actions.append(move)
-                search(move, new_visited, t + 1, cost + inc, actions)
-                actions.pop()
-                return
-            for nxt in moves_from[positions[idx]]:
-                joint.append(nxt)
-                expand(idx + 1, joint)
-                joint.pop()
-
-        expand(0, [])
+        # First agent slowest: the witness kept among equal-cost optima and the
+        # explored-state count depend on this order.
+        for move in itertools.product(*(moves_from[p] for p in positions)):
+            edges = {(positions[i], move[i]) for i in range(n) if move[i] != positions[i]}
+            inc = sum(graph.weight(u, v) for u, v in sorted(edges))
+            new_visited = visited | (targets & set(move))
+            actions.append(move)
+            search(move, new_visited, t + 1, cost + inc, actions)
+            actions.pop()
 
     search(start_positions, start_visited, 0, 0.0, [])
 

@@ -32,6 +32,11 @@ EXIT_STEP_CAP = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags must be spelled out: with prefixes allowed, batch would read
+    # --starts (a flag it rejects) as --starts-from.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors by default; reserve 2 for
     # infeasible missions and report usage problems as invalid input.
     def error(self, message):
@@ -50,6 +55,10 @@ def _add_mission_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--agents", type=int, default=2, help="number of agents")
     sub.add_argument("--targets", type=int, default=None, help="number of targets (default 2x agents)")
     sub.add_argument("--seed", type=int, default=0, help="base random seed")
+
+
+def _add_explicit_mission_args(sub: argparse.ArgumentParser) -> None:
+    # Only for the one-mission subcommands; batch and sweep draw every mission from the seed.
     sub.add_argument("--starts", help="comma-separated explicit start nodes (labels or indices)")
     sub.add_argument("--target-nodes", help="comma-separated explicit target nodes")
 
@@ -69,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = subs.add_parser("run", help="route one mission and print the result")
     _add_graph_args(run_p)
     _add_mission_args(run_p)
+    _add_explicit_mission_args(run_p)
     _add_param_args(run_p)
     run_p.add_argument("--max-steps", type=int, default=None, help="step cap (default 4*m^2)")
     run_p.add_argument("--wait-cost", type=float, default=0.0, help="cost charged per waiting agent per step")
@@ -95,11 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = subs.add_parser("oracle", help="exact optimum for a tiny mission")
     _add_graph_args(oracle_p)
     _add_mission_args(oracle_p)
+    _add_explicit_mission_args(oracle_p)
     oracle_p.add_argument("--horizon", type=int, default=8, help="search depth in steps (max 12)")
 
     val_p = subs.add_parser("validate", help="print mission diagnostics")
     _add_graph_args(val_p)
     _add_mission_args(val_p)
+    _add_explicit_mission_args(val_p)
     return parser
 
 
@@ -181,20 +193,18 @@ def _cmd_run(args) -> int:
     return EXIT_OK if result.completed else EXIT_STEP_CAP
 
 
+def _batch_config(args, graph: Graph, params: ForceParams,
+                  start_pool: tuple[int, ...] | None = None) -> BatchConfig:
+    return BatchConfig(graph=graph, n_agents=args.agents, n_targets=args.targets,
+                       trials=args.trials, params=params, base_seed=args.seed,
+                       start_pool=start_pool, max_steps=args.max_steps)
+
+
 def _cmd_batch(args) -> int:
     graph = _load_graph(args)
     start_pool = tuple(_resolve_nodes(graph, args.starts_from)) if args.starts_from else None
-    config = BatchConfig(
-        graph=graph,
-        n_agents=args.agents,
-        n_targets=args.targets,
-        trials=args.trials,
-        params=ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum),
-        base_seed=args.seed,
-        start_pool=start_pool,
-        max_steps=args.max_steps,
-    )
-    result = run_batch(config, out_path=args.out)
+    params = ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum)
+    result = run_batch(_batch_config(args, graph, params, start_pool), out_path=args.out)
     for method in METHODS:
         print(f"{method}: mean={result.mean_cost[method]:.4f} "
               f"variance={result.variance_cost[method]:.4f} "
@@ -205,13 +215,10 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    graph = _load_graph(args)
+    config = _batch_config(args, _load_graph(args), ForceParams(k=args.k))
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     betas = [float(b) for b in args.betas.split(",") if b.strip()]
-    n_targets = args.targets if args.targets is not None else 2 * args.agents
-    result = sensitivity_sweep(graph, args.agents, args.trials, alphas, betas,
-                               k=args.k, base_seed=args.seed, n_targets=n_targets,
-                               out_path=args.out, max_steps=args.max_steps)
+    result = sensitivity_sweep(config, alphas, betas, out_path=args.out)
     for (alpha, beta), mean in sorted(result.mean_cost.items()):
         print(f"alpha={alpha} beta={beta} mean_cost={mean:.4f} score={result.score[(alpha, beta)]:.3f}")
     if args.out:

@@ -41,8 +41,8 @@ class ForceParams:
     force_sum: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0 and self.beta >= 0):  # also rejects NaN
-            raise ValueError(f"alpha and beta must be non-negative, got {self.alpha}, {self.beta}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):  # also rejects NaN
+            raise ValueError(f"alpha and beta must be finite and non-negative, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
         if self.k < 1:

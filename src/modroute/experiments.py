@@ -12,7 +12,7 @@ import io
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .baselines import run_nonmodular_baseline
 from .engine import ForceParams, run_mission
@@ -112,10 +112,11 @@ def mission_hash(mission: Mission) -> str:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """One batch comparison: n agents, defaults to 2n targets, 100 trials.
+    """One experiment: n agents, defaults to 2n targets, 100 trials.
 
-    ``max_steps`` is the step cap of every run of both methods (their
-    default when None).
+    ``run_batch`` and ``sensitivity_sweep`` both run ``missions()``, each
+    trial with ``trial_seed(trial)``. ``max_steps`` is the step cap of
+    every run (the methods' default when None).
     """
 
     graph: Graph
@@ -135,6 +136,16 @@ class BatchConfig:
 
     def trial_seed(self, trial: int) -> int:
         return self.base_seed + trial
+
+    def missions(self) -> list[Mission]:
+        """One mission per trial, drawn from its trial seed and the start pool."""
+        return [
+            generate_random_mission(
+                self.graph, self.n_agents, self.n_targets, self.trial_seed(trial),
+                start_pool=list(self.start_pool) if self.start_pool else None,
+            )
+            for trial in range(self.trials)
+        ]
 
 
 @dataclass(frozen=True)
@@ -167,14 +178,15 @@ def run_batch(
 ) -> BatchResult:
     """Compare the force-based router and the non-modular baseline.
 
-    Both methods run on the identical mission in every trial. Missions are
-    generated from the per-trial seed unless an explicit list is supplied
-    (the list length must then match ``trials``, and every mission's graph
-    must have ``config.graph``'s edges and weights). A run that aborts on
-    the step cap is recorded with ``completed=False`` and never counts as
-    best.
+    Both methods run on the identical mission in every trial. The missions
+    are ``config.missions()`` unless an explicit list is supplied (the list
+    length must then match ``trials``, and every mission's graph must have
+    ``config.graph``'s edges and weights). A run that aborts on the step
+    cap is recorded with ``completed=False`` and never counts as best.
     """
-    if missions is not None:
+    if missions is None:
+        missions = config.missions()
+    else:
         if len(missions) != config.trials:
             raise ValueError("explicit mission list must match the trial count")
         for trial, mission in enumerate(missions):
@@ -184,15 +196,8 @@ def run_batch(
     rows: list[dict] = []
     costs: dict[str, list[float]] = {m: [] for m in METHODS}
     wins: dict[str, int] = {m: 0 for m in METHODS}
-    for trial in range(config.trials):
+    for trial, mission in enumerate(missions):
         seed = config.trial_seed(trial)
-        if missions is not None:
-            mission = missions[trial]
-        else:
-            mission = generate_random_mission(
-                config.graph, config.n_agents, config.n_targets, seed,
-                start_pool=list(config.start_pool) if config.start_pool else None,
-            )
         results = {
             FORCE_BASED: run_mission(mission, config.params, seed=seed, cache=cache,
                                      max_steps=config.max_steps),
@@ -251,24 +256,18 @@ class SweepResult:
 
 
 def sensitivity_sweep(
-    graph: Graph,
-    n_agents: int,
-    trials: int,
+    config: BatchConfig,
     alpha_grid: list[float],
     beta_grid: list[float],
-    k: int = 5,
-    base_seed: int = 0,
-    n_targets: int | None = None,
     out_path: str | None = None,
-    max_steps: int | None = None,
 ) -> SweepResult:
-    """Mean mission cost per (alpha, beta) over a shared mission set.
+    """Mean mission cost per (alpha, beta) over ``config.missions()``.
 
     Every cell runs the exact same missions with the exact same per-trial
-    seeds, so differences isolate the parameter pair. Each output row logs
-    the mission hash as evidence of the sharing. ``max_steps`` is the step
-    cap of every run (``run_mission``'s default when None). A value that
-    appears twice in a grid raises ValueError.
+    seeds and step cap, and ``config.params`` with only alpha and beta
+    replaced, so differences isolate the parameter pair. Each output row
+    logs the mission hash as evidence of the sharing. A value that appears
+    twice in a grid raises ValueError.
     """
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha and beta grids must be non-empty")
@@ -276,31 +275,26 @@ def sensitivity_sweep(
         for i, value in enumerate(grid):
             if value in grid[:i]:
                 raise ValueError(f"{name} grid repeats the value {value}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n_targets is None:
-        n_targets = 2 * n_agents
-    cache = PathCache(graph)
-    missions = [
-        generate_random_mission(graph, n_agents, n_targets, base_seed + t) for t in range(trials)
-    ]
+    cache = PathCache(config.graph)
+    missions = config.missions()
     hashes = [mission_hash(m) for m in missions]
 
     rows: list[dict] = []
     mean_cost: dict[tuple[float, float], float] = {}
     for alpha in alpha_grid:
         for beta in beta_grid:
-            params = ForceParams(alpha=alpha, beta=beta, k=k)
+            params = replace(config.params, alpha=alpha, beta=beta)
             cell_costs: list[float] = []
             aborted = False
             for trial, mission in enumerate(missions):
-                res = run_mission(mission, params, seed=base_seed + trial, cache=cache,
-                                  max_steps=max_steps)
+                seed = config.trial_seed(trial)
+                res = run_mission(mission, params, seed=seed, cache=cache,
+                                  max_steps=config.max_steps)
                 rows.append({
                     "alpha": alpha,
                     "beta": beta,
                     "trial": trial,
-                    "seed": base_seed + trial,
+                    "seed": seed,
                     "mission_hash": hashes[trial],
                     "total_cost": res.total_cost,
                     "steps": res.steps_taken,

@@ -246,8 +246,8 @@ def test_criterion_8_termination_and_reproducibility(grid_batches):
 def test_criterion_9_sensitivity_trend(grid64):
     started = time.perf_counter()
     sweep = sensitivity_sweep(
-        grid64, 5, trials=100, alpha_grid=[0.5, 0.9], beta_grid=[0.1, 1.0],
-        k=5, base_seed=400, n_targets=10,
+        BatchConfig(grid64, 5, n_targets=10, trials=100, params=ForceParams(k=5), base_seed=400),
+        alpha_grid=[0.5, 0.9], beta_grid=[0.1, 1.0],
     )
     balanced = sweep.mean_cost[(0.5, 1.0)]
     lopsided = sweep.mean_cost[(0.9, 0.1)]

@@ -75,7 +75,8 @@ class TestBruteForceOptimal:
     def test_demo_mission_optimum(self):
         res = brute_force_optimal(eight_node_mission(), horizon=5)
         assert res.optimal_cost == 6.0
-        assert res.explored_states > 0
+        assert res.paths == ((0, 0, 0, 4, 5, 6), (1, 1, 1, 4, 5, 7))
+        assert res.explored_states == 4057
 
     def test_witness_paths_are_valid_and_cover(self):
         mission = eight_node_mission()

@@ -184,12 +184,13 @@ class TestBatchAndSweep:
         assert out == "" and "alpha grid repeats the value 0.5" in err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("flag", ["--wait-cost=100"])
-    def test_batch_rejects_run_only_flags(self, capsys, flag):
-        # batch runs no wait cost, so it must not accept the flag and
-        # silently ignore it.
+    @pytest.mark.parametrize("command", ["batch", "sweep"])
+    @pytest.mark.parametrize("flag", ["--wait-cost=100", "--starts=0,1", "--target-nodes=6,7"])
+    def test_batch_rejects_run_only_flags(self, capsys, command, flag):
+        # batch and sweep run no wait cost and draw every mission from the
+        # seed, so they must not accept these flags and silently ignore them.
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch", "--grid", "4x4", "--agents", "2", "--trials", "3", flag])
+            main([command, "--grid", "4x4", "--agents", "2", "--trials", "3", flag])
         assert excinfo.value.code == 1
         assert flag.split("=")[0] in capsys.readouterr().err
 
@@ -230,6 +231,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag", [
         "--wait-cost=nan", "--wait-cost=-5", "--wait-cost=inf", "--max-steps=-3",
+        "--alpha=inf", "--beta=inf",
     ])
     def test_bad_run_input_exits_1(self, capsys, flag):
         code, out, err = run_cli(capsys, "run", "--grid", "4x4", "--agents", "2", flag)

@@ -59,11 +59,11 @@ class TestForceParams:
         with pytest.raises(ValueError):
             ForceParams(k=0)
 
-    def test_rejects_nan_scales(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ForceParams(alpha=math.nan)
-        with pytest.raises(ValueError, match="non-negative"):
-            ForceParams(beta=math.nan)
+    @pytest.mark.parametrize("scale", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nan_scales(self, scale, value):
+        with pytest.raises(ValueError, match="alpha and beta must be finite and non-negative"):
+            ForceParams(**{scale: value})
 
 
 class TestAttractiveForce:

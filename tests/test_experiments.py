@@ -139,12 +139,14 @@ class TestRunBatch:
 class TestSensitivitySweep:
     def test_single_cell_scores_one(self):
         g = make_grid_graph(6, 6, seed=0)
-        sw = sensitivity_sweep(g, 2, trials=3, alpha_grid=[0.5], beta_grid=[1.0], base_seed=3)
+        sw = sensitivity_sweep(BatchConfig(g, 2, trials=3, base_seed=3), alpha_grid=[0.5],
+                               beta_grid=[1.0])
         assert sw.score[(0.5, 1.0)] == 1.0
 
     def test_cells_share_missions(self):
         g = make_grid_graph(6, 6, seed=0)
-        sw = sensitivity_sweep(g, 2, trials=4, alpha_grid=[0.3, 0.6], beta_grid=[0.5], base_seed=11)
+        sw = sensitivity_sweep(BatchConfig(g, 2, trials=4, base_seed=11), alpha_grid=[0.3, 0.6],
+                               beta_grid=[0.5])
         by_trial = {}
         for row in sw.rows:
             by_trial.setdefault(row["trial"], set()).add(row["mission_hash"])
@@ -152,20 +154,20 @@ class TestSensitivitySweep:
 
     def test_uniform_scaling_leaves_means_unchanged(self):
         g = make_grid_graph(6, 6, seed=0)
-        sw = sensitivity_sweep(g, 2, trials=5, alpha_grid=[0.3, 0.6], beta_grid=[0.6, 1.2],
-                               base_seed=19)
+        sw = sensitivity_sweep(BatchConfig(g, 2, trials=5, base_seed=19), alpha_grid=[0.3, 0.6],
+                               beta_grid=[0.6, 1.2])
         assert sw.mean_cost[(0.3, 0.6)] == sw.mean_cost[(0.6, 1.2)]
 
     def test_balanced_cell_outscores_agent_heavy_cell(self):
         g = make_grid_graph(8, 8, seed=0)
-        sw = sensitivity_sweep(g, 5, trials=30, alpha_grid=[0.5, 1.0], beta_grid=[0.1, 1.0],
-                               base_seed=23)
+        sw = sensitivity_sweep(BatchConfig(g, 5, trials=30, base_seed=23), alpha_grid=[0.5, 1.0],
+                               beta_grid=[0.1, 1.0])
         assert sw.score[(0.5, 1.0)] > sw.score[(1.0, 0.1)]
 
     def test_all_aborted_cells_score_zero(self):
         g = make_grid_graph(6, 6, seed=0)
-        sw = sensitivity_sweep(g, 2, trials=2, alpha_grid=[0.3, 0.6], beta_grid=[1.0],
-                               base_seed=4, max_steps=1)
+        sw = sensitivity_sweep(BatchConfig(g, 2, trials=2, base_seed=4, max_steps=1),
+                               alpha_grid=[0.3, 0.6], beta_grid=[1.0])
         assert not any(row["completed"] for row in sw.rows)
         assert all(mean == float("inf") for mean in sw.mean_cost.values())
         assert sw.score == {(0.3, 1.0): 0.0, (0.6, 1.0): 0.0}
@@ -173,7 +175,7 @@ class TestSensitivitySweep:
     def test_empty_grid_rejected(self):
         g = make_grid_graph(6, 6, seed=0)
         with pytest.raises(ValueError, match="non-empty"):
-            sensitivity_sweep(g, 2, trials=2, alpha_grid=[], beta_grid=[1.0])
+            sensitivity_sweep(BatchConfig(g, 2, trials=2), alpha_grid=[], beta_grid=[1.0])
 
     @pytest.mark.parametrize("alphas, betas, message", [
         ([0.5, 0.5], [1.0], "alpha grid repeats the value 0.5"),
@@ -182,7 +184,20 @@ class TestSensitivitySweep:
     def test_repeated_grid_value_rejected(self, alphas, betas, message):
         g = make_grid_graph(4, 4, seed=0)
         with pytest.raises(ValueError, match=message):
-            sensitivity_sweep(g, 2, trials=2, alpha_grid=alphas, beta_grid=betas)
+            sensitivity_sweep(BatchConfig(g, 2, trials=2), alpha_grid=alphas, beta_grid=betas)
+
+    def test_sweep_runs_the_missions_of_its_batch_config(self):
+        pool = (0, 1, 2, 6)
+        config = BatchConfig(make_grid_graph(6, 6, seed=0), 2, trials=4, base_seed=5,
+                             start_pool=pool)
+        missions = config.missions()
+        sw = sensitivity_sweep(config, alpha_grid=[0.3, 0.6], beta_grid=[1.0])
+        by_trial = {}
+        for row in sw.rows:
+            by_trial.setdefault(row["trial"], set()).add(row["mission_hash"])
+        assert by_trial == {t: {mission_hash(m)} for t, m in enumerate(missions)}
+        assert all(s in pool for m in missions for s in m.starts)
+        assert run_batch(config) == run_batch(config, missions=missions)
 
     def test_default_grid_constant(self):
         assert DEFAULT_SWEEP_GRID == (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -190,10 +205,9 @@ class TestSensitivitySweep:
     def test_csv_reproducible(self, tmp_path):
         g = make_grid_graph(6, 6, seed=0)
         p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        sensitivity_sweep(g, 2, trials=2, alpha_grid=[0.5], beta_grid=[1.0],
-                          base_seed=2, out_path=str(p1))
-        sensitivity_sweep(g, 2, trials=2, alpha_grid=[0.5], beta_grid=[1.0],
-                          base_seed=2, out_path=str(p2))
+        config = BatchConfig(g, 2, trials=2, base_seed=2)
+        sensitivity_sweep(config, alpha_grid=[0.5], beta_grid=[1.0], out_path=str(p1))
+        sensitivity_sweep(config, alpha_grid=[0.5], beta_grid=[1.0], out_path=str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
 
