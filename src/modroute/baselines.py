@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .engine import (
     MissionResult,
-    StepRecord,
     _cache_for,
     _intent,
+    _record,
     assign_targets,
     claim_targets,
     move_agents,
@@ -68,7 +68,7 @@ def run_nonmodular_baseline(
         step_cost = sum((graph.weight(i.src, i.dst) for i in intents), 0.0)
         agents, unvisited = move_agents(agents, intents, unvisited)
         traversed = frozenset((i.src, i.dst) for i in intents)
-        return agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
+        return agents, unvisited, _record(t, traversed, tuple(intents), step_cost)
 
     return simulate(mission, max_steps, advance)
 

@@ -99,11 +99,15 @@ class MissionResult:
 
 # Memoised constructors: one shared instance per distinct value, reused
 # across agents, steps and runs. Sound because the records are frozen and
-# their fields are ints, bools and None; typed keys keep 1 and True apart.
+# hold only ints, bools, None and immutable containers of them. Typed keys
+# keep 1 and True (and a step cost of 0 and 0.0) apart; inside a container
+# they compare equal, which is why ``validate`` admits only int node ids.
 # Internal code passes every field positionally, so equal values share a key.
 _INTERNED = 1 << 14
 _agent = functools.lru_cache(maxsize=_INTERNED, typed=True)(AgentState)
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
+_record = functools.lru_cache(maxsize=_INTERNED, typed=True)(StepRecord)
+_path = functools.lru_cache(maxsize=_INTERNED)(tuple)
 
 
 def assign_targets(
@@ -125,21 +129,21 @@ def assign_targets(
     result: dict[int, int | None] = {}
     claimed: set[int] = set()
     targets = sorted(unvisited)
-    nearest_at: dict[int, tuple[list[float], list[int]]] = {}
+    nearest_at: dict[int, tuple[list[int], list[int]]] = {}
     for agent in sorted((a for a in agents if not a.finished), key=attrgetter("agent_id")):
         if agent.position not in nearest_at:
             dist = cache.distances(agent.position)
-            d_min = min((dist[t] for t in targets), default=math.inf)
-            nearest = [t for t in targets if dist[t] == d_min] if d_min < math.inf else []
-            nearest_at[agent.position] = dist, nearest
-        dist, nearest = nearest_at[agent.position]
+            reachable = [t for t in targets if dist[t] < math.inf]
+            d_min = min((dist[t] for t in reachable), default=math.inf)
+            nearest_at[agent.position] = [t for t in reachable if dist[t] == d_min], reachable
+        nearest, reachable = nearest_at[agent.position]
         if not nearest:
             result[agent.agent_id] = None
             continue
         free = [t for t in nearest if t not in claimed]
         if free:
             choice = free[0]
-        elif all(t in claimed or dist[t] == math.inf for t in targets):
+        elif claimed.issuperset(reachable):
             result[agent.agent_id] = None
             continue
         else:
@@ -370,7 +374,7 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
             path.append(agent.position)
 
     return MissionResult(
-        per_agent_paths=tuple(tuple(path) for path in paths),
+        per_agent_paths=tuple(_path(tuple(path)) for path in paths),
         steps=tuple(records),
         total_cost=sum(r.step_cost for r in records),
         completed=not unvisited,
@@ -424,8 +428,7 @@ def step(
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
     step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
-    record = StepRecord(t=t, traversed=traversed, intents=tuple(intents), step_cost=step_cost)
-    return next_agents, unvisited, record
+    return next_agents, unvisited, _record(t, traversed, tuple(intents), step_cost)
 
 
 def run_mission(

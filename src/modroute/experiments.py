@@ -72,16 +72,25 @@ def generate_random_mission(
     Starts and targets are drawn without replacement (targets never sit on
     a start node). Infeasible draws are rejected and resampled up to 100
     times. ``start_pool`` restricts where starts may be placed, e.g. to a
-    fixed set of depot nodes.
+    fixed set of depot nodes; it must hold at least n distinct nodes of
+    the graph, or ValueError is raised.
     """
     m = graph.node_count
     if n < 1 or n_targets < 1:
         raise ValueError("need at least one agent and one target")
     if n + n_targets > m:
         raise ValueError(f"cannot place {n} starts and {n_targets} distinct targets on {m} nodes")
-    pool = sorted(start_pool) if start_pool is not None else None
-    if pool is not None and len(pool) < n:
-        raise ValueError(f"start pool has {len(pool)} nodes, need {n}")
+    pool = None
+    if start_pool is not None:
+        for node in start_pool:
+            if type(node) is not int or not 0 <= node < m:
+                raise ValueError(f"start pool node {node!r} is not a node of the graph [0,{m})")
+        pool = sorted(start_pool)
+        for a, b in zip(pool, pool[1:]):
+            if a == b:
+                raise ValueError(f"start pool repeats node {a}")
+        if len(pool) < n:
+            raise ValueError(f"start pool has {len(pool)} nodes, need {n}")
     rng = random.Random(seed)
     for _ in range(100):
         if pool is None:
@@ -142,7 +151,7 @@ class BatchConfig:
         return [
             generate_random_mission(
                 self.graph, self.n_agents, self.n_targets, self.trial_seed(trial),
-                start_pool=list(self.start_pool) if self.start_pool else None,
+                start_pool=None if self.start_pool is None else list(self.start_pool),
             )
             for trial in range(self.trials)
         ]

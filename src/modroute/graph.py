@@ -9,6 +9,7 @@ the simulation layer, not the graph.
 
 from __future__ import annotations
 
+import functools
 import warnings
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -118,6 +119,12 @@ class Mission:
     def __post_init__(self) -> None:
         object.__setattr__(self, "starts", tuple(self.starts))
         object.__setattr__(self, "targets", frozenset(self.targets))
+
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        # Computed once per instance, which is immutable; not a field, so it
+        # stays out of equality, hash and repr.
+        return tuple(_diagnose(self))
 
 
 def _collapse_duplicates(
@@ -323,7 +330,16 @@ def reachable_from(graph: Graph, sources: list[int]) -> set[int]:
 
 
 def validate(mission: Mission) -> list[str]:
-    """Return human-readable diagnostics; empty iff the mission is runnable."""
+    """Return human-readable diagnostics; empty iff the mission is runnable.
+
+    A node id must be an int in ``[0, m)``: a bool or a float equal to a
+    valid id is reported, not read as that id. The diagnostics are worked
+    out once per mission; each call returns a new list.
+    """
+    return list(mission._diagnostics)
+
+
+def _diagnose(mission: Mission) -> list[str]:
     graph = mission.graph
     m = graph.node_count
     diags: list[str] = []
@@ -333,16 +349,23 @@ def validate(mission: Mission) -> list[str]:
         diags.append("mission has no target nodes")
     valid_starts = []
     for s in mission.starts:
-        if 0 <= s < m:
+        if type(s) is not int:
+            diags.append(f"start node {s!r} is not an int")
+        elif 0 <= s < m:
             valid_starts.append(s)
         else:
             diags.append(f"start node {s} out of range [0,{m})")
-    for t in sorted(mission.targets):
+    targets = [t for t in mission.targets if type(t) is int]
+    if len(targets) < len(mission.targets):
+        for t in sorted(mission.targets.difference(targets), key=repr):
+            diags.append(f"target node {t!r} is not an int")
+    targets.sort()
+    for t in targets:
         if not (0 <= t < m):
             diags.append(f"target node {t} out of range [0,{m})")
     if valid_starts:
         reached = reachable_from(graph, valid_starts)
-        for t in sorted(mission.targets):
+        for t in targets:
             if 0 <= t < m and t not in reached:
                 diags.append(f"target node {t} unreachable from every start")
     return diags

@@ -29,7 +29,7 @@ from modroute import (
     select_edge,
     step,
 )
-from modroute.engine import _INTERNED, _agent, _intent
+from modroute.engine import _INTERNED, _agent, _intent, _path, _record
 from modroute.experiments import generate_random_mission
 
 from _fixtures import (
@@ -428,6 +428,12 @@ class TestRunMission:
         with pytest.raises(InfeasibleMissionError):
             run_mission(Mission(g, (0,), frozenset({3})), EIGHT_NODE_PARAMS, seed=0)
 
+    def test_bool_start_is_rejected_not_merged_with_its_int(self):
+        g = load_edge_list("0 1 1.0\n1 2 1.0\n2 3 1.0")
+        run_mission(Mission(g, (1,), frozenset({3})), EIGHT_NODE_PARAMS, seed=0)
+        with pytest.raises(InfeasibleMissionError, match="start node True is not an int"):
+            run_mission(Mission(g, (True,), frozenset({3})), EIGHT_NODE_PARAMS, seed=0)
+
     @pytest.mark.parametrize("other", [make_grid_graph(4, 4, seed=2), make_grid_graph(5, 5, seed=1)])
     def test_cache_for_another_graph_raises(self, other):
         # Used silently, the seed-2 cache "completed" this mission at 5.1207
@@ -568,8 +574,40 @@ class TestSlottedInternedRecords:
         b = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
         assert a == b
         for ra, rb in zip(a.steps, b.steps, strict=True):
-            assert ra is not rb
+            assert ra is rb and ra.traversed is rb.traversed
             assert all(ia is ib for ia, ib in zip(ra.intents, rb.intents, strict=True))
+
+    def test_replay_shares_every_equal_record_and_path(self):
+        graph = make_grid_graph(6, 6, seed=1)
+        cache = PathCache(graph)
+        missions = [generate_random_mission(graph, 3, 6, seed=s) for s in range(4)]
+        results = [
+            run_mission(mission, ForceParams(alpha=alpha, beta=beta), seed=s, cache=cache, max_steps=100)
+            for alpha, beta in itertools.product((0.3, 0.7), (0.5, 0.9))
+            for s, mission in enumerate(missions)
+        ]
+        records = [r for res in results for r in res.steps]
+        paths = [p for res in results for p in res.per_agent_paths]
+        for values in (records, paths):
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value
+            assert len(first) < len(values)
+        for record in records:
+            traversed = frozenset((i.src, i.dst) for i in record.intents if i.src != i.dst)
+            fresh = StepRecord(record.t, traversed, tuple(_fresh_intent(i) for i in record.intents),
+                               record.step_cost)
+            assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
+        for path in paths:
+            fresh = tuple(list(path))
+            assert path == fresh and hash(path) == hash(fresh) and repr(path) == repr(fresh)
+
+    def test_int_and_float_step_costs_stay_apart(self):
+        # an int wait_cost=0 with no edge crossed gives an int step cost of 0
+        as_int, as_float = _record(1, frozenset(), (), 0), _record(1, frozenset(), (), 0.0)
+        assert as_int == as_float and as_int is not as_float
+        assert repr(as_int) != repr(as_float)
+        assert type(as_int.step_cost) is int and type(as_float.step_cost) is float
 
     @pytest.mark.parametrize("clone", [
         lambda r: pickle.loads(pickle.dumps(r)),
@@ -588,3 +626,7 @@ class TestSlottedInternedRecords:
         assert _intent(0, 1, 1, True) is _intent(0, 1, 1, True)
         assert _intent(0, 1, 1, 1) is not _intent(0, 1, 1, True)
         assert repr(_intent(0, 1, 1, 1)) != repr(_intent(0, 1, 1, True))
+
+    def test_record_and_path_tables_share_the_bound(self):
+        for table in (_record, _path):
+            assert table.cache_info().maxsize == _INTERNED

@@ -67,6 +67,16 @@ class TestGenerateRandomMission:
             m = generate_random_mission(g, 2, 4, seed=seed, start_pool=pool)
             assert set(m.starts) <= set(pool)
 
+    @pytest.mark.parametrize("pool, message", [
+        ((), "start pool has 0 nodes"),
+        ((0, 99), "start pool node 99 is not a node"),
+        ((0, 0), "start pool repeats node 0"),
+    ], ids=["empty", "outside-graph", "repeated"])
+    def test_bad_start_pool_rejected(self, pool, message):
+        config = BatchConfig(make_grid_graph(4, 4), 2, trials=1, start_pool=pool)
+        with pytest.raises(ValueError, match=message):
+            config.missions()
+
     def test_resampling_failure_raises(self):
         # second component is unreachable, so any mission touching it fails
         from modroute import load_edge_list

@@ -13,6 +13,7 @@ from modroute import (
     make_grid_graph,
     validate,
 )
+from modroute import graph as graph_module
 from modroute.paths import dijkstra, path_weight
 
 from _fixtures import eight_node_graph, eight_node_mission
@@ -204,6 +205,31 @@ class TestValidate:
         g = load_edge_list("0 1 1.0")
         diags = validate(Mission(g, (), frozenset()))
         assert len(diags) == 2
+
+    def test_node_ids_that_are_not_ints(self):
+        # True == 1 and 4.0 == 4, but neither is a node id: read as one, it
+        # would print as itself and be merged with the int by equal records.
+        g = make_grid_graph(3, 3)
+        diags = validate(Mission(g, (True, 4), frozenset({4.0, 8, "7"})))
+        assert diags == [
+            "start node True is not an int",
+            "target node '7' is not an int",
+            "target node 4.0 is not an int",
+        ]
+
+    def test_each_call_returns_a_fresh_list(self, monkeypatch):
+        checks = []
+        diagnose = graph_module._diagnose
+        monkeypatch.setattr(graph_module, "_diagnose", lambda m: checks.append(m) or diagnose(m))
+        g = load_edge_list("0 1 1.0\n2 3 1.0")
+        mission = Mission(g, (0,), frozenset({3}))
+        first = validate(mission)
+        first.clear()
+        assert validate(mission) == ["target node 3 unreachable from every start"]
+        assert validate(mission) is not validate(mission)
+        assert checks == [mission]
+        twin = Mission(g, (0,), frozenset({3}))
+        assert mission == twin and hash(mission) == hash(twin) and repr(mission) == repr(twin)
 
     def test_dijkstra_confirms_fixture_reachability(self):
         g = eight_node_graph()
