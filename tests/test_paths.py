@@ -222,6 +222,26 @@ class TestGridsMatchPlainYen:
         assert queries == 192
         assert mismatches == []
 
+    @pytest.mark.parametrize("family", ["grid_weights", "integer_1_3"])
+    def test_benchmark_size_grid_at_k_5(self, family):
+        rng = random.Random(f"grid8-{family}")
+        mismatches, queries = [], 0
+        for graph_seed in range(4):
+            if family == "grid_weights":
+                g = make_grid_graph(8, 8, seed=graph_seed)
+            else:
+                g = _integer_grid(8, 8, rng)
+            cache = PathCache(g)
+            for _ in range(40):
+                src, dst = rng.sample(range(g.node_count), 2)
+                expected = reference_yen(g, src, dst, 5)
+                for got in (yen_k_shortest(g, src, dst, 5), cache.k_shortest(src, dst, 5)):
+                    if [(p.total_weight, p.nodes) for p in got.paths] != expected:
+                        mismatches.append((graph_seed, src, dst))
+                queries += 1
+        assert queries == 160
+        assert mismatches == []
+
 
 class TestBoundedSpurSearch:
     def test_limit_cuts_below_the_shortest_weight_and_keeps_exact_ties(self):
@@ -233,6 +253,11 @@ class TestBoundedSpurSearch:
         assert _lex_shortest(g, 0, 5, h[:], {4}, limit=math.nextafter(4.0, 0.0)) is None
         assert _lex_shortest(g, 0, 5, h[:], limit=3.0) == ((0, 4, 5), 3.0)
         assert _lex_shortest(g, 0, 5, h[:], limit=2.5) is None
+
+    def test_a_first_hop_whose_key_equals_the_limit_is_kept(self):
+        g = Graph(3, [(0, 1, 2.0), (0, 2, 1.0), (2, 1, 1.5)])
+        assert _lex_shortest(g, 0, 1, [0.0] * 3, limit=2.0) == ((0, 1), 2.0)
+        assert _lex_shortest(g, 0, 1, [0.0] * 3, limit=math.nextafter(2.0, 0.0)) is None
 
     def test_some_spur_search_stops_at_the_bound(self, monkeypatch):
         search = paths._lex_shortest
@@ -252,6 +277,38 @@ class TestBoundedSpurSearch:
             src, dst = rng.sample(range(g.node_count), 2)
             yen_k_shortest(g, src, dst, 5)
         assert cut
+
+    def test_first_key_check_skips_searches_and_changes_no_output(self, monkeypatch):
+        # With an infinite slack every limit is inf, so no spur search is
+        # skipped for its first keys. The spurs visited depend only on the
+        # found paths and their spur indices, which the bound leaves alone,
+        # so the difference in searches made is what the check skips.
+        search = paths._lex_shortest
+        limits = []
+
+        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+            if banned_next:  # a spur search: its first heap must hold a label
+                assert any(
+                    w + h[v] <= limit for v, w in graph.out_edges(src)
+                    if h[v] != math.inf and v not in banned_next
+                )
+            limits.append(limit)
+            return search(graph, src, dst, h, banned_next, limit)
+
+        monkeypatch.setattr(paths, "_lex_shortest", counting_search)
+        g = make_grid_graph(8, 8, seed=3)
+        rng = random.Random(5)
+        queries = [rng.sample(range(g.node_count), 2) for _ in range(20)]
+        bounded = [yen_k_shortest(g, src, dst, 5) for src, dst in queries]
+        searched = len(limits)
+        limits.clear()
+        monkeypatch.setattr(paths, "_BOUND_SLACK", math.inf)
+        unbounded = [yen_k_shortest(g, src, dst, 5) for src, dst in queries]
+        assert set(limits) == {math.inf}
+        assert len(limits) > searched
+        assert bounded == unbounded
+        for (src, dst), got in zip(queries, bounded):
+            assert [(p.total_weight, p.nodes) for p in got.paths] == reference_yen(g, src, dst, 5)
 
 
 class TestPathWeight:
@@ -306,3 +363,35 @@ class TestPathCache:
         assert cache.k_shortest(0, 6, 3) is cache.k_shortest(0, 6, 3)
         assert cache.k_shortest(0, 6, 3) == yen_k_shortest(g, 0, 6, 3)
         assert cache.distances(0) == dijkstra(g, 0)[0]
+
+
+class TestBadNodeIds:
+    """Node ids outside [0, m) raise ValueError, as ``dijkstra`` does; a
+    negative id must not wrap around to the end of the node list."""
+
+    @pytest.mark.parametrize("src,dst", [(0, -1), (0, 16), (-1, 3), (16, 3), (-1, -1)])
+    def test_every_entry_point_rejects_it(self, src, dst):
+        g = make_grid_graph(4, 4)
+        cache = PathCache(g)
+        with pytest.raises(ValueError, match="out of range"):
+            yen_k_shortest(g, src, dst, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            cache.k_shortest(src, dst, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            cache.distance(src, dst)
+        assert cache._kpaths == {} and cache._to == {}
+
+    def test_k_shortest_checks_only_on_a_miss(self, monkeypatch):
+        check, checked = paths._check_nodes, []
+
+        def counting_check(graph, *nodes):
+            checked.append(nodes)
+            check(graph, *nodes)
+
+        monkeypatch.setattr(paths, "_check_nodes", counting_check)
+        cache = PathCache(make_grid_graph(4, 4))
+        first = cache.k_shortest(0, 15, 3)
+        misses = len(checked)
+        assert misses > 0
+        assert cache.k_shortest(0, 15, 3) is first
+        assert len(checked) == misses
