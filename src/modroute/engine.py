@@ -133,9 +133,15 @@ def assign_targets(
     for agent in sorted((a for a in agents if not a.finished), key=attrgetter("agent_id")):
         if agent.position not in nearest_at:
             dist = cache.distances(agent.position)
+            d_min, nearest = math.inf, []
+            for t in targets:  # one pass: the minimum and its exact ties
+                d = dist[t]
+                if d < d_min:
+                    d_min, nearest = d, [t]
+                elif d == d_min:
+                    nearest.append(t)
             reachable = [t for t in targets if dist[t] < math.inf]
-            d_min = min((dist[t] for t in reachable), default=math.inf)
-            nearest_at[agent.position] = [t for t in reachable if dist[t] == d_min], reachable
+            nearest_at[agent.position] = (nearest if reachable else []), reachable
         nearest, reachable = nearest_at[agent.position]
         if not nearest:
             result[agent.agent_id] = None
@@ -187,6 +193,8 @@ def compute_edge_forces(
     group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
     d, so the strongest path of a group is its first, bit for bit; with
     ``force_sum`` the group's forces are folded onto 0.0 in path order.
+    Each force is ``attractive_force`` inline: path weights are positive, so
+    only a square that underflows to 0 calls it, for its ValueError.
     """
     destinations: list[tuple[int, float]] = []
     if agent.assigned_target is not None and params.beta > 0:
@@ -206,9 +214,11 @@ def compute_edge_forces(
             if force_sum:
                 force = 0.0
                 for d in weights:
-                    force += attractive_force(scale, d)
+                    d2 = d * d
+                    force += scale / d2 if d2 else attractive_force(scale, d)
             else:
-                force = attractive_force(scale, weights[0])
+                d2 = weights[0] * weights[0]
+                force = scale / d2 if d2 else attractive_force(scale, weights[0])
             edge = (position, hop)
             entries[edge] = entries.get(edge, 0.0) + force
     return EdgeForces(agent.agent_id, entries)
@@ -252,8 +262,20 @@ def resolve_waits(
     re-checking current intents so an agent already converted to waiting
     triggers no further pair. Waiting only ever switches triggers off, so
     the pass visits just the pairs where one agent's original intent lands
-    on the other's node.
+    on the other's node. When no moving intent lands on any agent's node
+    there is no such pair, and the intents come back as they are, with no
+    draw. That shortcut needs one intent per agent, in the order of
+    ``agents``, as ``step`` passes them; any other input takes the pass, so
+    what the pass rejects is still rejected.
     """
+    occupied = {a.position for a in agents}
+    for intent in intents:
+        if not intent.waiting and intent.dst in occupied:
+            break
+    else:
+        ids = [i.agent_id for i in intents]
+        if ids == [a.agent_id for a in agents] and len(set(ids)) == len(ids):
+            return list(intents)
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
     at: dict[int, list[int]] = {}
@@ -264,9 +286,6 @@ def resolve_waits(
         for a_id, intent in current.items() if not intent.waiting
         for b_id in at.get(intent.dst, ()) if b_id != a_id
     })
-
-    def target_distance(agent: AgentState) -> float:
-        return cache.distance(agent.position, agent.assigned_target)
 
     def make_wait(agent_id: int) -> None:
         src = current[agent_id].src
@@ -283,7 +302,8 @@ def resolve_waits(
         b_lands_on_a = not ib.waiting and ib.dst == a.position
         if not (a_lands_on_b or b_lands_on_a):
             continue
-        dist_a, dist_b = target_distance(a), target_distance(b)
+        dist_a = cache.distance(a.position, a.assigned_target)
+        dist_b = cache.distance(b.position, b.assigned_target)
         if a_lands_on_b and b_lands_on_a:
             if dist_a < dist_b:
                 make_wait(first_id)

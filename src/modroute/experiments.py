@@ -276,7 +276,8 @@ def sensitivity_sweep(
     seeds and step cap, and ``config.params`` with only alpha and beta
     replaced, so differences isolate the parameter pair. Each output row
     logs the mission hash as evidence of the sharing. A value that appears
-    twice in a grid raises ValueError.
+    twice in a grid raises ValueError, and so does a cell whose parameters
+    ``ForceParams`` rejects; both before the first run.
     """
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha and beta grids must be non-empty")
@@ -284,6 +285,7 @@ def sensitivity_sweep(
         for i, value in enumerate(grid):
             if value in grid[:i]:
                 raise ValueError(f"{name} grid repeats the value {value}")
+    cells = {(a, b): replace(config.params, alpha=a, beta=b) for a in alpha_grid for b in beta_grid}
     cache = PathCache(config.graph)
     missions = config.missions()
     hashes = [mission_hash(m) for m in missions]
@@ -292,7 +294,7 @@ def sensitivity_sweep(
     mean_cost: dict[tuple[float, float], float] = {}
     for alpha in alpha_grid:
         for beta in beta_grid:
-            params = replace(config.params, alpha=alpha, beta=beta)
+            params = cells[alpha, beta]
             cell_costs: list[float] = []
             aborted = False
             for trial, mission in enumerate(missions):

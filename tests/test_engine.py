@@ -41,7 +41,13 @@ from _fixtures import (
     eight_node_mission,
     shared_corridor_mission,
 )
-from _oracles import reference_edge_forces, reference_step
+from _oracles import (
+    _reference_assign_targets,
+    _reference_resolve_waits,
+    random_digraph,
+    reference_edge_forces,
+    reference_step,
+)
 
 
 class TestForceParams:
@@ -292,6 +298,106 @@ class TestPlatoonStepMatchesPerAgentStep:
         assert same_target > 0 and split_targets > 0 and draws > 0
 
 
+def _seeded_wait_states(graph, rng, count):
+    """Random fleets on ``graph``, every agent with an intent: a wait, a move
+    onto an adjacent agent's node, or a move to a random out-neighbour.
+    The agents stand within two hops of one node, some share a node and
+    some have no target; now and then the intents are shuffled out of the
+    agents' order. Yields (intents, agents)."""
+    m = graph.node_count
+    for _ in range(count):
+        area = {rng.randrange(m)}
+        for _ in range(2):
+            area |= {v for u in area for v, _ in graph.out_edges(u)}
+        spots = rng.sample(sorted(area), rng.randint(1, 5))
+        fleet = [AgentState(i, rng.choice(spots), rng.choice([None] + list(range(m))))
+                 for i in range(rng.randint(2, 7))]
+        intents = []
+        for agent in fleet:
+            out = [v for v, _ in graph.out_edges(agent.position)]
+            near = [a.position for a in fleet if a.position in out]
+            roll = rng.random()
+            if roll < 0.15:
+                intents.append(MoveIntent(agent.agent_id, agent.position, agent.position, True))
+            else:
+                dst = rng.choice(near) if near and roll < 0.5 else rng.choice(out)
+                intents.append(MoveIntent(agent.agent_id, agent.position, dst))
+        if rng.random() < 0.2:
+            rng.shuffle(intents)
+        yield intents, fleet
+
+
+class TestFastPathsMatchOracles:
+    """The warm step's fast paths give exactly what the frozen original
+    layer functions gave, on seeded inputs that reach every branch."""
+
+    def test_resolve_waits_with_and_without_a_landing(self):
+        mismatches, compared, landed, quiet, shuffled, draws = [], 0, 0, 0, 0, 0
+        for graph_no, graph in enumerate(
+            [make_grid_graph(8, 8, seed=0), _integer_grid(1), _integer_grid(2)]
+        ):
+            cache = PathCache(graph)
+            rng = random.Random(f"waits-{graph_no}")
+            for intents, agents in _seeded_wait_states(graph, rng, 1500):
+                seed = rng.getrandbits(32)
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = resolve_waits(cache, intents, agents, got_rng)
+                want = _reference_resolve_waits(intents, agents, want_rng, cache)
+                if got != want or got_rng.getstate() != want_rng.getstate():
+                    mismatches.append((graph_no, intents, agents))
+                compared += 1
+                draws += want_rng.getstate() != random.Random(seed).getstate()
+                occupied = {a.position for a in agents}
+                lands = any(not i.waiting and i.dst in occupied for i in intents)
+                landed += lands
+                quiet += not lands
+                shuffled += [i.agent_id for i in intents] != [a.agent_id for a in agents]
+        assert mismatches == []
+        assert compared == 4500
+        # steps with and without a landing, shuffled intents and tie draws all occur
+        assert landed > 500 and quiet > 500 and shuffled > 0 and draws > 0
+
+    def test_resolve_waits_still_rejects_an_intent_of_no_agent(self):
+        agents = [AgentState(0, 0, assigned_target=6), AgentState(1, 1, assigned_target=7)]
+        intents = [MoveIntent(0, 0, 4), MoveIntent(2, 1, 4)]
+        with pytest.raises(KeyError):
+            resolve_waits(PathCache(eight_node_graph()), intents, agents, random.Random(0))
+
+    def test_assign_targets_on_random_digraphs(self):
+        mismatches, compared = [], 0
+        unreachable, all_claimed, free_tie = 0, 0, 0
+        rng = random.Random("assign")
+        for _ in range(300):
+            m, edges = random_digraph(rng, max_nodes=9, edge_prob=0.2)
+            if not edges:
+                continue
+            cache = PathCache(Graph(m, edges))
+            for _ in range(10):
+                agents = [AgentState(i, rng.randrange(m), None, rng.random() < 0.1)
+                          for i in range(rng.randint(1, 6))]
+                unvisited = set(rng.sample(range(m), rng.randint(0, min(m, 4))))
+                got = assign_targets(cache, agents, unvisited)
+                want = _reference_assign_targets(agents, unvisited, cache)
+                if got != want:
+                    mismatches.append((m, edges, agents, unvisited))
+                compared += 1
+                claimed = set()
+                for agent in sorted((a for a in agents if not a.finished), key=lambda a: a.agent_id):
+                    dist = cache.distances(agent.position)
+                    reach = [t for t in sorted(unvisited) if dist[t] < math.inf]
+                    nearest = [t for t in reach if dist[t] == min(dist[r] for r in reach)]
+                    free = [t for t in nearest if t not in claimed]
+                    unreachable += not reach
+                    all_claimed += bool(reach) and claimed.issuperset(reach)
+                    free_tie += bool(free) and free[0] != nearest[0]
+                    if want[agent.agent_id] is not None:
+                        claimed.add(want[agent.agent_id])
+        assert mismatches == []
+        assert compared > 2000
+        # no reachable target, every reachable one claimed, a free exact tie
+        assert unreachable > 0 and all_claimed > 0 and free_tie > 0
+
+
 class TestSelectEdge:
     def test_argmax_edge_wins(self):
         forces = EdgeForces(0, {(0, 4): 0.3125, (0, 3): 0.15, (0, 2): 0.15})
@@ -417,6 +523,12 @@ class TestRunMission:
         g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
         with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
             run_mission(Mission(g, (0,), frozenset({2})), seed=0)
+
+    def test_underflowing_force_sum_raises_value_error(self):
+        w = 1e-170
+        g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
+        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
+            run_mission(Mission(g, (0,), frozenset({2})), ForceParams(force_sum=True), seed=0)
 
     @pytest.mark.parametrize("wait_cost", [-5.0, math.nan, math.inf])
     def test_bad_wait_cost_raises_value_error(self, wait_cost):

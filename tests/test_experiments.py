@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from modroute import (
     run_batch,
     sensitivity_sweep,
 )
+from modroute import experiments
+from modroute.engine import run_mission
 from modroute.experiments import BATCH_COLUMNS, DEFAULT_SWEEP_GRID, FORCE_BASED, NONMODULAR
 
 from _fixtures import eight_node_graph, eight_node_mission
@@ -195,6 +198,26 @@ class TestSensitivitySweep:
         g = make_grid_graph(4, 4, seed=0)
         with pytest.raises(ValueError, match=message):
             sensitivity_sweep(BatchConfig(g, 2, trials=2), alpha_grid=alphas, beta_grid=betas)
+
+    def test_invalid_cell_rejected_before_any_run(self, monkeypatch):
+        runs = []
+
+        def counted_run(*args, **kwargs):
+            runs.append(args)
+            return run_mission(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_mission", counted_run)
+        config = BatchConfig(make_grid_graph(4, 4, seed=0), 2, trials=3)
+        with pytest.raises(ValueError, match="alpha and beta cannot both be zero"):
+            sensitivity_sweep(config, alpha_grid=[0.5, 0.0], beta_grid=[1.0, 0.0])
+        assert runs == []
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        sensitivity_sweep(BatchConfig(make_grid_graph(6, 6, seed=0), 2, trials=3, base_seed=8),
+                          alpha_grid=[0.3, 0.6], beta_grid=[1.0, 0.2], out_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8a79e2fa6e6ca219ad133d2e207b2842319c1f1fef64d25dbe966b29badab59c")
 
     def test_sweep_runs_the_missions_of_its_batch_config(self):
         pool = (0, 1, 2, 6)
