@@ -10,6 +10,59 @@ together.
 The per-step cost unit is the deduplicated set of edges traversed at that
 step; a mission's total cost is the sum of its step costs. Runs are fully
 deterministic for a fixed (mission, parameters, seed).
+
+Bounded edge choice. Only the strongest edge leaves a step, so ``step``
+picks it with ``_choose_edge``, which scores the attraction sources from the
+strongest possible one down and stops once the unscored ones cannot change
+the winner. The move is bit for bit ``select_edge(compute_edge_forces(...))``.
+Write u = 2**-53 for the unit roundoff and fl() for a rounded operation;
+rounding to nearest is monotone, and ``fl(a + b)`` of non-negative a and b
+lies within factors 1 - u and 1 + u of ``a + b`` (a subnormal sum is exact).
+
+1. **Lower bound.** Let d = ``cache.distances(p)``. ``_dijkstra`` relaxes
+   every out-edge of each node it settles and only ever lowers d, so it
+   leaves ``d[v] <= fl(d[u] + w)`` on every edge u -> v with d[u] finite.
+   A path p = v_0 ... v_j has the left-fold weight W_j, with W_0 = 0 =
+   d[p] and ``W_i = fl(W_{i-1} + w_i)``. If ``W_{i-1} >= d[v_{i-1}]``,
+   monotone rounding gives ``W_i >= fl(d[v_{i-1}] + w_i) >= d[v_i]``. So
+   D = d[s] is at most the weight of every path to s, exactly, and
+   ``PathCache.k_shortest`` reports left-fold weights.
+2. **Bound on one source.** Each path weight d to a source of scale c has
+   d >= D, so ``fl(d * d) >= fl(D * D)``. If ``fl(D * D) > 0`` then
+   ``fl(c / fl(d * d)) <= ub = fl(c / fl(D * D))``: no force of the source
+   exceeds ub, and none of its path squares is 0, so it raises nothing. The
+   source adds one such force to an edge, or with ``force_sum`` a fold of
+   j <= k of them, at most ``(1 + u)**(k-1) * k * ub``. Its bound is B = ub,
+   or ``B = fl(k * ub) >= (1 - u) * k * ub``; either way it adds at most
+   ``(1 + u)**(k+1) * B`` to any edge. A D of inf gives B = 0: no path.
+3. **Slack.** The n sources are scored in decreasing B. After each, let
+   ``lead`` be the largest partial total (a fold, in scoring order, of the
+   scored sources' forces on one edge a), ``rival`` the largest partial of
+   any other edge (0.0 if none), ``rest`` the fold of the unscored bounds,
+   ``t = fl(rival + rest)`` and ``1 + e = 1 + (4n + k) * 2u``, which is
+   exact. The choice stops when ``fl(t * (1 + e)) < lead < inf`` and t is 0
+   or a normal float, so ``fl(t * (1 + e)) >= (1 - u) * t * (1 + e)``.
+   ``compute_edge_forces`` sums each edge's per-source terms, at most n,
+   by a fold in its source order, so a total is within factors
+   ``(1 -+ u)**(n-1)`` of the exact sum of its terms, and so is every
+   partial, and ``rest`` of the exact sum of its bounds. Then a's total is
+   at least ``(1 - u)**(n-1) / (1 + u)**(n-1) * lead``, and by point 2 any
+   other edge's is at most ``(1 + u)**(n+k) / (1 - u)**n * t``, where
+   ``t < lead / ((1 - u) * (1 + e))``. So the lead wins strictly when
+   ``1 + e >= (1 + u)**(2n+k-1) / (1 - u)**(2n)``. The right side is at
+   most exp(x) with ``x = 1.01 * (4n + k - 1) * u``, and for n and k below
+   2**48, x < 1/4 and ``exp(x) <= 1 + x + x**2 < 1 + 2 * (4n + k) * u``.
+   (A finite lead keeps every fold here from overflowing.) If t is 0,
+   every other edge's terms are 0 while the lead's total, a fold that
+   holds a positive term, is positive. A strict winner is what
+   ``select_edge`` picks, whatever its tie rule.
+
+A choice that never stops folds the forces it scored in
+``compute_edge_forces``' source order and hands them to ``select_edge``,
+the same numbers in the same order. A lone source needs no bound: with
+nothing left unscored, t is the rival itself. When some ``fl(D * D)`` is 0
+or some bound is inf, no bound is trusted and the reference itself runs,
+so the underflow ``ValueError`` still names the path weight.
 """
 
 from __future__ import annotations
@@ -17,12 +70,13 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
-from .paths import PathCache
+from .paths import PathCache, PathSet
 
 
 @dataclass(frozen=True)
@@ -108,6 +162,11 @@ _agent = functools.lru_cache(maxsize=_INTERNED, typed=True)(AgentState)
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 _record = functools.lru_cache(maxsize=_INTERNED, typed=True)(StepRecord)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
+
+# 2u, the unit of ``_choose_edge``'s relative slack (module docstring, point 3),
+# and the smallest normal float, below which a product may lose that slack.
+_SLACK_UNIT = 2.0**-52
+_MIN_NORMAL = sys.float_info.min
 
 
 def assign_targets(
@@ -196,30 +255,54 @@ def compute_edge_forces(
     Each force is ``attractive_force`` inline: path weights are positive, so
     only a square that underflows to 0 calls it, for its ValueError.
     """
-    destinations: list[tuple[int, float]] = []
-    if agent.assigned_target is not None and params.beta > 0:
-        destinations.append((agent.assigned_target, params.beta))
-    if params.alpha > 0:
-        for other in sorted(others, key=attrgetter("agent_id")):
-            if other.finished or other.agent_id == agent.agent_id:
-                continue
-            if other.position == agent.position:
-                continue  # co-located pair: zero distance, excluded
-            destinations.append((other.position, params.alpha))
-
     position, k, force_sum = agent.position, params.k, params.force_sum
+    return _fold(agent, [
+        (rank, _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum))
+        for rank, dest, scale in sorted(_sources(agent, others, params), key=itemgetter(0))
+    ])
+
+
+def _sources(agent: AgentState, others: list[AgentState], params: ForceParams) -> list[tuple]:
+    """``(rank, node, scale)`` per attraction source, in the order of ``others``.
+
+    The claimed target (scale beta) ranks first, at -inf, and every unfinished
+    other agent at another node (scale alpha) ranks by its id; a scale of 0
+    adds no source. Sorted by rank, stably, they come in
+    ``compute_edge_forces``' order.
+    """
+    sources: list[tuple] = []
+    if agent.assigned_target is not None and params.beta > 0:
+        sources.append((-math.inf, agent.assigned_target, params.beta))
+    if params.alpha > 0:
+        position = agent.position
+        for other in others:
+            if not (other.finished or other.position == position or other.agent_id == agent.agent_id):
+                sources.append((other.agent_id, other.position, params.alpha))
+    return sources
+
+
+def _hop_forces(paths: PathSet, scale: float, force_sum: bool) -> list[tuple[int, float]]:
+    """``(next_node, force)`` per first hop of ``paths``: one source's pull."""
+    forces = []
+    for hop, weights in paths.first_hops:
+        if force_sum:
+            force = 0.0
+            for d in weights:
+                d2 = d * d
+                force += scale / d2 if d2 else attractive_force(scale, d)
+        else:
+            d2 = weights[0] * weights[0]
+            force = scale / d2 if d2 else attractive_force(scale, weights[0])
+        forces.append((hop, force))
+    return forces
+
+
+def _fold(agent: AgentState, scored: list[tuple[float, list[tuple[int, float]]]]) -> EdgeForces:
+    """Add ``(rank, forces)`` per source into per-edge totals, in list order."""
     entries: dict[tuple[int, int], float] = {}
-    for dest, scale in destinations:
-        for hop, weights in cache.k_shortest(position, dest, k).first_hops:
-            if force_sum:
-                force = 0.0
-                for d in weights:
-                    d2 = d * d
-                    force += scale / d2 if d2 else attractive_force(scale, d)
-            else:
-                d2 = weights[0] * weights[0]
-                force = scale / d2 if d2 else attractive_force(scale, weights[0])
-            edge = (position, hop)
+    for _, forces in scored:
+        for hop, force in forces:
+            edge = (agent.position, hop)
             entries[edge] = entries.get(edge, 0.0) + force
     return EdgeForces(agent.agent_id, entries)
 
@@ -237,6 +320,67 @@ def select_edge(forces: EdgeForces, position: int) -> MoveIntent:
     if best_edge is None:
         return _intent(forces.agent_id, position, position, True)
     return _intent(forces.agent_id, best_edge[0], best_edge[1], False)
+
+
+def _choose_edge(
+    cache: PathCache,
+    agent: AgentState,
+    others: list[AgentState],
+    params: ForceParams,
+) -> MoveIntent:
+    """``select_edge(compute_edge_forces(cache, agent, others, params), ...)``,
+    bit for bit, without scoring the sources that cannot change the move.
+
+    The sources are those of ``compute_edge_forces``, in any order of
+    ``others`` (agent ids distinct). They are scored strongest bound first,
+    until the stop rule of the module docstring (point 3) holds. A source
+    outside the graph counts as one whose bound is inf, so the reference
+    raises its ValueError.
+    """
+    position, k, force_sum = agent.position, params.k, params.force_sum
+    sources = _sources(agent, others, params)
+    if not sources:
+        return _intent(agent.agent_id, position, position, True)
+
+    rests = [0.0]  # rests.pop(): the fold of the bounds not yet scored
+    if len(sources) == 1:  # a lone source needs no bound
+        ranked = [(0.0, *sources[0])]
+    else:
+        dist = cache.distances(position)
+        m, terms = len(dist), k if force_sum else 1  # forces one source adds to an edge, at most
+        ranked = []
+        for rank, dest, scale in sources:
+            d = dist[dest] if 0 <= dest < m else 0.0
+            d2 = d * d
+            ranked.append((scale / d2 * terms if d2 else math.inf, rank, dest, scale))
+        ranked.sort(reverse=True)
+        if ranked[0][0] == math.inf:
+            return select_edge(compute_edge_forces(cache, agent, others, params), position)
+        rest = 0.0
+        for source in ranked[:0:-1]:
+            rest += source[0]
+            rests.append(rest)
+    widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
+
+    partial: dict[int, float] = {}
+    lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial total, and the largest of another edge
+    scored = []
+    for _, rank, dest, scale in ranked:
+        forces = _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum)
+        for hop, force in forces:
+            total = partial[hop] = partial.get(hop, 0.0) + force
+            if hop == lead_hop:
+                lead = total
+            elif total > lead:
+                lead_hop, lead, rival = hop, total, lead
+            elif total > rival:
+                rival = total
+        scored.append((rank, forces))
+        t = rival + rests.pop()
+        if t * widen < lead < math.inf and (t >= _MIN_NORMAL or t == 0.0):
+            return _intent(agent.agent_id, position, lead_hop, False)
+
+    return select_edge(_fold(agent, sorted(scored, key=itemgetter(0))), position)
 
 
 def resolve_waits(
@@ -266,7 +410,8 @@ def resolve_waits(
     there is no such pair, and the intents come back as they are, with no
     draw. That shortcut needs one intent per agent, in the order of
     ``agents``, as ``step`` passes them; any other input takes the pass, so
-    what the pass rejects is still rejected.
+    what the pass rejects is still rejected. Two intents for one agent raise
+    ValueError.
     """
     occupied = {a.position for a in agents}
     for intent in intents:
@@ -278,6 +423,10 @@ def resolve_waits(
             return list(intents)
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
+    if len(current) < len(intents):
+        ids = [i.agent_id for i in intents]
+        repeated = sorted({a for a in ids if ids.count(a) > 1})
+        raise ValueError(f"more than one intent for agent(s) {repeated}")
     at: dict[int, list[int]] = {}
     for agent_id in current:
         at.setdefault(by_id[agent_id].position, []).append(agent_id)
@@ -416,7 +565,9 @@ def step(
 ) -> tuple[list[AgentState], frozenset[int], StepRecord]:
     """Advance the system one timestep.
 
-    Pipeline: claim targets, score forces, pick edges, defuse swaps, then
+    Pipeline: claim targets, pick each agent's strongest edge
+    (``_choose_edge``, which is ``select_edge`` over ``compute_edge_forces``
+    without the sources that cannot change the pick), defuse swaps, then
     move every agent simultaneously. Agents without a claimable target are
     marked finished and stop moving. After movement any unvisited target
     standing under an agent becomes visited. The step cost sums the weights
@@ -436,8 +587,7 @@ def step(
         key = agent.position, agent.assigned_target
         lead = leads.get(key)
         if lead is None:
-            forces = compute_edge_forces(cache, agent, active, params)
-            lead = leads[key] = select_edge(forces, agent.position)
+            lead = leads[key] = _choose_edge(cache, agent, active, params)
             intents.append(lead)
         else:
             intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))

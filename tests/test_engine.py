@@ -29,7 +29,8 @@ from modroute import (
     select_edge,
     step,
 )
-from modroute.engine import _INTERNED, _agent, _intent, _path, _record
+from modroute import engine
+from modroute.engine import _INTERNED, _agent, _choose_edge, _intent, _path, _record
 from modroute.experiments import generate_random_mission
 
 from _fixtures import (
@@ -192,9 +193,20 @@ def _seeded_force_states(graph_seed, count):
                 yield agent, [o for o in fleet if o is not agent]
 
 
+class _CountingCache(PathCache):
+    """A PathCache that counts its k-shortest queries."""
+
+    queries = 0
+
+    def k_shortest(self, src, dst, k):
+        self.queries += 1
+        return super().k_shortest(src, dst, k)
+
+
 class TestFirstHopForcesMatchPerPathLoop:
     """``compute_edge_forces`` over first-hop tables gives exactly what the
-    original per-path loop gave: same edges, same order, same float bits."""
+    original per-path loop gave: same edges, same order, same float bits.
+    ``_choose_edge`` picks exactly what ``select_edge`` picks from them."""
 
     SCALES = [(0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0), (3.7, 0.3), (0.1, 2.9)]
 
@@ -202,16 +214,25 @@ class TestFirstHopForcesMatchPerPathLoop:
     def test_seeded_8x8_states(self, force_sum):
         mismatches, calls, colocated, finished = [], 0, 0, 0
         multi_hop_groups, order_sensitive_sums = 0, 0
+        wrong_choices, sources, scored = [], 0, 0
         for graph_seed in range(3):
             graph = make_grid_graph(8, 8, seed=graph_seed)
-            cache = PathCache(graph)
+            cache = _CountingCache(graph)
             for agent, others in _seeded_force_states(graph_seed, 40):
                 colocated += any(o.position == agent.position for o in others)
                 finished += any(o.finished for o in others)
                 for alpha, beta in self.SCALES:
                     for k in (1, 3, 5, 8):
                         params = ForceParams(alpha, beta, k, force_sum)
-                        got = compute_edge_forces(cache, agent, others, params).entries
+                        before = cache.queries
+                        chosen = _choose_edge(cache, agent, others[::-1], params)
+                        scored += cache.queries - before
+                        before = cache.queries
+                        forces = compute_edge_forces(cache, agent, others, params)
+                        sources += cache.queries - before
+                        if chosen != select_edge(forces, agent.position):
+                            wrong_choices.append((graph_seed, agent, others, params))
+                        got = forces.entries
                         want = reference_edge_forces(cache, agent, others, params)
                         if [(e, f.hex()) for e, f in got.items()] != [
                             (e, f.hex()) for e, f in want.items()
@@ -223,11 +244,91 @@ class TestFirstHopForcesMatchPerPathLoop:
                         forces = [1.0 / (d * d) for d in weights]
                         multi_hop_groups += len(set(weights)) > 1
                         order_sensitive_sums += sum(forces, 0.0) != sum(reversed(forces), 0.0)
-        assert mismatches == []
+        assert mismatches == [] and wrong_choices == []
         assert calls > 2000
         # the states exercise every case the two loops could disagree on
         assert colocated > 0 and finished > 0
         assert multi_hop_groups > 0 and order_sensitive_sums > 0
+        # the bounded choice skips sources, so the pruning is exercised
+        assert scored < sources
+
+
+@pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])
+class TestBoundedEdgeChoice:
+    """Hand-built cases for ``_choose_edge``: each gives the reference's move."""
+
+    @staticmethod
+    def _reference(cache, agent, others, params):
+        return select_edge(compute_edge_forces(cache, agent, others, params), agent.position)
+
+    def test_totals_one_ulp_apart_are_folded_in_the_reference_order(self, force_sum, monkeypatch):
+        # All distances are 1, so each force is its scale. Edge (0, 2) gets
+        # 1 + a + a folded target first, 2**54 + 8; in bound order, a + a + 1,
+        # it would tie (0, 1)'s a + a = 2**54 + 4, one ulp below.
+        a = 2.0**53 + 2
+        cache = PathCache(load_edge_list("0 1 1.0\n0 2 1.0"))
+        agent = AgentState(0, 0, assigned_target=2)
+        others = [AgentState(1, 2), AgentState(2, 2), AgentState(3, 1), AgentState(4, 1)]
+        params = ForceParams(alpha=a, beta=1.0, k=1, force_sum=force_sum)
+        totals = compute_edge_forces(cache, agent, others, params).entries
+        assert totals[(0, 2)] - totals[(0, 1)] == math.ulp(totals[(0, 1)])
+        folds = []
+        monkeypatch.setattr(engine, "select_edge", lambda f, p: folds.append(f) or select_edge(f, p))
+        assert _choose_edge(cache, agent, others, params) == MoveIntent(0, 0, 2)
+        assert [f.entries for f in folds] == [totals]  # the fold, not the partial totals, decided
+
+    def test_totals_that_tie_exactly_though_the_partials_differ(self, force_sum):
+        # In bound order the partial totals of (0, 2) and (0, 1) end one
+        # ulp apart; folded target first they tie, and the tie goes to the
+        # smaller node. Only the rounding slack keeps the choice from stopping.
+        cache = PathCache(Graph(7, [(0, 1, 1.5), (0, 2, 1.5), (1, 3, 0.1), (1, 4, 0.25),
+                                    (2, 5, 0.1), (2, 6, 0.7)]))
+        agent = AgentState(0, 0, assigned_target=2)
+        others = [AgentState(1, 3), AgentState(2, 5), AgentState(3, 2), AgentState(4, 1)]
+        params = ForceParams(alpha=0.5, beta=1e-16, k=1, force_sum=force_sum)
+        totals = compute_edge_forces(cache, agent, others, params).entries
+        assert totals[(0, 1)] == totals[(0, 2)]
+        assert _choose_edge(cache, agent, others, params) == MoveIntent(0, 0, 1)
+
+    def test_unreachable_source_is_never_queried(self, force_sum):
+        # node 3 reaches 0, but 0 cannot reach 3
+        cache = _CountingCache(load_edge_list("0 1 1.0\n1 2 1.0\n3 0 1.0"))
+        params = ForceParams(k=3, force_sum=force_sum)
+        agent, stranded = AgentState(0, 0, assigned_target=2), AgentState(1, 3)
+        assert _choose_edge(cache, agent, [stranded], params) == MoveIntent(0, 0, 1)
+        assert cache.queries == 1 and (0, 3, 3) not in cache._kpaths
+        want = self._reference(cache, agent, [stranded], params)
+        assert _choose_edge(cache, agent, [stranded], params) == want
+        # with no reachable source the agent waits, as the reference does
+        for lone in (AgentState(0, 0), AgentState(0, 0, assigned_target=3)):
+            for others in ([stranded], [stranded, AgentState(2, 3)]):
+                want = self._reference(cache, lone, others, params)
+                assert want.waiting and _choose_edge(cache, lone, others, params) == want
+
+    def test_colocated_finished_and_self_exert_no_pull(self, force_sum):
+        cache = _CountingCache(eight_node_graph())
+        params = ForceParams(alpha=1.0, beta=1.0, k=3, force_sum=force_sum)
+        agent = AgentState(0, 0, assigned_target=6)
+        others = [agent, AgentState(1, 0, assigned_target=7), AgentState(2, 1, finished=True)]
+        want = self._reference(cache, agent, others, params)
+        cache.queries = 0
+        assert _choose_edge(cache, agent, others, params) == want == MoveIntent(0, 0, 4)
+        assert cache.queries == 1  # the target is the only source
+        assert _choose_edge(cache, AgentState(3, 1), [AgentState(4, 1)], params).waiting
+
+    @pytest.mark.parametrize("others", [[], [AgentState(1, 2)]], ids=["lone", "two_sources"])
+    def test_underflow_and_bad_nodes_raise_the_reference_error(self, force_sum, others):
+        w = 1e-170
+        cache = PathCache(Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)]))
+        params = ForceParams(force_sum=force_sum)
+        agent = AgentState(0, 0, assigned_target=2)
+        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
+            _choose_edge(cache, agent, others, params)
+        stray = AgentState(0, 0, assigned_target=-1)
+        with pytest.raises(ValueError, match="node -1 out of range"):
+            compute_edge_forces(cache, stray, others, params)
+        with pytest.raises(ValueError, match="node -1 out of range"):
+            _choose_edge(cache, stray, others, params)
 
 
 def _integer_grid(seed):
@@ -356,6 +457,16 @@ class TestFastPathsMatchOracles:
         assert compared == 4500
         # steps with and without a landing, shuffled intents and tie draws all occur
         assert landed > 500 and quiet > 500 and shuffled > 0 and draws > 0
+
+    def test_resolve_waits_rejects_two_intents_for_one_agent(self):
+        # the first intent used to vanish, and the second came back twice
+        cache = PathCache(eight_node_graph())
+        a0, a1 = AgentState(0, 0, assigned_target=6), AgentState(1, 1, assigned_target=7)
+        with pytest.raises(ValueError, match=r"more than one intent for agent\(s\) \[0\]"):
+            resolve_waits(cache, [MoveIntent(0, 0, 4), MoveIntent(0, 0, 2)], [a0], random.Random(0))
+        with pytest.raises(ValueError, match=r"more than one intent for agent\(s\) \[1\]"):
+            resolve_waits(cache, [MoveIntent(1, 1, 4), MoveIntent(0, 0, 4), MoveIntent(1, 1, 0)],
+                          [a0, a1], random.Random(0))
 
     def test_resolve_waits_still_rejects_an_intent_of_no_agent(self):
         agents = [AgentState(0, 0, assigned_target=6), AgentState(1, 1, assigned_target=7)]

@@ -7,10 +7,13 @@ once, the baseline charges every agent), charge a total cost equal to the
 sum of its step costs, and, when it reports completion, have visited every
 target. Two more properties pin the router's decisions: scaling alpha and
 beta together by a power of two changes no run, and a run that completes
-within a horizon never beats the exact optimum over that horizon.
+within a horizon never beats the exact optimum over that horizon. A last
+one pins the lemma the engine's bounded edge choice rests on: no sampled
+path weighs less than the cached Dijkstra distance, exactly.
 """
 
 import math
+import random
 
 import pytest
 
@@ -19,6 +22,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modroute import (  # noqa: E402
     ForceParams,
+    Graph,
+    PathCache,
     brute_force_optimal,
     generate_random_mission,
     make_grid_graph,
@@ -120,3 +125,28 @@ def test_a_run_within_the_horizon_never_beats_the_exact_optimum(mission, params,
     optimal = brute_force_optimal(mission, horizon=horizon).optimal_cost
     # the two sum the same step costs in different orders
     assert res.total_cost >= optimal - 1e-9
+
+
+# uniform, integer 1-3 (exact sums, many ties), tenths (inexact sums, ties)
+WEIGHTS = {
+    "uniform": lambda rng: rng.uniform(0.01, 10.0),
+    "integer_1_3": lambda rng: float(rng.randint(1, 3)),
+    "tenths": lambda rng: rng.choice([0.1, 0.2, 0.3]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(WEIGHTS)), st.integers(2, 9), st.sampled_from([0.2, 0.35, 0.5]),
+       st.integers(1, 6), st.integers(0, 2**16))
+def test_no_sampled_path_weighs_less_than_the_cached_distance(family, m, edge_prob, k, seed):
+    rng = random.Random(seed)
+    edges = [(u, v, WEIGHTS[family](rng)) for u in range(m) for v in range(m)
+             if u != v and rng.random() < edge_prob]
+    cache = PathCache(Graph(m, edges))
+    for src in range(m):
+        for dst in range(m):
+            d = cache.distance(src, dst)
+            weights = [p.total_weight for p in cache.k_shortest(src, dst, k).paths]
+            assert all(w >= d for w in weights)
+            # the lightest sampled path is a shortest one, bit for bit
+            assert weights[0] == d if weights else d == math.inf
