@@ -57,12 +57,9 @@ lies within factors 1 - u and 1 + u of ``a + b`` (a subnormal sum is exact).
    holds a positive term, is positive. A strict winner is what
    ``select_edge`` picks, whatever its tie rule.
 
-A choice that never stops folds the forces it scored in
-``compute_edge_forces``' source order and hands them to ``select_edge``,
-the same numbers in the same order. A lone source needs no bound: with
-nothing left unscored, t is the rival itself. When some ``fl(D * D)`` is 0
-or some bound is inf, no bound is trusted and the reference itself runs,
-so the underflow ``ValueError`` still names the path weight.
+A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
+bound, which it cannot trust, returns the reference itself, so the move
+and the underflow ``ValueError`` are the reference's.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ import random
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
 from .paths import PathCache, PathSet
@@ -244,9 +241,10 @@ def compute_edge_forces(
     agent at a distinct position (scaled by alpha), the k cheapest loopless
     paths are sampled and each path's force is attributed to its first
     edge. Per source, only the strongest path through a given first edge
-    counts (all of them with ``force_sum``); the per-edge totals sum over
-    sources. Edges that start no sampled path are absent from the map.
-    ``others`` may include the agent itself, which is skipped by id.
+    counts (all of them with ``force_sum``); the per-edge totals fold over
+    sources, the target first and the others in id order. Edges that start
+    no sampled path are absent from the map. ``others`` may include the
+    agent itself, which is skipped by id.
 
     The paths come grouped by first edge from ``PathSet.first_hops``, each
     group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
@@ -256,28 +254,26 @@ def compute_edge_forces(
     only a square that underflows to 0 calls it, for its ValueError.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
-    return _fold(agent, [
-        (rank, _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum))
-        for rank, dest, scale in sorted(_sources(agent, others, params), key=itemgetter(0))
-    ])
+    entries: dict[tuple[int, int], float] = {}
+    for dest, scale in _sources(agent, sorted(others, key=attrgetter("agent_id")), params):
+        for hop, force in _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum):
+            edge = (position, hop)
+            entries[edge] = entries.get(edge, 0.0) + force
+    return EdgeForces(agent.agent_id, entries)
 
 
-def _sources(agent: AgentState, others: list[AgentState], params: ForceParams) -> list[tuple]:
-    """``(rank, node, scale)`` per attraction source, in the order of ``others``.
-
-    The claimed target (scale beta) ranks first, at -inf, and every unfinished
-    other agent at another node (scale alpha) ranks by its id; a scale of 0
-    adds no source. Sorted by rank, stably, they come in
-    ``compute_edge_forces``' order.
-    """
-    sources: list[tuple] = []
+def _sources(agent: AgentState, others: list[AgentState], params: ForceParams) -> list[tuple[int, float]]:
+    """``(node, scale)`` per attraction source: the claimed target (scale
+    beta), then every unfinished other agent at another node (scale alpha),
+    in the order of ``others``. A scale of 0 adds no source."""
+    sources: list[tuple[int, float]] = []
     if agent.assigned_target is not None and params.beta > 0:
-        sources.append((-math.inf, agent.assigned_target, params.beta))
+        sources.append((agent.assigned_target, params.beta))
     if params.alpha > 0:
         position = agent.position
         for other in others:
             if not (other.finished or other.position == position or other.agent_id == agent.agent_id):
-                sources.append((other.agent_id, other.position, params.alpha))
+                sources.append((other.position, params.alpha))
     return sources
 
 
@@ -295,16 +291,6 @@ def _hop_forces(paths: PathSet, scale: float, force_sum: bool) -> list[tuple[int
             force = scale / d2 if d2 else attractive_force(scale, weights[0])
         forces.append((hop, force))
     return forces
-
-
-def _fold(agent: AgentState, scored: list[tuple[float, list[tuple[int, float]]]]) -> EdgeForces:
-    """Add ``(rank, forces)`` per source into per-edge totals, in list order."""
-    entries: dict[tuple[int, int], float] = {}
-    for _, forces in scored:
-        for hop, force in forces:
-            edge = (agent.position, hop)
-            entries[edge] = entries.get(edge, 0.0) + force
-    return EdgeForces(agent.agent_id, entries)
 
 
 def select_edge(forces: EdgeForces, position: int) -> MoveIntent:
@@ -333,54 +319,44 @@ def _choose_edge(
 
     The sources are those of ``compute_edge_forces``, in any order of
     ``others`` (agent ids distinct). They are scored strongest bound first,
-    until the stop rule of the module docstring (point 3) holds. A source
-    outside the graph counts as one whose bound is inf, so the reference
-    raises its ValueError.
+    until the stop rule of the module docstring (point 3) holds. Otherwise,
+    or when some bound is inf (as for a source outside the graph), the
+    reference decides; once every source is scored, its queries all hit.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
     sources = _sources(agent, others, params)
     if not sources:
         return _intent(agent.agent_id, position, position, True)
 
-    rests = [0.0]  # rests.pop(): the fold of the bounds not yet scored
-    if len(sources) == 1:  # a lone source needs no bound
-        ranked = [(0.0, *sources[0])]
-    else:
-        dist = cache.distances(position)
-        m, terms = len(dist), k if force_sum else 1  # forces one source adds to an edge, at most
-        ranked = []
-        for rank, dest, scale in sources:
-            d = dist[dest] if 0 <= dest < m else 0.0
-            d2 = d * d
-            ranked.append((scale / d2 * terms if d2 else math.inf, rank, dest, scale))
-        ranked.sort(reverse=True)
-        if ranked[0][0] == math.inf:
-            return select_edge(compute_edge_forces(cache, agent, others, params), position)
-        rest = 0.0
+    dist = cache.distances(position)
+    m, terms = len(dist), k if force_sum else 1  # forces one source adds to an edge, at most
+    ranked = []
+    for dest, scale in sources:
+        d = dist[dest] if 0 <= dest < m else 0.0
+        d2 = d * d
+        ranked.append((scale / d2 * terms if d2 else math.inf, dest, scale))
+    ranked.sort(reverse=True)
+    if ranked[0][0] < math.inf:  # else no bound is trusted
+        rests, rest = [0.0], 0.0  # rests.pop(): the fold of the bounds not yet scored
         for source in ranked[:0:-1]:
             rest += source[0]
             rests.append(rest)
-    widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
-
-    partial: dict[int, float] = {}
-    lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial total, and the largest of another edge
-    scored = []
-    for _, rank, dest, scale in ranked:
-        forces = _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum)
-        for hop, force in forces:
-            total = partial[hop] = partial.get(hop, 0.0) + force
-            if hop == lead_hop:
-                lead = total
-            elif total > lead:
-                lead_hop, lead, rival = hop, total, lead
-            elif total > rival:
-                rival = total
-        scored.append((rank, forces))
-        t = rival + rests.pop()
-        if t * widen < lead < math.inf and (t >= _MIN_NORMAL or t == 0.0):
-            return _intent(agent.agent_id, position, lead_hop, False)
-
-    return select_edge(_fold(agent, sorted(scored, key=itemgetter(0))), position)
+        widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
+        partial: dict[int, float] = {}
+        lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial total, and the largest of another edge
+        for _, dest, scale in ranked:
+            for hop, force in _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum):
+                total = partial[hop] = partial.get(hop, 0.0) + force
+                if hop == lead_hop:
+                    lead = total
+                elif total > lead:
+                    lead_hop, lead, rival = hop, total, lead
+                elif total > rival:
+                    rival = total
+            t = rival + rests.pop()
+            if t * widen < lead < math.inf and (t >= _MIN_NORMAL or t == 0.0):
+                return _intent(agent.agent_id, position, lead_hop, False)
+    return select_edge(compute_edge_forces(cache, agent, others, params), position)
 
 
 def resolve_waits(
@@ -402,25 +378,13 @@ def resolve_waits(
       step so the arriving agent joins it instead of chasing a vacated
       node; otherwise both proceed.
 
-    A single pass runs per timestep over the pairs in ascending id order,
-    re-checking current intents so an agent already converted to waiting
-    triggers no further pair. Waiting only ever switches triggers off, so
-    the pass visits just the pairs where one agent's original intent lands
-    on the other's node. When no moving intent lands on any agent's node
-    there is no such pair, and the intents come back as they are, with no
-    draw. That shortcut needs one intent per agent, in the order of
-    ``agents``, as ``step`` passes them; any other input takes the pass, so
-    what the pass rejects is still rejected. Two intents for one agent raise
-    ValueError.
+    One pass visits the pairs in ascending id order, re-checking current
+    intents so an agent already converted to waiting triggers no further
+    pair. Waiting only ever switches triggers off, so the pass visits just
+    the pairs where one agent's original intent lands on the other's node.
+    Two intents for one agent raise ValueError, and an intent of no agent
+    KeyError.
     """
-    occupied = {a.position for a in agents}
-    for intent in intents:
-        if not intent.waiting and intent.dst in occupied:
-            break
-    else:
-        ids = [i.agent_id for i in intents]
-        if ids == [a.agent_id for a in agents] and len(set(ids)) == len(ids):
-            return list(intents)
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
     if len(current) < len(intents):
@@ -566,8 +530,8 @@ def step(
     """Advance the system one timestep.
 
     Pipeline: claim targets, pick each agent's strongest edge
-    (``_choose_edge``, which is ``select_edge`` over ``compute_edge_forces``
-    without the sources that cannot change the pick), defuse swaps, then
+    (``_choose_edge``), defuse swaps (``resolve_waits``, called only when
+    some move lands on an agent's node, as no pair triggers otherwise), then
     move every agent simultaneously. Agents without a claimable target are
     marked finished and stop moving. After movement any unvisited target
     standing under an agent becomes visited. The step cost sums the weights
@@ -592,7 +556,9 @@ def step(
         else:
             intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))
     if waiting:
-        intents = resolve_waits(cache, intents, active, rng)
+        occupied = {a.position for a in active}
+        if any(not i.waiting and i.dst in occupied for i in intents):
+            intents = resolve_waits(cache, intents, active, rng)
 
     next_agents, unvisited = move_agents(staged, intents, unvisited)
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)

@@ -98,7 +98,7 @@ def generate_random_mission(
             starts, targets = sample[:n], sample[n:]
         else:
             starts = rng.sample(pool, n)
-            remaining = [v for v in range(m) if v not in set(starts)]
+            remaining = sorted(set(range(m)).difference(starts))
             if len(remaining) < n_targets:
                 raise ValueError("not enough nodes left for targets outside the start pool")
             targets = rng.sample(remaining, n_targets)

@@ -204,9 +204,10 @@ class _CountingCache(PathCache):
 
 
 class TestFirstHopForcesMatchPerPathLoop:
-    """``compute_edge_forces`` over first-hop tables gives exactly what the
-    original per-path loop gave: same edges, same order, same float bits.
-    ``_choose_edge`` picks exactly what ``select_edge`` picks from them."""
+    """``compute_edge_forces`` over first-hop tables, fed the fleet in either
+    order, gives exactly what the original per-path loop gave: same edges,
+    same order, same float bits. ``_choose_edge`` picks exactly what
+    ``select_edge`` picks from them."""
 
     SCALES = [(0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0), (3.7, 0.3), (0.1, 2.9)]
 
@@ -232,12 +233,12 @@ class TestFirstHopForcesMatchPerPathLoop:
                         sources += cache.queries - before
                         if chosen != select_edge(forces, agent.position):
                             wrong_choices.append((graph_seed, agent, others, params))
-                        got = forces.entries
-                        want = reference_edge_forces(cache, agent, others, params)
-                        if [(e, f.hex()) for e, f in got.items()] != [
-                            (e, f.hex()) for e, f in want.items()
-                        ]:
-                            mismatches.append((graph_seed, agent, others, params))
+                        want = [(e, f.hex()) for e, f in
+                                reference_edge_forces(cache, agent, others, params).items()]
+                        reordered = compute_edge_forces(cache, agent, others[::-1], params)
+                        for got in (forces.entries, reordered.entries):
+                            if [(e, f.hex()) for e, f in got.items()] != want:
+                                mismatches.append((graph_seed, agent, others, params))
                         calls += 1
                 if agent.assigned_target is not None:
                     for _, weights in cache.k_shortest(agent.position, agent.assigned_target, 8).first_hops:
@@ -429,8 +430,8 @@ def _seeded_wait_states(graph, rng, count):
 
 
 class TestFastPathsMatchOracles:
-    """The warm step's fast paths give exactly what the frozen original
-    layer functions gave, on seeded inputs that reach every branch."""
+    """``resolve_waits`` and ``assign_targets`` give exactly what the frozen
+    original layer functions gave, on seeded inputs that reach every branch."""
 
     def test_resolve_waits_with_and_without_a_landing(self):
         mismatches, compared, landed, quiet, shuffled, draws = [], 0, 0, 0, 0, 0
@@ -614,6 +615,25 @@ class TestStep:
         moved = sum(g.weight(i.src, i.dst) for i in record.intents if not i.waiting)
         assert record.step_cost == moved + 0.25 * n_wait
         assert n_wait >= 1
+
+    def test_wait_pass_runs_only_when_a_move_lands_on_an_agent(self, monkeypatch):
+        # Without a landing the pass has no pair to visit, so step skips it.
+        calls, waits = [], 0
+
+        def counting_resolve_waits(cache, intents, agents, rng):
+            nonlocal waits
+            occupied = {a.position for a in agents}
+            calls.append(any(not i.waiting and i.dst in occupied for i in intents))
+            out = resolve_waits(cache, intents, agents, rng)
+            waits += sum(o.waiting and not i.waiting for i, o in zip(intents, out))
+            return out
+
+        monkeypatch.setattr(engine, "resolve_waits", counting_resolve_waits)
+        graph = make_grid_graph(8, 8, seed=0)
+        for s in range(6):
+            run_mission(generate_random_mission(graph, 5, 10, seed=600 + s), seed=s)
+        assert calls and all(calls)
+        assert waits > 0
 
 
 class TestRunMission:
