@@ -13,11 +13,15 @@ deterministic for a fixed (mission, parameters, seed).
 
 Bounded edge choice. Only the strongest edge leaves a step, so ``step``
 picks it with ``_choose_edge``, which scores the attraction sources from the
-strongest possible one down and stops once the unscored ones cannot change
-the winner. The move is bit for bit ``select_edge(compute_edge_forces(...))``.
-Write u = 2**-53 for the unit roundoff and fl() for a rounded operation;
-rounding to nearest is monotone, and ``fl(a + b)`` of non-negative a and b
-lies within factors 1 - u and 1 + u of ``a + b`` (a subnormal sum is exact).
+strongest possible one down and stops once the rest cannot change the
+winner. A source whose k-shortest set is not cached is first scored from
+its lightest path alone (point 4), and its k-set is fetched only when that
+cannot settle the move. The move is bit for bit
+``select_edge(compute_edge_forces(...))``. Write u = 2**-53 for the unit
+roundoff and fl() for a rounded operation; rounding to nearest is
+monotone, and ``fl(a + b)`` of non-negative a and b lies within factors
+1 - u and 1 + u of ``a + b`` (a subnormal sum is exact, and so is an
+integer multiple k * x of a subnormal x that stays subnormal).
 
 1. **Lower bound.** Let d = ``cache.distances(p)``. ``_dijkstra`` relaxes
    every out-edge of each node it settles and only ever lowers d, so it
@@ -35,27 +39,62 @@ lies within factors 1 - u and 1 + u of ``a + b`` (a subnormal sum is exact).
    j <= k of them, at most ``(1 + u)**(k-1) * k * ub``. Its bound is B = ub,
    or ``B = fl(k * ub) >= (1 - u) * k * ub``; either way it adds at most
    ``(1 + u)**(k+1) * B`` to any edge. A D of inf gives B = 0: no path.
-3. **Slack.** The n sources are scored in decreasing B. After each, let
-   ``lead`` be the largest partial total (a fold, in scoring order, of the
-   scored sources' forces on one edge a), ``rival`` the largest partial of
-   any other edge (0.0 if none), ``rest`` the fold of the unscored bounds,
-   ``t = fl(rival + rest)`` and ``1 + e = 1 + (4n + k) * 2u``, which is
-   exact. The choice stops when ``fl(t * (1 + e)) < lead < inf`` and t is 0
-   or a normal float, so ``fl(t * (1 + e)) >= (1 - u) * t * (1 + e)``.
-   ``compute_edge_forces`` sums each edge's per-source terms, at most n,
-   by a fold in its source order, so a total is within factors
-   ``(1 -+ u)**(n-1)`` of the exact sum of its terms, and so is every
-   partial, and ``rest`` of the exact sum of its bounds. Then a's total is
-   at least ``(1 - u)**(n-1) / (1 + u)**(n-1) * lead``, and by point 2 any
-   other edge's is at most ``(1 + u)**(n+k) / (1 - u)**n * t``, where
-   ``t < lead / ((1 - u) * (1 + e))``. So the lead wins strictly when
-   ``1 + e >= (1 + u)**(2n+k-1) / (1 - u)**(2n)``. The right side is at
-   most exp(x) with ``x = 1.01 * (4n + k - 1) * u``, and for n and k below
-   2**48, x < 1/4 and ``exp(x) <= 1 + x + x**2 < 1 + 2 * (4n + k) * u``.
-   (A finite lead keeps every fold here from overflowing.) If t is 0,
-   every other edge's terms are 0 while the lead's total, a fold that
-   holds a positive term, is positive. A strict winner is what
-   ``select_edge`` picks, whatever its tie rule.
+3. **Slack.** The n sources are scored in decreasing B. A scored source s
+   gives each hop b a certain term ``c_s(b)`` and an extra term ``x_s(b)
+   >= 0`` (0 where it names none) around the term ``r_s(b)`` that
+   ``compute_edge_forces`` adds to b (0 if none): ``c_s(b) <= r_s(b) <=
+   (1 + u)**(k+1) * (c_s(b) + x_s(b))``. Scored exactly, from its k-set,
+   c_s(b) is r_s(b) and x_s(b) is 0; point 4 gives both for a source
+   scored from bounds; and point 2 bounds an unscored source's r_s(b) by
+   ``(1 + u)**(k+1) * B``. After each source let ``lead`` be the largest
+   certain partial (a fold, in scoring order, of the certain terms on one
+   edge a), ``rival`` the largest ``fl(P(b) + X(b))`` of any other edge b,
+   with P(b) its certain partial and X(b) the same fold of its extra
+   terms (0.0 if it has none, and ``rival`` 0.0 if there is no other
+   edge), ``rest`` the fold of the unscored bounds, ``t = fl(rival +
+   rest)`` and ``1 + e = 1 + (4n + k) * 2u``, which is exact. The choice
+   stops when ``fl(t * (1 + e)) < lead < inf`` and t is 0 or a normal
+   float, so ``fl(t * (1 + e)) >= (1 - u) * t * (1 + e)``.
+   ``compute_edge_forces`` sums each edge's terms, at most n, by a fold in
+   its source order, so a total is within factors ``(1 -+ u)**(n-1)`` of
+   the exact sum of its terms, and so is every partial, and ``rest`` of
+   the exact sum of its bounds. Then a's total is at least ``(1 -
+   u)**(n-1)`` times the exact sum of its certain terms, and so at least
+   ``(1 - u)**(n-1) / (1 + u)**(n-1) * lead``. Any other edge's total is
+   at most ``(1 + u)**(n+k)`` times the exact sum of its certain and extra
+   terms and the unscored bounds; t is at least ``(1 - u)**(n+1)`` times
+   that sum, the two extra roundings being those of P + X and of the
+   addition of ``rest``. So that total is at most ``(1 + u)**(n+k) / (1 -
+   u)**(n+1) * t``, where ``t < lead / ((1 - u) * (1 + e))``, and the
+   lead wins strictly when ``1 + e >= (1 + u)**(2n+k-1) / (1 -
+   u)**(2n+1)``. The right side is at most exp(x) with ``x = 1.01 * (4n
+   + k) * u``, and for n and k below 2**48, x < 1/4 and ``exp(x) <= 1 + x
+   + x**2 < 1 + 2 * (4n + k) * u``. (A finite lead keeps every fold here
+   from overflowing, and an inf extra term makes t inf, so the choice does
+   not stop.) If t is 0, every other edge's terms are 0 while the lead's
+   total, a fold that holds a positive term, is positive. A strict winner
+   is what ``select_edge`` picks, whatever its tie rule. With every
+   source scored exactly there are no extra terms, and ``rival`` is the
+   largest certain partial of another edge.
+4. **Bounds from the lightest path.** ``PathCache.first_hop_bounds`` gives
+   the first hop h0 and weight W0 of the k-set's first path, which is the
+   same ``_lex_shortest`` path for every k and weighs D (point 1). Without
+   ``force_sum``, r_s(h0) is the force of that path, ``fl(c / fl(W0 *
+   W0))``: that is the certain term, and the extra term is 0. With it,
+   r_s(h0) is a fold that starts with that force and adds non-negative
+   forces, none above it: the certain term is that force, and the extra
+   term is B (point 2, with D = W0), which bounds r_s(h0) alone. Any other
+   hop v whose edge has weight w gets ``L_v = fl(w + h'[v])``, with h' the
+   heuristic ``PathCache`` caches towards the source. By the A* key lemma
+   of ``paths`` (module docstring, "Exact ties"), keys never decrease
+   along a loopless path, start at L_v on its first node after the agent
+   and end at its fold weight; with the ``h' = 0`` fallback of
+   ``_shrink_factor`` L_v = w, and the fold only grows. So every loopless
+   path through v weighs at least L_v, and as in point 2 r_s(v) is at most
+   ``(1 + u)**(k+1)`` times the extra term ``fl(c / fl(L_v * L_v))``, or
+   ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if the
+   square is 0); its certain term is 0. A node with ``h' = inf`` cannot
+   reach the source, so no path goes through it: both terms are 0.
 
 A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
 bound, which it cannot trust, returns the reference itself, so the move
@@ -315,13 +354,17 @@ def _choose_edge(
     params: ForceParams,
 ) -> MoveIntent:
     """``select_edge(compute_edge_forces(cache, agent, others, params), ...)``,
-    bit for bit, without scoring the sources that cannot change the move.
+    bit for bit, without the work that cannot change the move.
 
     The sources are those of ``compute_edge_forces``, in any order of
-    ``others`` (agent ids distinct). They are scored strongest bound first,
-    until the stop rule of the module docstring (point 3) holds. Otherwise,
-    or when some bound is inf (as for a source outside the graph), the
-    reference decides; once every source is scored, its queries all hit.
+    ``others`` (agent ids distinct). One pass scores them strongest bound
+    first: exactly when their k-shortest set is cached, and otherwise from
+    ``cache.first_hop_bounds`` (module docstring, point 4). After each
+    source it tries the stop rule of point 3. A pass that ends without a
+    move fetches the k-set of its strongest source scored from bounds, and
+    the next pass scores that source exactly. Once no source is left to
+    fetch, or when some bound is inf (as for a source outside the graph),
+    the reference decides; by then its queries all hit.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
     sources = _sources(agent, others, params)
@@ -330,32 +373,74 @@ def _choose_edge(
 
     dist = cache.distances(position)
     m, terms = len(dist), k if force_sum else 1  # forces one source adds to an edge, at most
+    inf = math.inf
     ranked = []
     for dest, scale in sources:
         d = dist[dest] if 0 <= dest < m else 0.0
         d2 = d * d
-        ranked.append((scale / d2 * terms if d2 else math.inf, dest, scale))
+        ranked.append((scale / d2 * terms if d2 else inf, dest, scale))
     ranked.sort(reverse=True)
-    if ranked[0][0] < math.inf:  # else no bound is trusted
-        rests, rest = [0.0], 0.0  # rests.pop(): the fold of the bounds not yet scored
-        for source in ranked[:0:-1]:
-            rest += source[0]
-            rests.append(rest)
+    if ranked[0][0] < inf:  # else no bound is trusted
         widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
-        partial: dict[int, float] = {}
-        lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial total, and the largest of another edge
-        for _, dest, scale in ranked:
-            for hop, force in _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum):
-                total = partial[hop] = partial.get(hop, 0.0) + force
-                if hop == lead_hop:
-                    lead = total
-                elif total > lead:
-                    lead_hop, lead, rival = hop, total, lead
-                elif total > rival:
-                    rival = total
-            t = rival + rests.pop()
-            if t * widen < lead < math.inf and (t >= _MIN_NORMAL or t == 0.0):
-                return _intent(agent.agent_id, position, lead_hop, False)
+        cached = cache.k_shortest_keys
+        while True:
+            rests, rest = [0.0], 0.0  # rests.pop(): the fold of the bounds not yet scored
+            for source in ranked[:0:-1]:
+                rest += source[0]
+                rests.append(rest)
+            partial: dict[int, float] = {}  # per hop, the fold of the certain terms
+            extra = None  # ... and of the extra terms, once some source is scored from bounds
+            lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial, and the largest of another hop
+            fetch = None  # the strongest source scored from bounds
+            for bound, dest, scale in ranked:
+                if (position, dest, k) in cached:  # the terms of ``_hop_forces``, inline
+                    for hop, weights in cache.k_shortest(position, dest, k).first_hops:
+                        if force_sum:
+                            force = 0.0
+                            for d in weights:
+                                d2 = d * d
+                                force += scale / d2 if d2 else attractive_force(scale, d)
+                        else:
+                            d2 = weights[0] * weights[0]
+                            force = scale / d2 if d2 else attractive_force(scale, weights[0])
+                        total = partial[hop] = partial.get(hop, 0.0) + force
+                        if hop == lead_hop:
+                            lead = total
+                        elif total > lead:
+                            lead_hop, lead, rival = hop, total, lead
+                        elif total > rival:
+                            rival = total
+                elif dist[dest] < inf:  # else no path, and the source adds nothing
+                    h0, w0, hops = cache.first_hop_bounds(position, dest)
+                    if extra is None:
+                        extra, fetch = {}, dest
+                    total = partial[h0] = partial.get(h0, 0.0) + scale / (w0 * w0)
+                    if h0 == lead_hop:  # as above, for the one certain term
+                        lead = total
+                    elif total > lead:
+                        lead_hop, lead, rival = h0, total, lead
+                    elif total > rival:
+                        rival = total
+                    if force_sum:
+                        extra[h0] = extra.get(h0, 0.0) + bound
+                    for hop, low in hops:
+                        d2 = low * low
+                        extra[hop] = extra.get(hop, 0.0) + (scale / d2 * terms if d2 else inf)
+                rest = rests.pop()
+                if rest * widen < lead:  # else t, at least rest, cannot pass the rule
+                    t = rival
+                    if extra:
+                        for hop, more in extra.items():
+                            if hop != lead_hop:
+                                total = partial.get(hop, 0.0) + more
+                                if total > t:
+                                    t = total
+                    t += rest
+                    if t * widen < lead < inf and (t >= _MIN_NORMAL or t == 0.0):
+                        return _intent(agent.agent_id, position, lead_hop, False)
+            if fetch is None:
+                break
+            cache.k_shortest(position, fetch, k)
     return select_edge(compute_edge_forces(cache, agent, others, params), position)
 
 

@@ -217,7 +217,9 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     """Load a GraphML file, taking edge weights from ``weight_attr``.
 
     Handles the GraphML subset of nodes, edges, and one numeric edge
-    attribute. ``edgedefault="undirected"`` graphs (and per-edge
+    attribute: the ``<key>`` whose ``attr.name`` is ``weight_attr``, or a
+    ``<data>`` keyed by ``weight_attr`` itself when no ``<key>`` declares
+    that id. ``edgedefault="undirected"`` graphs (and per-edge
     ``directed="false"`` overrides) expand to directed edge pairs.
     GraphML node ids become labels over dense indices.
     """
@@ -227,11 +229,14 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
         raise GraphFormatError(f"unparseable GraphML in {path}: {exc}") from None
     root = tree.getroot()
 
-    weight_keys = {weight_attr}
+    weight_keys, declared = set(), set()
     for el in root.iter():
-        if _localname(el.tag) == "key" and el.get("attr.name") == weight_attr:
-            if el.get("for") in (None, "edge", "all"):
+        if _localname(el.tag) == "key":
+            declared.add(el.get("id"))
+            if el.get("attr.name") == weight_attr and el.get("for") in (None, "edge", "all"):
                 weight_keys.add(el.get("id"))
+    if weight_attr not in declared:  # a bare ``<data key="length">`` names the attribute itself
+        weight_keys.add(weight_attr)
 
     graph_el = next((el for el in root.iter() if _localname(el.tag) == "graph"), None)
     if graph_el is None:

@@ -121,8 +121,8 @@ import bisect
 import functools
 import heapq
 import math
+from collections.abc import Callable, KeysView
 from dataclasses import dataclass
-from typing import Callable
 
 from .graph import Graph
 
@@ -135,6 +135,8 @@ _MIN_WEIGHT_SHARE = 2.0**-40
 _BOUND_SLACK = 2.0**-50
 
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
+# (h0, W0, ((v, L_v), ...)); see ``PathCache.first_hop_bounds``.
+FirstHopBounds = tuple[int, float, tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,16 +352,19 @@ def yen_k_shortest(
 class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
-    Dijkstra distance maps, reverse-distance heuristics and k-shortest path
-    sets are pure functions of the graph, so results can be shared across
-    steps, missions, and whole experiment batches without affecting
-    determinism.
+    Dijkstra distance maps, reverse-distance heuristics, k-shortest path
+    sets and first-hop bounds are pure functions of the graph, so results
+    can be shared across steps, missions, and whole experiment batches
+    without affecting determinism.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._dist: dict[int, list[float]] = {}
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
+        # a live view of the (src, dst, k) queries that k_shortest answers from the cache
+        self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
+        self._bounds: dict[tuple[int, int], FirstHopBounds] = {}
         self._to: dict[int, list[float]] = {}
         self._factor = _shrink_factor(graph)
 
@@ -383,4 +388,29 @@ class PathCache:
             if h is None:
                 h = self._to[dst] = _heuristic(self.graph, dst, self._factor)
             cached = self._kpaths[key] = yen_k_shortest(self.graph, src, dst, k, h=h)
+        return cached
+
+    def first_hop_bounds(self, src: int, dst: int) -> FirstHopBounds:
+        """``(h0, W0, ((v, L_v), ...))``: what the lightest src->dst path
+        alone tells about every k-shortest set between the two nodes.
+
+        h0 and W0 are the first hop and left-fold weight of
+        ``k_shortest(src, dst, k)``'s first path, which is the same for
+        every k. Each other out-edge src -> v of weight w from which dst
+        is reachable gets ``L_v = fl(w + h'[v])``, with h' the shrunk
+        heuristic towards dst. No loopless path that starts with that edge
+        weighs less than L_v: A* keys never decrease along such a path and
+        end at its fold weight (module docstring, "Exact ties"), and with
+        ``h' = 0`` the fold only grows. An edge to a node that cannot reach dst is
+        left out. Built from one k=1 query and kept per (src, dst).
+        Requires a path from src to dst of at least one edge.
+        """
+        key = (src, dst)
+        cached = self._bounds.get(key)
+        if cached is None:
+            first = self.k_shortest(src, dst, 1).paths[0]
+            h, h0 = self._to[dst], first.nodes[1]
+            cached = self._bounds[key] = (h0, first.total_weight, tuple(
+                (v, w + h[v]) for v, w in self.graph.out_edges(src) if v != h0 and h[v] != math.inf
+            ))
         return cached

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -32,6 +33,7 @@ from modroute import (
 from modroute import engine
 from modroute.engine import _INTERNED, _agent, _choose_edge, _intent, _path, _record
 from modroute.experiments import generate_random_mission
+from modroute.paths import _shrink_factor
 
 from _fixtures import (
     CHAIN_PARAMS,
@@ -179,12 +181,16 @@ class TestComputeEdgeForces:
 def _seeded_force_states(graph_seed, count):
     """Random 8x8 fleets: some agents co-located, some finished, some
     without a target; yields (agent, others) with agents in id order."""
-    rng = random.Random(f"forces-{graph_seed}")
+    return _fleet_states(random.Random(f"forces-{graph_seed}"), 64, count)
+
+
+def _fleet_states(rng, m, count):
+    """Random fleets on nodes ``0..m-1``; yields (agent, others)."""
     for _ in range(count):
         n = rng.randint(2, 6)
-        spots = rng.sample(range(64), rng.randint(1, n))
+        spots = rng.sample(range(m), rng.randint(1, min(n, m)))
         fleet = [
-            AgentState(i, rng.choice(spots), rng.choice([None] + list(range(64))),
+            AgentState(i, rng.choice(spots), rng.choice([None] + list(range(m))),
                        rng.random() < 0.2)
             for i in range(n)
         ]
@@ -194,13 +200,40 @@ def _seeded_force_states(graph_seed, count):
 
 
 class _CountingCache(PathCache):
-    """A PathCache that counts its k-shortest queries."""
+    """A PathCache that counts its k-shortest queries, also by k, and its
+    first-hop bounds queries."""
 
     queries = 0
+    bounded = 0
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.by_k = collections.Counter()
 
     def k_shortest(self, src, dst, k):
         self.queries += 1
+        self.by_k[k] += 1
         return super().k_shortest(src, dst, k)
+
+    def first_hop_bounds(self, src, dst):
+        self.bounded += 1
+        return super().first_hop_bounds(src, dst)
+
+
+def _choose_on_both_tiers(reference, fresh, agent, others, params, seen):
+    """``_choose_edge`` on a cache that holds only what the chooser asked
+    for (first tier, with the k-sets it fetches) and on ``reference`` after
+    ``compute_edge_forces`` filled it (exact tier). True if both give the
+    reference's move; ``seen`` counts how each first-tier choice ended."""
+    want = select_edge(compute_edge_forces(reference, agent, others, params), agent.position)
+    fetched = fresh.by_k[params.k]
+    got = _choose_edge(fresh, agent, others[::-1], params)
+    if params.k > 1:
+        seen["fetched" if fresh.by_k[params.k] > fetched else "settled_by_bounds"] += 1
+    bounded = reference.bounded
+    exact = _choose_edge(reference, agent, others, params)
+    seen["exact_tier_used_bounds"] += reference.bounded > bounded
+    return got == want == exact
 
 
 class TestFirstHopForcesMatchPerPathLoop:
@@ -216,12 +249,14 @@ class TestFirstHopForcesMatchPerPathLoop:
         mismatches, calls, colocated, finished = [], 0, 0, 0
         multi_hop_groups, order_sensitive_sums = 0, 0
         wrong_choices, sources, scored = [], 0, 0
+        tiers, seen = [], collections.Counter()
         for graph_seed in range(3):
             graph = make_grid_graph(8, 8, seed=graph_seed)
             cache = _CountingCache(graph)
             for agent, others in _seeded_force_states(graph_seed, 40):
                 colocated += any(o.position == agent.position for o in others)
                 finished += any(o.finished for o in others)
+                fresh = {k: _CountingCache(graph) for k in (1, 3, 5, 8)}
                 for alpha, beta in self.SCALES:
                     for k in (1, 3, 5, 8):
                         params = ForceParams(alpha, beta, k, force_sum)
@@ -239,19 +274,76 @@ class TestFirstHopForcesMatchPerPathLoop:
                         for got in (forces.entries, reordered.entries):
                             if [(e, f.hex()) for e, f in got.items()] != want:
                                 mismatches.append((graph_seed, agent, others, params))
+                        if not _choose_on_both_tiers(cache, fresh[k], agent, others, params, seen):
+                            tiers.append((graph_seed, agent, others, params))
                         calls += 1
                 if agent.assigned_target is not None:
                     for _, weights in cache.k_shortest(agent.position, agent.assigned_target, 8).first_hops:
                         forces = [1.0 / (d * d) for d in weights]
                         multi_hop_groups += len(set(weights)) > 1
                         order_sensitive_sums += sum(forces, 0.0) != sum(reversed(forces), 0.0)
-        assert mismatches == [] and wrong_choices == []
+        assert mismatches == [] and wrong_choices == [] and tiers == []
         assert calls > 2000
+        # the lightest paths alone settle some moves, others fetch k-sets,
+        # and with every k-set cached no bound is asked for
+        assert seen["settled_by_bounds"] > 0 and seen["fetched"] > 0
+        assert seen["exact_tier_used_bounds"] == 0
         # the states exercise every case the two loops could disagree on
         assert colocated > 0 and finished > 0
         assert multi_hop_groups > 0 and order_sensitive_sums > 0
         # the bounded choice skips sources, so the pruning is exercised
         assert scored < sources
+
+
+@pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])
+class TestTwoTierEdgeChoice:
+    """``_choose_edge`` from first-hop bounds (fresh caches) and from k-sets
+    (filled caches) gives the reference's move on graphs where the bounds
+    leave hops out or carry no heuristic."""
+
+    PARAMS = [(0.5, 1.0, 1), (0.5, 1.0, 5), (3.7, 0.3, 3), (0.1, 2.9, 8), (1.0, 0.0, 5)]
+
+    def _check(self, graphs, force_sum, states_per_graph):
+        wrong, seen = [], collections.Counter()
+        for graph_no, (graph, rng) in enumerate(graphs):
+            reference = _CountingCache(graph)
+            fresh = {k: _CountingCache(graph) for _, _, k in self.PARAMS}
+            for agent, others in _fleet_states(rng, graph.node_count, states_per_graph):
+                for alpha, beta, k in self.PARAMS:
+                    params = ForceParams(alpha, beta, k, force_sum)
+                    if not _choose_on_both_tiers(reference, fresh[k], agent, others, params, seen):
+                        wrong.append((graph_no, agent, others, params))
+            for cache in fresh.values():
+                for (src, dst), (h0, _, hops) in cache._bounds.items():
+                    out = {v for v, _ in graph.out_edges(src)}
+                    seen["hops_left_out"] += len(out) - 1 - len(hops)
+        assert wrong == []
+        assert seen["settled_by_bounds"] > 0 and seen["fetched"] > 0
+        assert seen["exact_tier_used_bounds"] == 0
+        return seen
+
+    def test_one_way_digraphs(self, force_sum):
+        # one-way edges: some out-neighbours cannot reach the source (h' = inf)
+        rng = random.Random("one-way")
+        graphs = []
+        while len(graphs) < 30:
+            m, edges = random_digraph(rng, max_nodes=10, edge_prob=0.3)
+            if edges:
+                graphs.append((Graph(m, edges), rng))
+        assert self._check(graphs, force_sum, 6)["hops_left_out"] > 0
+
+    def test_zero_heuristic_graph(self, force_sum):
+        # the paths module's example: weights 1e-12 and 7e3 fail the shrink
+        # bound, so h' = 0 and every bound is the edge weight alone
+        rng = random.Random("zero-heuristic")
+        edges = []
+        for node in range(36):
+            for nbr in ([node + 1] if node % 6 < 5 else []) + ([node + 6] if node < 30 else []):
+                w = rng.choice((1e-12, 7e3))
+                edges += [(node, nbr, w), (nbr, node, w)]
+        graph = Graph(36, edges)
+        assert _shrink_factor(graph) == 0.0
+        self._check([(graph, rng)], force_sum, 60)
 
 
 @pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])

@@ -153,6 +153,26 @@ class TestGraphml:
         g = load_graphml(str(path), weight_attr="metres")
         assert g.edges() == [(0, 1, 5.0)]
 
+    def test_key_id_equal_to_the_attribute_name_is_not_the_attribute(self, tmp_path):
+        # the key with id "length" holds travel times; the lengths are d1
+        text = GRAPHML_MINIMAL.replace(
+            '<key id="d0" for="edge" attr.name="length" attr.type="double"/>',
+            '<key id="length" for="edge" attr.name="travel_time" attr.type="double"/>\n'
+            '  <key id="d1" for="edge" attr.name="length" attr.type="double"/>',
+        ).replace('<data key="d0">5</data>', '<data key="length">99.0</data><data key="d1">2.5</data>')
+        path = tmp_path / "clash.graphml"
+        path.write_text(text)
+        assert load_graphml(str(path)).edges() == [(0, 1, 2.5)]
+        assert load_graphml(str(path), weight_attr="travel_time").edges() == [(0, 1, 99.0)]
+
+    def test_undeclared_data_key_names_the_attribute(self, tmp_path):
+        text = GRAPHML_MINIMAL.replace(
+            '  <key id="d0" for="edge" attr.name="length" attr.type="double"/>\n', ""
+        ).replace('key="d0"', 'key="length"')
+        path = tmp_path / "bare.graphml"
+        path.write_text(text)
+        assert load_graphml(str(path)).edges() == [(0, 1, 5.0)]
+
     def test_fifty_node_grid_roundtrip(self, tmp_path):
         g = make_grid_graph(5, 10, seed=0)
         assert g.node_count == 50

@@ -7,9 +7,10 @@ once, the baseline charges every agent), charge a total cost equal to the
 sum of its step costs, and, when it reports completion, have visited every
 target. Two more properties pin the router's decisions: scaling alpha and
 beta together by a power of two changes no run, and a run that completes
-within a horizon never beats the exact optimum over that horizon. A last
-one pins the lemma the engine's bounded edge choice rests on: no sampled
-path weighs less than the cached Dijkstra distance, exactly.
+within a horizon never beats the exact optimum over that horizon. The last
+two pin the lemmas the engine's bounded edge choice rests on: no sampled
+path weighs less than the cached Dijkstra distance, exactly, nor less than
+the first-hop bound of its first edge.
 """
 
 import math
@@ -150,3 +151,30 @@ def test_no_sampled_path_weighs_less_than_the_cached_distance(family, m, edge_pr
             assert all(w >= d for w in weights)
             # the lightest sampled path is a shortest one, bit for bit
             assert weights[0] == d if weights else d == math.inf
+
+
+# The families above, plus weights that fail the heuristic's shrink bound,
+# so that h' = 0 and each first-hop bound is the edge weight alone.
+BOUND_WEIGHTS = {**WEIGHTS, "zero_heuristic": lambda rng: rng.choice([1e-12, 7e3])}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(BOUND_WEIGHTS)), st.integers(2, 9), st.sampled_from([0.2, 0.35, 0.5]),
+       st.integers(1, 6), st.integers(0, 2**16))
+def test_no_sampled_path_weighs_less_than_its_first_hop_bound(family, m, edge_prob, k, seed):
+    rng = random.Random(seed)
+    edges = [(u, v, BOUND_WEIGHTS[family](rng)) for u in range(m) for v in range(m)
+             if u != v and rng.random() < edge_prob]
+    cache = PathCache(Graph(m, edges))
+    for src in range(m):
+        for dst in range(m):
+            paths = cache.k_shortest(src, dst, k).paths
+            if src == dst or not paths:
+                continue
+            h0, w0, hops = cache.first_hop_bounds(src, dst)
+            assert (h0, w0) == (paths[0].nodes[1], paths[0].total_weight)
+            bound = dict(hops)
+            assert h0 not in bound
+            for path in paths[1:]:
+                if path.nodes[1] != h0:  # a hop left out of ``hops`` would raise KeyError
+                    assert path.total_weight >= bound[path.nodes[1]]

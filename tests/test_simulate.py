@@ -18,6 +18,7 @@ from modroute import (
     run_mission,
     run_nonmodular_baseline,
 )
+from modroute.experiments import DEFAULT_SWEEP_GRID
 
 from _fixtures import chain_mission
 
@@ -44,6 +45,27 @@ def test_pinned_output_of_both_methods():
     config = BatchConfig(graph=graph, n_agents=3, trials=5, params=params, base_seed=7)
     h.update(repr(run_batch(config)).encode())
     assert h.hexdigest() == PINNED_DIGEST
+
+
+# Trajectories and intents only: no float goes into this digest, so unlike
+# PINNED_DIGEST it is the same on every Python version (3.12 made ``sum()``
+# of floats compensated, which moves only costs) and every PYTHONHASHSEED.
+PINNED_TRAJECTORY_DIGEST = "adce0d42649f4c4982720e5a4f1f4757a023f216a0cfd4cf3e5b474331b9ec8b"
+
+
+def test_pinned_trajectories_on_every_interpreter():
+    graph = make_grid_graph(8, 8, seed=0)
+    h = hashlib.sha256()
+    for n, seed in ((2, 0), (3, 1), (5, 2), (5, 3)):
+        mission = generate_random_mission(graph, n, 2 * n, seed=600 + seed)
+        runs = [
+            run_mission(mission, ForceParams(alpha, beta), seed=seed, max_steps=256)  # a cold cache each
+            for alpha in DEFAULT_SWEEP_GRID for beta in DEFAULT_SWEEP_GRID
+        ]
+        runs.append(run_nonmodular_baseline(mission, max_steps=256))
+        for res in runs:
+            h.update(repr((res.per_agent_paths, [r.intents for r in res.steps])).encode())
+    assert h.hexdigest() == PINNED_TRAJECTORY_DIGEST
 
 
 def test_without_waiting_a_swap_deadlock_runs_to_the_step_cap():
