@@ -175,11 +175,14 @@ def _mission_json(graph: Graph, mission: Mission) -> dict:
     }
 
 
+def _force_params(args) -> ForceParams:
+    return ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum)
+
+
 def _cmd_run(args) -> int:
     graph = _load_graph(args)
     mission = _build_mission(graph, args)
-    params = ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum)
-    result = run_mission(mission, params, seed=args.seed, max_steps=args.max_steps,
+    result = run_mission(mission, _force_params(args), seed=args.seed, max_steps=args.max_steps,
                          wait_cost=args.wait_cost)
     payload = {
         "mission": _mission_json(graph, mission),
@@ -203,8 +206,7 @@ def _batch_config(args, graph: Graph, params: ForceParams,
 def _cmd_batch(args) -> int:
     graph = _load_graph(args)
     start_pool = tuple(_resolve_nodes(graph, args.starts_from)) if args.starts_from else None
-    params = ForceParams(alpha=args.alpha, beta=args.beta, k=args.k, force_sum=args.force_sum)
-    result = run_batch(_batch_config(args, graph, params, start_pool), out_path=args.out)
+    result = run_batch(_batch_config(args, graph, _force_params(args), start_pool), out_path=args.out)
     for method in METHODS:
         print(f"{method}: mean={result.mean_cost[method]:.4f} "
               f"variance={result.variance_cost[method]:.4f} "

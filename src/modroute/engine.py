@@ -77,23 +77,26 @@ integer multiple k * x of a subnormal x that stays subnormal).
    source scored exactly there are no extra terms, and ``rival`` is the
    largest certain partial of another edge.
 4. **Bounds from the lightest path.** ``PathCache.first_hop_bounds`` gives
-   the first hop h0 and weight W0 of the k-set's first path, which is the
-   same ``_lex_shortest`` path for every k and weighs D (point 1). Without
-   ``force_sum``, r_s(h0) is the force of that path, ``fl(c / fl(W0 *
-   W0))``: that is the certain term, and the extra term is 0. With it,
-   r_s(h0) is a fold that starts with that force and adds non-negative
-   forces, none above it: the certain term is that force, and the extra
-   term is B (point 2, with D = W0), which bounds r_s(h0) alone. Any other
-   hop v whose edge has weight w gets ``L_v = fl(w + h'[v])``, with h' the
-   heuristic ``PathCache`` caches towards the source. By the A* key lemma
-   of ``paths`` (module docstring, "Exact ties"), keys never decrease
-   along a loopless path, start at L_v on its first node after the agent
-   and end at its fold weight; with the ``h' = 0`` fallback of
-   ``_shrink_factor`` L_v = w, and the fold only grows. So every loopless
-   path through v weighs at least L_v, and as in point 2 r_s(v) is at most
-   ``(1 + u)**(k+1)`` times the extra term ``fl(c / fl(L_v * L_v))``, or
-   ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if the
-   square is 0); its certain term is 0. A node with ``h' = inf`` cannot
+   the first hop h0 and weight W0 of the k-set's first path: one A* search,
+   Yen's first path, which is the same ``_lex_shortest`` path for every k
+   and weighs D (point 1). Without ``force_sum``, r_s(h0) is the force of
+   that path, ``fl(c / fl(W0 * W0))``: that is the certain term, and the
+   extra term is 0. With it, r_s(h0) is a fold that starts with that force
+   and adds non-negative forces, none above it: the certain term is that
+   force, and the extra term is B (point 2, with D = W0), which bounds
+   r_s(h0) alone. So the certain term is the force ``compute_edge_forces``
+   gives the one group ``((h0, (W0,)),)`` (with ``force_sum`` the fold
+   ``fl(0.0 + f)``, which is f), and it enters the partials as a k-set's
+   terms do. Any other hop v whose edge has weight w gets ``L_v = fl(w +
+   h'[v])``, with h' the heuristic ``PathCache`` caches towards the source.
+   By the A* key lemma of ``paths`` (module docstring, "Exact ties"), keys
+   never decrease along a loopless path, start at L_v on its first node
+   after the agent and end at its fold weight; with the ``h' = 0`` fallback
+   of ``_shrink_factor`` L_v = w, and the fold only grows. So every
+   loopless path through v weighs at least L_v, and as in point 2 r_s(v) is
+   at most ``(1 + u)**(k+1)`` times the extra term ``fl(c / fl(L_v *
+   L_v))``, or ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if
+   the square is 0); its certain term is 0. A node with ``h' = inf`` cannot
    reach the source, so no path goes through it: both terms are 0.
 
 A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
@@ -112,7 +115,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
-from .paths import PathCache, PathSet
+from .paths import PathCache
 
 
 @dataclass(frozen=True)
@@ -287,15 +290,20 @@ def compute_edge_forces(
 
     The paths come grouped by first edge from ``PathSet.first_hops``, each
     group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
-    d, so the strongest path of a group is its first, bit for bit; with
-    ``force_sum`` the group's forces are folded onto 0.0 in path order.
-    Each force is ``attractive_force`` inline: path weights are positive, so
+    d, so the strongest path of a group is its first, bit for bit. The
+    forces of the group's paths with ``force_sum``, and of its first alone
+    without, are folded onto 0.0 in path order; ``fl(0.0 + f)`` is f. Each
+    force is ``attractive_force`` inline: path weights are positive, so
     only a square that underflows to 0 calls it, for its ValueError.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
     entries: dict[tuple[int, int], float] = {}
     for dest, scale in _sources(agent, sorted(others, key=attrgetter("agent_id")), params):
-        for hop, force in _hop_forces(cache.k_shortest(position, dest, k), scale, force_sum):
+        for hop, weights in cache.k_shortest(position, dest, k).first_hops:
+            force = 0.0
+            for d in weights if force_sum else weights[:1]:
+                d2 = d * d
+                force += scale / d2 if d2 else attractive_force(scale, d)
             edge = (position, hop)
             entries[edge] = entries.get(edge, 0.0) + force
     return EdgeForces(agent.agent_id, entries)
@@ -314,22 +322,6 @@ def _sources(agent: AgentState, others: list[AgentState], params: ForceParams) -
             if not (other.finished or other.position == position or other.agent_id == agent.agent_id):
                 sources.append((other.position, params.alpha))
     return sources
-
-
-def _hop_forces(paths: PathSet, scale: float, force_sum: bool) -> list[tuple[int, float]]:
-    """``(next_node, force)`` per first hop of ``paths``: one source's pull."""
-    forces = []
-    for hop, weights in paths.first_hops:
-        if force_sum:
-            force = 0.0
-            for d in weights:
-                d2 = d * d
-                force += scale / d2 if d2 else attractive_force(scale, d)
-        else:
-            d2 = weights[0] * weights[0]
-            force = scale / d2 if d2 else attractive_force(scale, weights[0])
-        forces.append((hop, force))
-    return forces
 
 
 def select_edge(forces: EdgeForces, position: int) -> MoveIntent:
@@ -359,8 +351,11 @@ def _choose_edge(
     The sources are those of ``compute_edge_forces``, in any order of
     ``others`` (agent ids distinct). One pass scores them strongest bound
     first: exactly when their k-shortest set is cached, and otherwise from
-    ``cache.first_hop_bounds`` (module docstring, point 4). After each
-    source it tries the stop rule of point 3. A pass that ends without a
+    ``cache.first_hop_bounds`` (module docstring, point 4). Either way its
+    certain terms are ``compute_edge_forces``'s forces, computed inline
+    with the fold unrolled, and feed one update of the lead and rival; a
+    source scored from bounds also adds its extra terms. After each source
+    the pass tries the stop rule of point 3. A pass that ends without a
     move fetches the k-set of its strongest source scored from bounds, and
     the next pass scores that source exactly. Once no source is left to
     fetch, or when some bound is inf (as for a source outside the graph),
@@ -393,39 +388,36 @@ def _choose_edge(
             lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial, and the largest of another hop
             fetch = None  # the strongest source scored from bounds
             for bound, dest, scale in ranked:
-                if (position, dest, k) in cached:  # the terms of ``_hop_forces``, inline
-                    for hop, weights in cache.k_shortest(position, dest, k).first_hops:
-                        if force_sum:
-                            force = 0.0
-                            for d in weights:
-                                d2 = d * d
-                                force += scale / d2 if d2 else attractive_force(scale, d)
-                        else:
-                            d2 = weights[0] * weights[0]
-                            force = scale / d2 if d2 else attractive_force(scale, weights[0])
-                        total = partial[hop] = partial.get(hop, 0.0) + force
-                        if hop == lead_hop:
-                            lead = total
-                        elif total > lead:
-                            lead_hop, lead, rival = hop, total, lead
-                        elif total > rival:
-                            rival = total
-                elif dist[dest] < inf:  # else no path, and the source adds nothing
+                if (position, dest, k) in cached:
+                    groups = cache.k_shortest(position, dest, k).first_hops
+                elif dist[dest] < inf:  # the certain term of h0, and extra terms
                     h0, w0, hops = cache.first_hop_bounds(position, dest)
+                    groups = ((h0, (w0,)),)
                     if extra is None:
                         extra, fetch = {}, dest
-                    total = partial[h0] = partial.get(h0, 0.0) + scale / (w0 * w0)
-                    if h0 == lead_hop:  # as above, for the one certain term
-                        lead = total
-                    elif total > lead:
-                        lead_hop, lead, rival = h0, total, lead
-                    elif total > rival:
-                        rival = total
                     if force_sum:
                         extra[h0] = extra.get(h0, 0.0) + bound
                     for hop, low in hops:
                         d2 = low * low
                         extra[hop] = extra.get(hop, 0.0) + (scale / d2 * terms if d2 else inf)
+                else:  # no path, and the source adds nothing
+                    groups = ()
+                for hop, weights in groups:  # ``compute_edge_forces``'s forces, unrolled
+                    if force_sum:
+                        force = 0.0
+                        for d in weights:
+                            d2 = d * d
+                            force += scale / d2 if d2 else attractive_force(scale, d)
+                    else:
+                        d2 = weights[0] * weights[0]
+                        force = scale / d2 if d2 else attractive_force(scale, weights[0])
+                    total = partial[hop] = partial.get(hop, 0.0) + force
+                    if hop == lead_hop:
+                        lead = total
+                    elif total > lead:
+                        lead_hop, lead, rival = hop, total, lead
+                    elif total > rival:
+                        rival = total
                 rest = rests.pop()
                 if rest * widen < lead:  # else t, at least rest, cannot pass the rule
                     t = rival

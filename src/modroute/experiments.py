@@ -189,8 +189,9 @@ def run_batch(
 
     Both methods run on the identical mission in every trial. The missions
     are ``config.missions()`` unless an explicit list is supplied (the list
-    length must then match ``trials``, and every mission's graph must have
-    ``config.graph``'s edges and weights). A run that aborts on the step
+    length must then match ``trials``, every mission's graph must have
+    ``config.graph``'s edges and weights, and its agent and target counts
+    must be ``n_agents`` and ``n_targets``). A run that aborts on the step
     cap is recorded with ``completed=False`` and never counts as best.
     """
     if missions is None:
@@ -201,6 +202,9 @@ def run_batch(
         for trial, mission in enumerate(missions):
             if not mission.graph.same_edges(config.graph):
                 raise ValueError(f"mission {trial} is on another graph than the batch config's")
+            if (len(mission.starts), len(mission.targets)) != (config.n_agents, config.n_targets):
+                raise ValueError(f"mission {trial} does not have the batch config's "
+                                 f"{config.n_agents} agents and {config.n_targets} targets")
     cache = PathCache(config.graph)
     rows: list[dict] = []
     costs: dict[str, list[float]] = {m: [] for m in METHODS}

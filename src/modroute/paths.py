@@ -384,33 +384,45 @@ class PathCache:
         cached = self._kpaths.get(key)
         if cached is None:
             _check_nodes(self.graph, src, dst)
-            h = self._to.get(dst)
-            if h is None:
-                h = self._to[dst] = _heuristic(self.graph, dst, self._factor)
-            cached = self._kpaths[key] = yen_k_shortest(self.graph, src, dst, k, h=h)
+            cached = self._kpaths[key] = yen_k_shortest(self.graph, src, dst, k, h=self._heuristic_to(dst))
         return cached
 
     def first_hop_bounds(self, src: int, dst: int) -> FirstHopBounds:
         """``(h0, W0, ((v, L_v), ...))``: what the lightest src->dst path
         alone tells about every k-shortest set between the two nodes.
 
-        h0 and W0 are the first hop and left-fold weight of
-        ``k_shortest(src, dst, k)``'s first path, which is the same for
-        every k. Each other out-edge src -> v of weight w from which dst
-        is reachable gets ``L_v = fl(w + h'[v])``, with h' the shrunk
-        heuristic towards dst. No loopless path that starts with that edge
-        weighs less than L_v: A* keys never decrease along such a path and
-        end at its fold weight (module docstring, "Exact ties"), and with
-        ``h' = 0`` the fold only grows. An edge to a node that cannot reach dst is
-        left out. Built from one k=1 query and kept per (src, dst).
-        Requires a path from src to dst of at least one edge.
+        h0 and W0 are the first hop and left-fold weight of the first path
+        of ``k_shortest(src, dst, 1)``: Yen's first path, one A* search,
+        which is the first path of ``k_shortest(src, dst, k)`` for every k.
+        The baseline steps along the same k=1 set, so both callers share
+        one search per pair. Each other out-edge src -> v of weight w from
+        which dst is reachable gets ``L_v = fl(w + h'[v])``, with h' the
+        shrunk heuristic towards dst. No loopless path that starts with
+        that edge weighs less than L_v: A* keys never decrease along such a
+        path and end at its fold weight (module docstring, "Exact ties"),
+        and with ``h' = 0`` the fold only grows. An edge to a node that
+        cannot reach dst is left out. Kept per (src, dst). Raises
+        ValueError for a node outside ``[0, node_count)``, for src == dst
+        and when dst is unreachable.
         """
         key = (src, dst)
         cached = self._bounds.get(key)
         if cached is None:
-            first = self.k_shortest(src, dst, 1).paths[0]
-            h, h0 = self._to[dst], first.nodes[1]
+            paths = self.k_shortest(src, dst, 1).paths  # checks the nodes on a miss
+            if src == dst:
+                raise ValueError(f"no first hop from node {src} to itself (node {dst})")
+            if not paths:
+                raise ValueError(f"no path from node {src} to node {dst}")
+            first = paths[0]
+            h, h0 = self._heuristic_to(dst), first.nodes[1]
             cached = self._bounds[key] = (h0, first.total_weight, tuple(
                 (v, w + h[v]) for v, w in self.graph.out_edges(src) if v != h0 and h[v] != math.inf
             ))
         return cached
+
+    def _heuristic_to(self, dst: int) -> list[float]:
+        """The shrunk heuristic towards ``dst``, computed once per destination."""
+        h = self._to.get(dst)
+        if h is None:
+            h = self._to[dst] = _heuristic(self.graph, dst, self._factor)
+        return h

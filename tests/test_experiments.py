@@ -139,6 +139,14 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="mission 0 is on another graph"):
             run_batch(config, missions=[mission])
 
+    @pytest.mark.parametrize("n,n_targets", [(3, 2), (2, 3)])
+    def test_mission_with_other_counts_rejected(self, n, n_targets):
+        # Used silently, a 3-agent, 2-target mission wrote rows saying 2 and 4.
+        g = make_grid_graph(4, 4, seed=1)
+        mission = generate_random_mission(g, n, n_targets, 7)
+        with pytest.raises(ValueError, match="mission 0 does not have the batch config's 2 agents and 4 targets"):
+            run_batch(BatchConfig(g, 2, trials=1), missions=[mission])
+
     def test_step_cap_applies_to_both_methods(self):
         g = make_grid_graph(6, 6, seed=0)
         capped = run_batch(BatchConfig(graph=g, n_agents=2, trials=3, base_seed=1, max_steps=1))

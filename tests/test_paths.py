@@ -379,7 +379,19 @@ class TestBadNodeIds:
             cache.k_shortest(src, dst, 3)
         with pytest.raises(ValueError, match="out of range"):
             cache.distance(src, dst)
-        assert cache._kpaths == {} and cache._to == {}
+        with pytest.raises(ValueError, match="out of range"):
+            cache.first_hop_bounds(src, dst)
+        assert cache._kpaths == {} and cache._to == {} and cache._bounds == {}
+
+    def test_first_hop_bounds_needs_a_path_of_one_edge_or_more(self):
+        # node 3 reaches 0, but 0 cannot reach 3
+        cache = PathCache(load_edge_list("0 1 1.0\n1 2 1.0\n3 0 1.0"))
+        with pytest.raises(ValueError, match="no first hop from node 0 to itself"):
+            cache.first_hop_bounds(0, 0)
+        with pytest.raises(ValueError, match="no path from node 0 to node 3"):
+            cache.first_hop_bounds(0, 3)
+        assert cache._bounds == {}
+        assert cache.first_hop_bounds(3, 2) == (0, 3.0, ())
 
     def test_k_shortest_checks_only_on_a_miss(self, monkeypatch):
         check, checked = paths._check_nodes, []

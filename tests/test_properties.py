@@ -165,13 +165,15 @@ def test_no_sampled_path_weighs_less_than_its_first_hop_bound(family, m, edge_pr
     rng = random.Random(seed)
     edges = [(u, v, BOUND_WEIGHTS[family](rng)) for u in range(m) for v in range(m)
              if u != v and rng.random() < edge_prob]
-    cache = PathCache(Graph(m, edges))
+    graph = Graph(m, edges)
+    cache, cold = PathCache(graph), PathCache(graph)  # ``cold`` answers no k-shortest query
     for src in range(m):
         for dst in range(m):
             paths = cache.k_shortest(src, dst, k).paths
             if src == dst or not paths:
                 continue
             h0, w0, hops = cache.first_hop_bounds(src, dst)
+            assert cold.first_hop_bounds(src, dst) == (h0, w0, hops)
             assert (h0, w0) == (paths[0].nodes[1], paths[0].total_weight)
             bound = dict(hops)
             assert h0 not in bound
