@@ -77,13 +77,14 @@ integer multiple k * x of a subnormal x that stays subnormal).
    source scored exactly there are no extra terms, and ``rival`` is the
    largest certain partial of another edge.
 4. **Bounds from the lightest path.** ``PathCache.first_hop_bounds`` gives
-   the first hop h0 and weight W0 of the k-set's first path: one A* search,
-   Yen's first path, which is the same ``_lex_shortest`` path for every k
-   and weighs D (point 1). Without ``force_sum``, r_s(h0) is the force of
-   that path, ``fl(c / fl(W0 * W0))``: that is the certain term, and the
-   extra term is 0. With it, r_s(h0) is a fold that starts with that force
-   and adds non-negative forces, none above it: the certain term is that
-   force, and the extra term is B (point 2, with D = W0), which bounds
+   the first hop h0 and weight W0 of the k-set's first path: Yen's first
+   path, read off the distance search, with A* only on exact ties, which
+   is the same path for every k and weighs D (point 1). Without
+   ``force_sum``, r_s(h0) is the force of that path, ``fl(c / fl(W0 *
+   W0))``: that is the certain term, and the extra term is 0. With it,
+   r_s(h0) is a fold that starts with that force and adds non-negative
+   forces, none above it: the certain term is that force, and the extra
+   term is B (point 2, with D = W0), which bounds
    r_s(h0) alone. So the certain term is the force ``compute_edge_forces``
    gives the one group ``((h0, (W0,)),)`` (with ``force_sum`` the fold
    ``fl(0.0 + f)``, which is f), and it enters the partials as a k-set's

@@ -43,6 +43,30 @@ How the k-shortest search is made fast without changing any answer:
   1e-12 and 7e3, gets ``h = 0`` on every node that can reach the
   destination: the same search with a zero heuristic, which is plain
   Dijkstra.
+* **First paths from the distance search.** ``PathCache`` keeps the
+  predecessors of the Dijkstra it runs for ``distances(src)`` and reads
+  Yen's first path to any dst off them, so that path costs no search.
+  ``_dijkstra`` gives each node y != src ``dist[y] = fl(dist[x] + w)`` with
+  x = ``pred[y]``, so dist[y] is the left fold of the predecessor chain.
+  Both dist[y] and the g of plain Dijkstra's label L(y) are the least left
+  fold of any src -> y path: each is the fold of some path, and each search
+  leaves its value at y at most ``fl(value(x) + w)`` on every edge x -> y
+  (a node settled after y has a value at least y's, and rounding is
+  monotone), so by induction along a path it is at most the path's fold.
+  Plain Dijkstra keyed on (g, nodes) settles y with the smallest label it
+  pushed, and a label from an in-neighbour x settled after y would be
+  larger than L(y) anyway, as ``g_x >= g_y`` and L(x) sorts after L(y). So
+  L(y) is the smallest ``(fl(g_x + w), L(x) + (y))`` over all in-neighbours
+  x. The read walks the chain back from dst, and at each node y it checks
+  every in-edge (z, w) other than the one from ``pred[y]``. If none has
+  ``fl(dist[z] + w) == dist[y]``, ``pred[y]`` is the only in-neighbour
+  whose g term reaches the minimum, and ``L(y) = L(pred[y]) + (y)``. By
+  induction from ``L(src) = (src,)``, L(dst) is the chain, of weight
+  ``dist[dst]``. The scan covers in-neighbours settled after y too, so the
+  proof assumes no order of settling. On an exact tie the read returns
+  None and Yen runs its first search as before. It needs no heuristic, so
+  it also holds on graphs that fail the shrink bound. Random float weights
+  almost never tie; integer and unit weights often do.
 * **Lawler's deviation pruning.** Yen's method spurs a new path from each
   of its nodes. Each candidate remembers the spur index i it was first
   generated at, and when it becomes a result it is spurred only from i
@@ -135,6 +159,8 @@ _MIN_WEIGHT_SHARE = 2.0**-40
 _BOUND_SLACK = 2.0**-50
 
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
+# (nodes, left-fold weight) of one path, as the searches return it
+NodesWeight = tuple[tuple[int, ...], float]
 # (h0, W0, ((v, L_v), ...)); see ``PathCache.first_hop_bounds``.
 FirstHopBounds = tuple[int, float, tuple[tuple[int, float], ...]]
 
@@ -212,7 +238,10 @@ def dijkstra(
     ``edges`` gives each node's (neighbour, weight) pairs and defaults to
     ``graph.out_edges``; pass ``graph.in_edges`` for distances *to* ``src``.
     An unreachable node has distance inf and predecessor None; ``src`` has
-    distance 0 and predecessor None.
+    distance 0 and predecessor None. A relaxation replaces a predecessor
+    only with a strictly smaller distance, so among tied predecessors
+    ``pred[v]`` is the one whose relaxation first reached v's final
+    distance.
     """
     _check_nodes(graph, src)
     return _dijkstra(edges or graph.out_edges, graph.node_count, src)
@@ -246,7 +275,7 @@ def _lex_shortest(
     h: list[float],
     banned_next: set[int] | frozenset[int] = frozenset(),
     limit: float = math.inf,
-) -> tuple[tuple[int, ...], float] | None:
+) -> NodesWeight | None:
     """Minimum-weight src->dst path, lexicographically smallest among ties.
 
     A* keyed on (g + h[v], g, node sequence); see the module docstring for
@@ -285,7 +314,7 @@ def _lex_shortest(
 
 
 def yen_k_shortest(
-    graph: Graph, src: int, dst: int, k: int, h: list[float] | None = None
+    graph: Graph, src: int, dst: int, k: int, h: list[float] | None = None, *, first: NodesWeight | None = None
 ) -> PathSet:
     """The k shortest loopless src->dst paths by deviation search.
 
@@ -294,36 +323,44 @@ def yen_k_shortest(
     zero-length path. Candidates are kept in one list sorted by
     (weight, node sequence) so the output order is deterministic. ``h`` is
     the search heuristic towards ``dst`` (``PathCache`` passes its cached
-    one); it is computed here when not given. Raises ValueError for a node
-    outside ``[0, node_count)``.
+    one); it is computed here when needed and not given. ``first`` is the
+    lightest path ``(nodes, weight)`` when the caller already knows it
+    (``PathCache`` reads it off its distance search); it must be the path
+    that the first search would find, and then that search is skipped.
+    Raises ValueError for a node outside ``[0, node_count)``.
     """
     _check_nodes(graph, src, dst)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
+    if first is not None and k == 1:
+        return PathSet(src, dst, (Path(*first),))
     if h is None:
         h = _heuristic(graph, dst, _shrink_factor(graph))
-    first = _lex_shortest(graph, src, dst, h[:])
+    if first is None:
+        first = _lex_shortest(graph, src, dst, h[:])
     adj, weights = graph._adj, graph._weights
     slack = _BOUND_SLACK * graph.node_count
     # Sorted, lightest first; each with the spur index it deviated at.
     candidates = [] if first is None else [(first[1], first[0], 0)]
     seen = {nodes for _, nodes, _ in candidates}  # every path found or queued
-    found: list[tuple[tuple[int, ...], float]] = []
-    bound = math.inf  # weight of the r-th lightest candidate, r = k - len(found)
+    found: list[NodesWeight] = []
+    inf = bound = math.inf  # bound: weight of the r-th lightest candidate, r = k - len(found)
     while candidates:
         w, prev, start = candidates.pop(0)
         found.append((prev, w))
         if len(found) == k:
             break
-        # banned[i]: the spur at prev[i]'s banned next hops (see Lawler in the module docstring)
-        banned = [{v} for v in prev[1:]]
+        # banned[i]: the spur at prev[i]'s banned next hops, for i >= start
+        # (see Lawler in the module docstring)
+        banned = [None] * start + [{v} for v in prev[start + 1 :]]
         for p, _ in found[:-1]:
             c = 0  # length of p's common prefix with prev
             while p[c] == prev[c]:
                 c += 1
-            banned[c - 1].add(p[c])
+            if c > start:
+                banned[c - 1].add(p[c])
         open_h = h[:]  # h with the root's nodes closed
         root_w = 0.0  # left-to-right fold of the root's edge weights
         for i in range(len(prev) - 1):
@@ -332,7 +369,7 @@ def yen_k_shortest(
                 limit = bound - root_w + slack * bound
                 spur_result = None  # unless its first heap would hold a label
                 for v, w in adj[spur]:
-                    if w + open_h[v] <= limit and open_h[v] != math.inf and v not in banned[i]:
+                    if w + open_h[v] <= limit and open_h[v] != inf and v not in banned[i]:
                         spur_result = _lex_shortest(graph, spur, dst, open_h[:], banned[i], limit)
                         break
                 if spur_result is not None and (total := prev[:i] + spur_result[0]) not in seen:
@@ -343,7 +380,7 @@ def yen_k_shortest(
                     seen.add(total)
                     if len(found) + len(candidates) >= k:
                         bound = candidates[k - len(found) - 1][0]
-            open_h[spur] = math.inf
+            open_h[spur] = inf
             root_w += weights[spur, prev[i + 1]]
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))
@@ -352,15 +389,15 @@ def yen_k_shortest(
 class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
-    Dijkstra distance maps, reverse-distance heuristics, k-shortest path
-    sets and first-hop bounds are pure functions of the graph, so results
-    can be shared across steps, missions, and whole experiment batches
-    without affecting determinism.
+    Dijkstra distance maps with their predecessors, reverse-distance
+    heuristics, k-shortest path sets and first-hop bounds are pure
+    functions of the graph, so results can be shared across steps,
+    missions, and whole experiment batches without affecting determinism.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self._dist: dict[int, list[float]] = {}
+        self._dist: dict[int, tuple[list[float], list[int | None]]] = {}  # dijkstra's (dist, pred)
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
         # a live view of the (src, dst, k) queries that k_shortest answers from the cache
         self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
@@ -372,8 +409,8 @@ class PathCache:
         """Dense distance vector from ``src`` (inf where unreachable)."""
         cached = self._dist.get(src)
         if cached is None:
-            cached = self._dist[src] = dijkstra(self.graph, src)[0]
-        return cached
+            cached = self._dist[src] = dijkstra(self.graph, src)
+        return cached[0]
 
     def distance(self, src: int, dst: int) -> float:
         _check_nodes(self.graph, dst)
@@ -384,26 +421,49 @@ class PathCache:
         cached = self._kpaths.get(key)
         if cached is None:
             _check_nodes(self.graph, src, dst)
-            cached = self._kpaths[key] = yen_k_shortest(self.graph, src, dst, k, h=self._heuristic_to(dst))
+            cached = self._kpaths[key] = yen_k_shortest(
+                self.graph, src, dst, k, h=self._heuristic_to(dst), first=self._lightest_path(src, dst)
+            )
         return cached
+
+    def _lightest_path(self, src: int, dst: int) -> NodesWeight | None:
+        """Yen's first src->dst path read off the distance search from
+        ``src``, or None when dst is unreachable or the predecessor chain
+        meets an exact tie (module docstring, "First paths from the
+        distance search")."""
+        self.distances(src)
+        dist, pred = self._dist[src]
+        d = dist[dst]
+        if d == math.inf:
+            return None
+        radj, nodes, y = self.graph._radj, [dst], dst
+        while (x := pred[y]) is not None:
+            dy = dist[y]
+            for z, w in radj[y]:
+                if dist[z] + w == dy and z != x:
+                    return None
+            nodes.append(x)
+            y = x
+        return tuple(reversed(nodes)), d
 
     def first_hop_bounds(self, src: int, dst: int) -> FirstHopBounds:
         """``(h0, W0, ((v, L_v), ...))``: what the lightest src->dst path
         alone tells about every k-shortest set between the two nodes.
 
         h0 and W0 are the first hop and left-fold weight of the first path
-        of ``k_shortest(src, dst, 1)``: Yen's first path, one A* search,
-        which is the first path of ``k_shortest(src, dst, k)`` for every k.
-        The baseline steps along the same k=1 set, so both callers share
-        one search per pair. Each other out-edge src -> v of weight w from
-        which dst is reachable gets ``L_v = fl(w + h'[v])``, with h' the
-        shrunk heuristic towards dst. No loopless path that starts with
-        that edge weighs less than L_v: A* keys never decrease along such a
-        path and end at its fold weight (module docstring, "Exact ties"),
-        and with ``h' = 0`` the fold only grows. An edge to a node that
-        cannot reach dst is left out. Kept per (src, dst). Raises
-        ValueError for a node outside ``[0, node_count)``, for src == dst
-        and when dst is unreachable.
+        of ``k_shortest(src, dst, 1)``: Yen's first path, read off the
+        distance search, with A* only on exact ties, which is the first
+        path of ``k_shortest(src, dst, k)`` for every k. The baseline steps
+        along the same k=1 set, so both callers share one read per pair.
+        Each other out-edge src -> v of weight w from which dst is
+        reachable gets ``L_v = fl(w + h'[v])``, with h' the shrunk
+        heuristic towards dst. No loopless path that starts with that edge
+        weighs less than L_v: A* keys never decrease along such a path and
+        end at its fold weight (module docstring, "Exact ties"), and with
+        ``h' = 0`` the fold only grows. An edge to a node that cannot reach
+        dst is left out. Kept per (src, dst). Raises ValueError for a node
+        outside ``[0, node_count)``, for src == dst and when dst is
+        unreachable.
         """
         key = (src, dst)
         cached = self._bounds.get(key)

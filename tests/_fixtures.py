@@ -5,7 +5,7 @@ at nodes 0 and 1, goals at 6 and 7, a shared corridor through 4 and 5.
 Weights are dyadic so path sums are exact in floating point.
 """
 
-from modroute import ForceParams, Mission, load_edge_list
+from modroute import ForceParams, Graph, Mission, load_edge_list, make_grid_graph
 
 EIGHT_NODE_EDGE_LIST = """\
 # two starts (0, 1), meeting node 4, corridor 4-5, twin goals 6 and 7
@@ -74,3 +74,44 @@ def shared_corridor_mission():
 def chain_mission():
     graph = load_edge_list(CHAIN_EDGE_LIST)
     return Mission(graph, (0, 1), frozenset({3, 4}))
+
+
+# Edge-weight families for the check that a first path read off the
+# distance search is the one Yen's first search finds. Floats almost never
+# tie; integers, unit weights and tenths tie exactly or after rounding;
+# "one_way" keeps a single direction per node pair; and 1e-13 or 2**-60
+# added to 7e3 rounds to 7e3, so such an edge adds nothing after a 7e3 one.
+PATH_READ_FAMILIES = {
+    "float": lambda rng: rng.uniform(0.01, 10.0),
+    "integer_1_3": lambda rng: float(rng.randint(1, 3)),
+    "unit": lambda rng: 1.0,
+    "tenths": lambda rng: rng.choice((0.1, 0.2, 0.3)),
+    "one_way": lambda rng: rng.uniform(0.01, 10.0),
+    "zero_effect": lambda rng: rng.choice((1e-13, 7e3, 2.0**-60)),
+}
+
+
+def family_graph(family, m, edge_prob, rng):
+    """Random m-node graph with weights from ``PATH_READ_FAMILIES[family]``.
+
+    Each node pair gets an edge with probability ``edge_prob``: both ways
+    with one weight, or one way in a random direction for "one_way".
+    """
+    draw = PATH_READ_FAMILIES[family]
+    edges = []
+    for u in range(m):
+        for v in range(u + 1, m):
+            if rng.random() < edge_prob:
+                w = draw(rng)
+                if family != "one_way":
+                    edges += [(u, v, w), (v, u, w)]
+                elif rng.random() < 0.5:
+                    edges.append((u, v, w))
+                else:
+                    edges.append((v, u, w))
+    return Graph(m, edges)
+
+
+def unit_grid(width, height):
+    """4-connected grid with every edge of weight 1: full of exact ties."""
+    return Graph(width * height, [(u, v, 1.0) for u, v, _ in make_grid_graph(width, height).edges()])

@@ -4,18 +4,22 @@ import random
 import pytest
 
 from modroute import (
+    ForceParams,
     Graph,
     PathCache,
     dijkstra,
+    generate_random_mission,
     load_edge_list,
     make_grid_graph,
     path_weight,
+    run_mission,
+    run_nonmodular_baseline,
     yen_k_shortest,
 )
 from modroute import paths
 from modroute.paths import _heuristic, _lex_shortest, _shrink_factor
 
-from _fixtures import eight_node_graph
+from _fixtures import PATH_READ_FAMILIES, eight_node_graph, family_graph, unit_grid
 from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_yen
 
 
@@ -363,6 +367,72 @@ class TestPathCache:
         assert cache.k_shortest(0, 6, 3) is cache.k_shortest(0, 6, 3)
         assert cache.k_shortest(0, 6, 3) == yen_k_shortest(g, 0, 6, 3)
         assert cache.distances(0) == dijkstra(g, 0)[0]
+
+    @pytest.mark.parametrize("family", sorted(PATH_READ_FAMILIES))
+    def test_k_sets_match_yen_and_plain_yen_cold_or_after_distances(self, family):
+        rng = random.Random(f"cache-{family}")
+        for _ in range(12):
+            g = family_graph(family, rng.randint(4, 8), 0.45, rng)
+            filled = PathCache(g)
+            for _ in range(8):
+                src, dst = rng.sample(range(g.node_count), 2)
+                filled.distances(src)
+                for k in (1, 2, 5):
+                    direct = yen_k_shortest(g, src, dst, k)
+                    assert [(p.total_weight, p.nodes) for p in direct.paths] == reference_yen(g, src, dst, k)
+                    assert PathCache(g).k_shortest(src, dst, k) == direct
+                    assert filled.k_shortest(src, dst, k) == direct
+
+
+def _recorded_searches(monkeypatch):
+    """Record the ``banned_next`` of every ``_lex_shortest`` run; an empty
+    one marks a first-path search, a non-empty one a spur search."""
+    search, calls = paths._lex_shortest, []
+
+    def recording_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+        calls.append(banned_next)
+        return search(graph, src, dst, h, banned_next, limit)
+
+    monkeypatch.setattr(paths, "_lex_shortest", recording_search)
+    return calls
+
+
+class TestFirstPathsFromTheDistanceSearch:
+    """``PathCache`` reads each lightest path off the Dijkstra it keeps for
+    ``distances`` and searches only where the read meets an exact tie."""
+
+    def test_read_gives_a_unique_lightest_path_and_declines_ties(self):
+        cache = PathCache(unit_grid(4, 4))
+        assert cache._lightest_path(0, 3) == ((0, 1, 2, 3), 3.0)  # the one shortest path
+        assert cache._lightest_path(0, 15) is None  # 20 shortest paths tie
+        assert cache._lightest_path(5, 5) == ((5,), 0.0)
+        assert PathCache(load_edge_list("0 1 1.0\n2 0 1.0"))._lightest_path(0, 2) is None  # unreachable
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_yen_given_its_first_path_returns_what_it_finds_itself(self, k, monkeypatch):
+        g, pairs = make_grid_graph(6, 6, seed=1), ((0, 35), (7, 20), (30, 5))
+        plain = [yen_k_shortest(g, src, dst, k) for src, dst in pairs]
+        calls = _recorded_searches(monkeypatch)
+        for (src, dst), path_set in zip(pairs, plain):
+            first = path_set.paths[0]
+            assert yen_k_shortest(g, src, dst, k, first=(first.nodes, first.total_weight)) == path_set
+        assert all(calls) and (k == 1) == (calls == [])
+
+    def test_missions_on_a_float_grid_run_only_spur_searches(self, monkeypatch):
+        calls = _recorded_searches(monkeypatch)
+        g = make_grid_graph(8, 8, seed=3)
+        cache, mission = PathCache(g), generate_random_mission(g, 5, 10, seed=3)
+        run_mission(mission, ForceParams(), seed=3, cache=cache)
+        run_nonmodular_baseline(mission, cache=cache)
+        assert {k for _, _, k in cache.k_shortest_keys} == {1, 5}
+        assert calls and all(calls)
+
+    def test_a_unit_weight_grid_still_searches_some_first_paths(self, monkeypatch):
+        calls = _recorded_searches(monkeypatch)
+        g = unit_grid(6, 6)
+        cache = PathCache(g)
+        run_mission(generate_random_mission(g, 3, 6, seed=5), ForceParams(), seed=5, cache=cache)
+        assert not all(calls)
 
 
 class TestBadNodeIds:

@@ -7,10 +7,12 @@ once, the baseline charges every agent), charge a total cost equal to the
 sum of its step costs, and, when it reports completion, have visited every
 target. Two more properties pin the router's decisions: scaling alpha and
 beta together by a power of two changes no run, and a run that completes
-within a horizon never beats the exact optimum over that horizon. The last
-two pin the lemmas the engine's bounded edge choice rests on: no sampled
+within a horizon never beats the exact optimum over that horizon. Two
+more pin the lemmas the engine's bounded edge choice rests on: no sampled
 path weighs less than the cached Dijkstra distance, exactly, nor less than
-the first-hop bound of its first edge.
+the first-hop bound of its first edge. The last pins ``PathCache``'s read
+of a lightest path off its distance search: it declines or gives the path
+that Yen's first search finds.
 """
 
 import math
@@ -31,6 +33,9 @@ from modroute import (  # noqa: E402
     run_mission,
     run_nonmodular_baseline,
 )
+from modroute.paths import _heuristic, _lex_shortest, _shrink_factor  # noqa: E402
+
+from _fixtures import PATH_READ_FAMILIES, family_graph  # noqa: E402
 
 
 @st.composite
@@ -180,3 +185,21 @@ def test_no_sampled_path_weighs_less_than_its_first_hop_bound(family, m, edge_pr
             for path in paths[1:]:
                 if path.nodes[1] != h0:  # a hop left out of ``hops`` would raise KeyError
                     assert path.total_weight >= bound[path.nodes[1]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PATH_READ_FAMILIES)), st.integers(2, 10), st.sampled_from([0.25, 0.4, 0.6]),
+       st.integers(0, 2**16))
+def test_a_first_path_read_off_the_distance_search_is_yens(family, m, edge_prob, seed):
+    graph = family_graph(family, m, edge_prob, random.Random(seed))
+    cache, factor = PathCache(graph), _shrink_factor(graph)
+    for dst in range(m):
+        h = _heuristic(graph, dst, factor)
+        for src in range(m):
+            if src == dst:
+                continue
+            read, searched = cache._lightest_path(src, dst), _lex_shortest(graph, src, dst, h[:])
+            if read is not None:
+                assert read == searched
+            elif family == "float":  # floats do not tie: every reachable pair is read
+                assert searched is None
