@@ -13,16 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import (
-    MissionResult,
-    _cache_for,
-    _intent,
-    _record,
-    assign_targets,
-    claim_targets,
-    move_agents,
-    simulate,
-)
+from .engine import MissionResult, _cache_for, _intent, _timestep, assign_targets, simulate
 from .graph import InfeasibleMissionError, Mission, validate
 from .paths import PathCache
 
@@ -55,20 +46,17 @@ def run_nonmodular_baseline(
     A ``cache`` built for a graph whose edges or weights differ from
     ``mission.graph``'s raises ValueError.
     """
-    graph = mission.graph
-    cache = _cache_for(graph, cache)
+    cache = _cache_for(mission.graph, cache)
 
-    def advance(agents, unvisited, t):
-        agents = claim_targets(agents, assign_targets(cache, agents, unvisited))
-        intents = [
+    def hops(active):
+        return [
             _intent(a.agent_id, a.position,
                     cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1], False)
-            for a in agents if not a.finished
+            for a in active
         ]
-        step_cost = sum((graph.weight(i.src, i.dst) for i in intents), 0.0)
-        agents, unvisited = move_agents(agents, intents, unvisited)
-        traversed = frozenset((i.src, i.dst) for i in intents)
-        return agents, unvisited, _record(t, traversed, tuple(intents), step_cost)
+
+    def advance(agents, unvisited, t):
+        return _timestep(cache, agents, unvisited, assign_targets(cache, agents, unvisited), hops, t, None)
 
     return simulate(mission, max_steps, advance)
 

@@ -202,6 +202,7 @@ _agent = functools.lru_cache(maxsize=_INTERNED, typed=True)(AgentState)
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 _record = functools.lru_cache(maxsize=_INTERNED, typed=True)(StepRecord)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
+_finished, _position = attrgetter("finished"), attrgetter("position")
 
 # 2u, the unit of ``_choose_edge``'s relative slack (module docstring, point 3),
 # and the smallest normal float, below which a product may lose that slack.
@@ -228,10 +229,13 @@ def assign_targets(
     result: dict[int, int | None] = {}
     claimed: set[int] = set()
     targets = sorted(unvisited)
-    nearest_at: dict[int, tuple[list[int], list[int]]] = {}
-    for agent in sorted((a for a in agents if not a.finished), key=attrgetter("agent_id")):
-        if agent.position not in nearest_at:
-            dist = cache.distances(agent.position)
+    nearest_at: dict[int, tuple[list[int], list[float]]] = {}
+    for agent in sorted(agents, key=attrgetter("agent_id")):
+        if agent.finished:
+            continue
+        position = agent.position
+        if position not in nearest_at:
+            dist = cache.distances(position)
             d_min, nearest = math.inf, []
             for t in targets:  # one pass: the minimum and its exact ties
                 d = dist[t]
@@ -239,22 +243,21 @@ def assign_targets(
                     d_min, nearest = d, [t]
                 elif d == d_min:
                     nearest.append(t)
-            reachable = [t for t in targets if dist[t] < math.inf]
-            nearest_at[agent.position] = (nearest if reachable else []), reachable
-        nearest, reachable = nearest_at[agent.position]
-        if not nearest:
-            result[agent.agent_id] = None
-            continue
-        free = [t for t in nearest if t not in claimed]
-        if free:
-            choice = free[0]
-        elif claimed.issuperset(reachable):
-            result[agent.agent_id] = None
-            continue
-        else:
-            choice = nearest[0]
+            nearest_at[position] = (nearest if d_min < math.inf else []), dist
+        nearest, dist = nearest_at[position]
+        choice = None
+        for t in nearest:  # the first free nearest target
+            if t not in claimed:
+                choice = t
+                break
+        else:  # none: chase the first nearest while some reachable target is free
+            for t in targets:
+                if t not in claimed and dist[t] < math.inf:
+                    choice = nearest[0]
+                    break
         result[agent.agent_id] = choice
-        claimed.add(choice)
+        if choice is not None:
+            claimed.add(choice)
     return result
 
 
@@ -509,29 +512,11 @@ def resolve_waits(
     return [current[i.agent_id] for i in intents]
 
 
-def claim_targets(agents: list[AgentState], assignment: dict[int, int | None]) -> list[AgentState]:
-    """Give each unfinished agent its assigned target; one with none finishes."""
-    staged = []
-    for agent in agents:
-        if not agent.finished:
-            target = assignment[agent.agent_id]
-            if target is None or target != agent.assigned_target:
-                agent = _agent(agent.agent_id, agent.position, target, target is None)
-        staged.append(agent)
-    return staged
-
-
-def move_agents(
-    agents: list[AgentState], intents: list[MoveIntent], unvisited: frozenset[int] | set[int]
-) -> tuple[list[AgentState], frozenset[int]]:
-    """Move everyone at once (no intent: stay); a target under any agent becomes visited."""
-    moved = {i.agent_id: i.dst for i in intents}
-    next_agents = [
-        a if (dst := moved.get(a.agent_id, a.position)) == a.position
-        else _agent(a.agent_id, dst, a.assigned_target, a.finished)
-        for a in agents
-    ]
-    return next_agents, frozenset(unvisited) - {a.position for a in next_agents}
+def _check_wait_cost(wait_cost: float) -> None:
+    """ValueError unless ``wait_cost`` is finite and non-negative: the one
+    check of ``run_mission`` and ``step``."""
+    if not 0 <= wait_cost < math.inf:  # also rejects NaN
+        raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
 
 
 def _cache_for(graph: Graph, cache: PathCache | None) -> PathCache:
@@ -549,6 +534,9 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     This is the one run loop of both the force-based router and the
     non-modular baseline; ``advance`` is the method's timestep and returns
     the moved agents, the still-unvisited targets and the step record.
+    Both methods' timesteps run the one kernel ``_timestep``, so this loop
+    only checks the stop rules and keeps each step's agent positions as one
+    tuple, which become the per-agent paths once the run ends.
     Targets occupied at the start count as visited at t=0. The run aborts
     with ``completed=False`` and a diagnostic when the step cap (default
     ``4 * m**2``, a generous multiple of the worst-case step count) is hit,
@@ -564,13 +552,13 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
         max_steps = 4 * mission.graph.node_count * mission.graph.node_count
 
     agents = [_agent(i, start, None, False) for i, start in enumerate(mission.starts)]
-    paths = [[start] for start in mission.starts]
+    positions = [tuple(mission.starts)]  # every agent's node, at t = 0, 1, ...
     unvisited = frozenset(mission.targets) - set(mission.starts)
     records: list[StepRecord] = []
     diagnostic: str | None = None
 
     while unvisited:
-        if all(a.finished for a in agents):
+        if all(map(_finished, agents)):
             diagnostic = f"all agents finished with targets still unvisited: {sorted(unvisited)}"
             break
         if len(records) >= max_steps:
@@ -581,11 +569,10 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
             break
         agents, unvisited, record = advance(agents, unvisited, len(records) + 1)
         records.append(record)
-        for path, agent in zip(paths, agents):
-            path.append(agent.position)
+        positions.append(tuple(map(_position, agents)))
 
     return MissionResult(
-        per_agent_paths=tuple(_path(tuple(path)) for path in paths),
+        per_agent_paths=tuple(map(_path, zip(*positions))),
         steps=tuple(records),
         total_cost=sum(r.step_cost for r in records),
         completed=not unvisited,
@@ -607,42 +594,102 @@ def step(
 ) -> tuple[list[AgentState], frozenset[int], StepRecord]:
     """Advance the system one timestep.
 
-    Pipeline: claim targets, pick each agent's strongest edge
-    (``_choose_edge``), defuse swaps (``resolve_waits``, called only when
-    some move lands on an agent's node, as no pair triggers otherwise), then
-    move every agent simultaneously. Agents without a claimable target are
-    marked finished and stop moving. After movement any unvisited target
-    standing under an agent becomes visited. The step cost sums the weights
-    of the deduplicated traversed edge set, from ``cache.graph``, plus
-    ``wait_cost`` per waiting agent. As in every layer function, the cache
-    is the only handle on the graph, so paths and weights cannot disagree.
+    Pipeline: claim targets (``assign_targets``), pick each agent's
+    strongest edge (``_choose_edge``), defuse swaps (``resolve_waits``,
+    called only when some move lands on an agent's node, as no pair
+    triggers otherwise), then move every agent simultaneously. Agents
+    without a claimable target are marked finished and stop moving. After
+    movement any unvisited target standing under an agent becomes visited.
+    The step cost sums the weights of the deduplicated traversed edge set,
+    from ``cache.graph``, plus ``wait_cost`` per waiting agent. As in every
+    layer function, the cache is the only handle on the graph, so paths and
+    weights cannot disagree. A negative, NaN or infinite ``wait_cost``
+    raises ValueError.
 
     Co-located agents with the same target form a platoon that is scored
     once: they skip each other and see the same other agents, so every
     member's forces and chosen edge are the first member's, bit for bit.
+    The claiming, moving and costing are ``_timestep``'s, the kernel the
+    baseline's timestep runs too; only the edge choice above is the
+    router's own.
     """
-    staged = claim_targets(agents, assign_targets(cache, agents, unvisited))
-    active = [a for a in staged if not a.finished]
-    leads: dict[tuple[int, int | None], MoveIntent] = {}
-    intents = []
-    for agent in active:
-        key = agent.position, agent.assigned_target
-        lead = leads.get(key)
-        if lead is None:
-            lead = leads[key] = _choose_edge(cache, agent, active, params)
-            intents.append(lead)
-        else:
-            intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))
-    if waiting:
-        occupied = {a.position for a in active}
-        if any(not i.waiting and i.dst in occupied for i in intents):
-            intents = resolve_waits(cache, intents, active, rng)
+    _check_wait_cost(wait_cost)
 
-    next_agents, unvisited = move_agents(staged, intents, unvisited)
-    traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
-    n_waiting = sum(1 for i in intents if i.waiting)
-    step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
-    return next_agents, unvisited, _record(t, traversed, tuple(intents), step_cost)
+    def choose(active: list[AgentState]) -> list[MoveIntent]:
+        leads: dict[tuple[int, int | None], MoveIntent] = {}
+        intents = []
+        for agent in active:
+            key = agent.position, agent.assigned_target
+            lead = leads.get(key)
+            if lead is None:
+                lead = leads[key] = _choose_edge(cache, agent, active, params)
+                intents.append(lead)
+            else:
+                intents.append(_intent(agent.agent_id, lead.src, lead.dst, lead.waiting))
+        if waiting:  # followers move as their lead, so the leads tell whether some move lands
+            occupied = {position for position, _ in leads}
+            for lead in leads.values():
+                if not lead.waiting and lead.dst in occupied:
+                    return resolve_waits(cache, intents, active, rng)
+        return intents
+
+    return _timestep(cache, agents, unvisited, assign_targets(cache, agents, unvisited), choose, t, wait_cost)
+
+
+def _timestep(
+    cache: PathCache,
+    agents: list[AgentState],
+    unvisited: frozenset[int] | set[int],
+    assignment: dict[int, int | None],
+    choose: Callable[[list[AgentState]], list[MoveIntent]],
+    t: int,
+    wait_cost: float | None,
+) -> tuple[list[AgentState], frozenset[int], StepRecord]:
+    """One timestep of either method, from the targets ``assign_targets``
+    gave to the record: the kernel of ``step`` and of the baseline's.
+
+    One loop over the agents claims the assigned targets (an agent with
+    none finishes) and collects the active ones; ``choose(active)`` is the
+    method's edge choice and returns their intents. One loop over the
+    intents collects the moves, the traversed edges and the waits, and one
+    over the agents moves them and drops the targets under them. A
+    ``wait_cost`` of None pays every move's edge, in intent order, as
+    non-joining vehicles do; otherwise the step pays each traversed edge
+    once, in sorted order, plus ``wait_cost`` per wait.
+    """
+    staged, active = [], []
+    for agent in agents:
+        if not agent.finished:
+            target = assignment[agent.agent_id]
+            if target is None or target != agent.assigned_target:
+                agent = _agent(agent.agent_id, agent.position, target, target is None)
+            if target is not None:
+                active.append(agent)
+        staged.append(agent)
+    intents = choose(active)
+
+    moved, edges, n_waiting = {}, [], 0
+    for intent in intents:
+        moved[intent.agent_id] = intent.dst
+        if intent.src != intent.dst:
+            edges.append((intent.src, intent.dst))
+        if intent.waiting:
+            n_waiting += 1
+    next_agents, under = [], set()
+    for agent in staged:
+        dst = moved.get(agent.agent_id, agent.position)
+        if dst != agent.position:
+            agent = _agent(agent.agent_id, dst, agent.assigned_target, agent.finished)
+        next_agents.append(agent)
+        under.add(dst)
+
+    traversed = frozenset(edges)
+    weight = cache.graph._weights.__getitem__
+    if wait_cost is None:
+        step_cost = sum(map(weight, edges), 0.0)
+    else:
+        step_cost = sum(map(weight, sorted(traversed))) + wait_cost * n_waiting
+    return next_agents, frozenset(unvisited) - under, _record(t, traversed, tuple(intents), step_cost)
 
 
 def run_mission(
@@ -667,8 +714,7 @@ def run_mission(
     raises ValueError, and so does a ``cache`` built for a graph whose
     edges or weights differ from ``mission.graph``'s.
     """
-    if not 0 <= wait_cost < math.inf:  # also rejects NaN
-        raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
+    _check_wait_cost(wait_cost)
     params = params or ForceParams()
     cache = _cache_for(mission.graph, cache)
     rng = random.Random(seed)

@@ -421,8 +421,10 @@ class PathCache:
         cached = self._kpaths.get(key)
         if cached is None:
             _check_nodes(self.graph, src, dst)
+            first = self._lightest_path(src, dst)
+            searches = src != dst and (first is None or k > 1)  # else Yen returns the read as it is
             cached = self._kpaths[key] = yen_k_shortest(
-                self.graph, src, dst, k, h=self._heuristic_to(dst), first=self._lightest_path(src, dst)
+                self.graph, src, dst, k, h=self._heuristic_to(dst) if searches else None, first=first
             )
         return cached
 

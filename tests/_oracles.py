@@ -7,7 +7,9 @@ the goal-directed search must match path for path and bit for bit, and a
 frozen copy of the original per-path force loop, which the first-hop
 force computation must match entry for entry and bit for bit, and a
 frozen copy of the original per-agent step, which the platoon-shared step
-must match record for record and draw for draw.
+must match record for record and draw for draw, and a frozen copy of the
+non-modular baseline's timestep, which the baseline must match step for
+step.
 """
 
 import heapq
@@ -224,6 +226,39 @@ def reference_step(cache, agents, unvisited, params, rng, *, t=1, wait_cost=0.0,
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
     step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
+    return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
+
+
+def reference_baseline_step(cache, agents, unvisited, *, t=1):
+    """One timestep of the non-modular baseline as the engine first computed it.
+
+    A frozen copy of the baseline's original timestep: every unfinished
+    agent claims a target as ``_reference_assign_targets`` gives it (none:
+    it finishes), every active agent steps to the second node of the first
+    path of ``cache.k_shortest(position, target, 1)``, and every move pays
+    its edge weight, summed by the builtin ``sum`` onto 0.0 in agent order,
+    with no shared-edge discount. Returns (next agents, unvisited,
+    StepRecord) like the baseline's timestep.
+    """
+    assignment = _reference_assign_targets(agents, unvisited, cache)
+    staged = [
+        a if a.finished else AgentState(a.agent_id, a.position, assignment[a.agent_id],
+                                        assignment[a.agent_id] is None)
+        for a in agents
+    ]
+    intents = [
+        MoveIntent(a.agent_id, a.position,
+                   cache.k_shortest(a.position, a.assigned_target, 1).paths[0].nodes[1])
+        for a in staged if not a.finished
+    ]
+    step_cost = sum((cache.graph.weight(i.src, i.dst) for i in intents), 0.0)
+    moved = {i.agent_id: i.dst for i in intents}
+    next_agents = [
+        AgentState(a.agent_id, moved.get(a.agent_id, a.position), a.assigned_target, a.finished)
+        for a in staged
+    ]
+    unvisited = frozenset(unvisited) - {a.position for a in next_agents}
+    traversed = frozenset((i.src, i.dst) for i in intents)
     return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
 
 

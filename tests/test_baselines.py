@@ -5,6 +5,7 @@ import random
 import pytest
 
 from modroute import (
+    AgentState,
     ForceParams,
     Graph,
     InfeasibleMissionError,
@@ -16,11 +17,13 @@ from modroute import (
     make_grid_graph,
     run_mission,
     run_nonmodular_baseline,
+    validate,
 )
+from modroute import baselines
 from modroute.experiments import generate_random_mission
 
 from _fixtures import eight_node_graph, eight_node_mission
-from _oracles import random_digraph
+from _oracles import random_digraph, reference_baseline_step
 
 
 class TestNonmodularBaseline:
@@ -47,6 +50,57 @@ class TestNonmodularBaseline:
         force = run_mission(eight_node_mission(), ForceParams(1.0, 1.0, 3), seed=0)
         base = run_nonmodular_baseline(eight_node_mission())
         assert force.total_cost < base.total_cost
+
+    def test_steps_match_the_frozen_baseline_step(self, monkeypatch):
+        # Every step of a run, as the baseline hands it to ``simulate``,
+        # against a frozen copy of its original timestep, chained from the starts.
+        steps = []
+        real_simulate = baselines.simulate
+
+        def recording_simulate(mission, max_steps, advance):
+            def recorded(agents, unvisited, t):
+                out = advance(agents, unvisited, t)
+                steps.append((agents, unvisited, t, out))
+                return out
+            return real_simulate(mission, max_steps, recorded)
+
+        monkeypatch.setattr(baselines, "simulate", recording_simulate)
+        rng = random.Random("baseline-steps")
+        graphs = [make_grid_graph(8, 8, seed=s) for s in range(3)]
+        while len(graphs) < 43:
+            m, edges = random_digraph(rng, max_nodes=10, edge_prob=0.3)
+            if edges:
+                graphs.append(Graph(m, edges))
+        mismatches, compared, on_target, finished, shared = [], 0, 0, 0, 0
+        for graph in graphs:
+            cache = PathCache(graph)
+            m = graph.node_count
+            for _ in range(12 if m == 64 else 4):
+                starts = tuple(rng.randrange(m) for _ in range(rng.randint(1, 5)))
+                targets = set(rng.sample(range(m), rng.randint(1, min(m, 6))))
+                if rng.random() < 0.5:
+                    targets.add(rng.choice(starts))
+                mission = Mission(graph, starts, frozenset(targets))
+                if validate(mission):
+                    continue
+                on_target += bool(targets & set(starts))
+                steps.clear()
+                result = run_nonmodular_baseline(mission, max_steps=200, cache=cache)
+                agents = [AgentState(i, s) for i, s in enumerate(starts)]
+                unvisited = frozenset(targets) - set(starts)
+                for t, (got_agents, got_unvisited, got_t, got) in enumerate(steps, 1):
+                    assert (got_agents, got_unvisited, got_t) == (agents, unvisited, t)
+                    want = reference_baseline_step(cache, agents, unvisited, t=t)
+                    if got != want or got[2].step_cost.hex() != want[2].step_cost.hex():
+                        mismatches.append((graph.edges(), mission, t))
+                    compared += 1
+                    finished += sum(a.finished for a in want[0]) > sum(a.finished for a in agents)
+                    shared += len(want[2].traversed) < len(want[2].intents)
+                    agents, unvisited = want[:2]
+                assert len(steps) == result.steps_taken
+        assert mismatches == []
+        assert compared > 500
+        assert on_target > 0 and finished > 0 and shared > 0
 
     def test_equivalent_to_alpha_zero_for_single_agent(self):
         g = make_grid_graph(6, 6, seed=3)

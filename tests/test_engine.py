@@ -492,6 +492,52 @@ class TestPlatoonStepMatchesPerAgentStep:
         assert same_target > 0 and split_targets > 0 and draws > 0
 
 
+class TestStepOnOneWayDigraphs:
+    """On random digraphs, where many edges run one way, ``step`` still gives
+    exactly what the original per-agent step gave, also as agents finish
+    because no unvisited target is reachable or because every reachable
+    one is claimed."""
+
+    def test_seeded_digraph_states(self):
+        mismatches, compared, unreachable, all_claimed = [], 0, 0, 0
+        rng = random.Random("one-way-steps")
+        for _ in range(60):
+            m, edges = random_digraph(rng, max_nodes=10, edge_prob=0.3)
+            if not edges:
+                continue
+            cache = PathCache(Graph(m, edges))
+            fleet = [AgentState(i, rng.randrange(m), None, rng.random() < 0.1)
+                     for i in range(rng.randint(2, 6))]
+            targets = frozenset(rng.sample(range(m), rng.randint(1, min(m, 5))))
+            targets -= {a.position for a in fleet}
+            params_sets = TestPlatoonStepMatchesPerAgentStep.PARAMS[::3]
+            for params, waiting in itertools.product(params_sets, (True, False)):
+                agents, unvisited = fleet, targets
+                seed = rng.getrandbits(32)
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                for t in range(1, 9):
+                    if not unvisited:
+                        break
+                    kwargs = dict(t=t, wait_cost=0.25, waiting=waiting)
+                    got = step(cache, agents, unvisited, params, got_rng, **kwargs)
+                    want = reference_step(cache, agents, unvisited, params, want_rng, **kwargs)
+                    if (got != want or got[2].step_cost.hex() != want[2].step_cost.hex()
+                            or got_rng.getstate() != want_rng.getstate()):
+                        mismatches.append((m, edges, agents, unvisited, params, waiting))
+                    compared += 1
+                    for before, after in zip(agents, want[0]):
+                        if after.finished and not before.finished:
+                            dist = cache.distances(before.position)
+                            if any(dist[x] < math.inf for x in unvisited):
+                                all_claimed += 1
+                            else:
+                                unreachable += 1
+                    agents, unvisited = want[:2]
+        assert mismatches == []
+        assert compared > 1000
+        assert unreachable > 0 and all_claimed > 0
+
+
 def _seeded_wait_states(graph, rng, count):
     """Random fleets on ``graph``, every agent with an intent: a wait, a move
     onto an adjacent agent's node, or a move to a random out-neighbour.
@@ -707,6 +753,14 @@ class TestStep:
         moved = sum(g.weight(i.src, i.dst) for i in record.intents if not i.waiting)
         assert record.step_cost == moved + 0.25 * n_wait
         assert n_wait >= 1
+
+    @pytest.mark.parametrize("wait_cost", [math.inf, math.nan, -1.0])
+    def test_bad_wait_cost_raises_value_error(self, wait_cost):
+        # an inf or NaN wait_cost would make the cost NaN even with no agent waiting
+        agents = [AgentState(0, 0), AgentState(1, 1)]
+        with pytest.raises(ValueError, match="wait_cost"):
+            step(PathCache(eight_node_graph()), agents, {6, 7}, EIGHT_NODE_PARAMS, random.Random(0),
+                 wait_cost=wait_cost)
 
     def test_wait_pass_runs_only_when_a_move_lands_on_an_agent(self, monkeypatch):
         # Without a landing the pass has no pair to visit, so step skips it.

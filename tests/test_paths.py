@@ -427,6 +427,14 @@ class TestFirstPathsFromTheDistanceSearch:
         assert {k for _, _, k in cache.k_shortest_keys} == {1, 5}
         assert calls and all(calls)
 
+    def test_a_baseline_run_on_a_float_grid_builds_no_heuristic(self):
+        # every k=1 query is answered by the read, so Yen never looks at a heuristic
+        g = make_grid_graph(8, 8, seed=3)
+        cache = PathCache(g)
+        result = run_nonmodular_baseline(generate_random_mission(g, 5, 10, seed=3), cache=cache)
+        assert result.completed and len(cache.k_shortest_keys) > 10
+        assert cache._to == {}
+
     def test_a_unit_weight_grid_still_searches_some_first_paths(self, monkeypatch):
         calls = _recorded_searches(monkeypatch)
         g = unit_grid(6, 6)
