@@ -76,24 +76,26 @@ integer multiple k * x of a subnormal x that stays subnormal).
    is what ``select_edge`` picks, whatever its tie rule. With every
    source scored exactly there are no extra terms, and ``rival`` is the
    largest certain partial of another edge.
-4. **Bounds from the lightest path.** ``PathCache.first_hop_bounds`` gives
-   the first hop h0 and weight W0 of the k-set's first path: Yen's first
-   path, read off the distance search, with A* only on exact ties, which
-   is the same path for every k and weighs D (point 1). Without
-   ``force_sum``, r_s(h0) is the force of that path, ``fl(c / fl(W0 *
-   W0))``: that is the certain term, and the extra term is 0. With it,
-   r_s(h0) is a fold that starts with that force and adds non-negative
-   forces, none above it: the certain term is that force, and the extra
-   term is B (point 2, with D = W0), which bounds
-   r_s(h0) alone. So the certain term is the force ``compute_edge_forces``
-   gives the one group ``((h0, (W0,)),)`` (with ``force_sum`` the fold
+4. **Bounds from the lightest path.** The one path of the k=1 set
+   ``cache.k_shortest(p, s, 1)``, which the baseline steps along too, is
+   the k-set's first path: Yen's first path, read off the distance search,
+   with A* only on exact ties, which is the same path for every k and
+   weighs D (point 1). Its ``first_hops`` are the one group ``((h0,
+   (W0,)),)``, its first hop and weight. Without ``force_sum``, r_s(h0) is
+   the force of that path, ``fl(c / fl(W0 * W0))``: that is the certain
+   term, and the extra term is 0. With it, r_s(h0) is a fold that starts
+   with that force and adds non-negative forces, none above it: the
+   certain term is that force, and the extra term is B (point 2, with D =
+   W0), which bounds r_s(h0) alone. So the certain term is the force
+   ``compute_edge_forces`` gives that group (with ``force_sum`` the fold
    ``fl(0.0 + f)``, which is f), and it enters the partials as a k-set's
    terms do. Any other hop v whose edge has weight w gets ``L_v = fl(w +
-   h'[v])``, with h' the heuristic ``PathCache`` caches towards the source.
-   By the A* key lemma of ``paths`` (module docstring, "Exact ties"), keys
-   never decrease along a loopless path, start at L_v on its first node
-   after the agent and end at its fold weight; with the ``h' = 0`` fallback
-   of ``_shrink_factor`` L_v = w, and the fold only grows. So every
+   h'[v])``, with h' the heuristic ``PathCache._heuristic_to`` keeps
+   towards the source. By the A* key lemma of ``paths`` (module
+   docstring, "Exact ties"), keys never decrease along a loopless path,
+   start at L_v on its first node after the agent and end at its fold
+   weight; with the ``h' = 0`` fallback of ``_shrink_factor`` L_v = w,
+   and the fold only grows. So every
    loopless path through v weighs at least L_v, and as in point 2 r_s(v) is
    at most ``(1 + u)**(k+1)`` times the extra term ``fl(c / fl(L_v *
    L_v))``, or ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if
@@ -116,7 +118,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .graph import Graph, InfeasibleMissionError, Mission, validate
-from .paths import PathCache
+from .paths import PathCache, check_k
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,9 @@ class ForceParams:
 
     ``alpha`` scales agent-agent attraction, ``beta`` agent-target
     attraction, and ``k`` is the number of cheapest loopless paths sampled
-    per attraction source. With ``force_sum`` every sampled path through a
-    candidate edge contributes, instead of only the strongest one.
+    per attraction source, an int >= 1. With ``force_sum`` every sampled
+    path through a candidate edge contributes, instead of only the
+    strongest one.
     """
 
     alpha: float = 0.5
@@ -139,8 +142,7 @@ class ForceParams:
             raise ValueError(f"alpha and beta must be finite and non-negative, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,7 +357,8 @@ def _choose_edge(
     The sources are those of ``compute_edge_forces``, in any order of
     ``others`` (agent ids distinct). One pass scores them strongest bound
     first: exactly when their k-shortest set is cached, and otherwise from
-    ``cache.first_hop_bounds`` (module docstring, point 4). Either way its
+    bounds (module docstring, point 4): h0 and W0 from the k=1 set, and
+    ``L_v`` of each other hop from ``cache._heuristic_to``. Either way its
     certain terms are ``compute_edge_forces``'s forces, computed inline
     with the fold unrolled, and feed one update of the lead and rival; a
     source scored from bounds also adds its extra terms. After each source
@@ -381,7 +384,7 @@ def _choose_edge(
     ranked.sort(reverse=True)
     if ranked[0][0] < inf:  # else no bound is trusted
         widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
-        cached = cache.k_shortest_keys
+        cached, adj = cache.k_shortest_keys, cache.graph._adj[position]
         while True:
             rests, rest = [0.0], 0.0  # rests.pop(): the fold of the bounds not yet scored
             for source in ranked[:0:-1]:
@@ -395,15 +398,18 @@ def _choose_edge(
                 if (position, dest, k) in cached:
                     groups = cache.k_shortest(position, dest, k).first_hops
                 elif dist[dest] < inf:  # the certain term of h0, and extra terms
-                    h0, w0, hops = cache.first_hop_bounds(position, dest)
-                    groups = ((h0, (w0,)),)
+                    groups = cache.k_shortest(position, dest, 1).first_hops  # ((h0, (W0,)),)
+                    h0 = groups[0][0]
                     if extra is None:
                         extra, fetch = {}, dest
                     if force_sum:
                         extra[h0] = extra.get(h0, 0.0) + bound
-                    for hop, low in hops:
-                        d2 = low * low
-                        extra[hop] = extra.get(hop, 0.0) + (scale / d2 * terms if d2 else inf)
+                    h = cache._heuristic_to(dest)
+                    for hop, w in adj:
+                        if hop != h0 and h[hop] != inf:  # else no path goes through it
+                            low = w + h[hop]
+                            d2 = low * low
+                            extra[hop] = extra.get(hop, 0.0) + (scale / d2 * terms if d2 else inf)
                 else:  # no path, and the source adds nothing
                     groups = ()
                 for hop, weights in groups:  # ``compute_edge_forces``'s forces, unrolled

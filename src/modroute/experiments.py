@@ -98,9 +98,7 @@ def generate_random_mission(
             starts, targets = sample[:n], sample[n:]
         else:
             starts = rng.sample(pool, n)
-            remaining = sorted(set(range(m)).difference(starts))
-            if len(remaining) < n_targets:
-                raise ValueError("not enough nodes left for targets outside the start pool")
+            remaining = sorted(set(range(m)).difference(starts))  # m - n >= n_targets nodes
             targets = rng.sample(remaining, n_targets)
         mission = Mission(graph, tuple(starts), frozenset(targets))
         if not validate(mission):

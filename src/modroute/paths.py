@@ -161,8 +161,6 @@ _BOUND_SLACK = 2.0**-50
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
 # (nodes, left-fold weight) of one path, as the searches return it
 NodesWeight = tuple[tuple[int, ...], float]
-# (h0, W0, ((v, L_v), ...)); see ``PathCache.first_hop_bounds``.
-FirstHopBounds = tuple[int, float, tuple[tuple[int, float], ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,6 +252,13 @@ def _check_nodes(graph: Graph, *nodes: int) -> None:
             raise ValueError(f"node {node} out of range [0,{graph.node_count})")
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless ``k`` is an int >= 1; a bool or a float equal
+    to an int is rejected, as ``validate`` rejects such node ids."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+
+
 def _shrink_factor(graph: Graph) -> float:
     """Heuristic scale: 1 - 2**-10 if ties provably survive rounding, else 0."""
     weights = [w for u in range(graph.node_count) for _, w in graph.out_edges(u)]
@@ -327,11 +332,11 @@ def yen_k_shortest(
     lightest path ``(nodes, weight)`` when the caller already knows it
     (``PathCache`` reads it off its distance search); it must be the path
     that the first search would find, and then that search is skipped.
-    Raises ValueError for a node outside ``[0, node_count)``.
+    Raises ValueError for a node outside ``[0, node_count)`` and for a k
+    that is not an int >= 1.
     """
     _check_nodes(graph, src, dst)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
     if first is not None and k == 1:
@@ -390,9 +395,9 @@ class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
     Dijkstra distance maps with their predecessors, reverse-distance
-    heuristics, k-shortest path sets and first-hop bounds are pure
-    functions of the graph, so results can be shared across steps,
-    missions, and whole experiment batches without affecting determinism.
+    heuristics and k-shortest path sets are pure functions of the graph,
+    so results can be shared across steps, missions, and whole experiment
+    batches without affecting determinism.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -401,7 +406,6 @@ class PathCache:
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
         # a live view of the (src, dst, k) queries that k_shortest answers from the cache
         self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
-        self._bounds: dict[tuple[int, int], FirstHopBounds] = {}
         self._to: dict[int, list[float]] = {}
         self._factor = _shrink_factor(graph)
 
@@ -413,10 +417,28 @@ class PathCache:
         return cached[0]
 
     def distance(self, src: int, dst: int) -> float:
+        """Shortest src -> dst distance, the left fold of a lightest path's
+        weights (inf where unreachable), off the cached ``distances(src)``.
+
+        The waiting policy compares agents by it. Raises ValueError for a
+        node outside ``[0, node_count)``.
+        """
         _check_nodes(self.graph, dst)
         return self.distances(src)[dst]
 
     def k_shortest(self, src: int, dst: int, k: int) -> PathSet:
+        """``yen_k_shortest(graph, src, dst, k)``, computed once per
+        (src, dst, k) and kept.
+
+        A miss reads the lightest path off the distance search from src
+        and hands it to Yen, which searches only when k > 1 or the read
+        meets an exact tie. Every caller of the path layer comes through
+        here: the router's exact tier reads the k-set, and its bounded tier
+        and the baseline read the k=1 set, whose one path is the first path
+        of the k-set for every k. A hit returns the same instance. Raises
+        ValueError on a miss for a node outside ``[0, node_count)`` and for
+        a k that is not an int >= 1.
+        """
         key = (src, dst, k)
         cached = self._kpaths.get(key)
         if cached is None:
@@ -448,42 +470,11 @@ class PathCache:
             y = x
         return tuple(reversed(nodes)), d
 
-    def first_hop_bounds(self, src: int, dst: int) -> FirstHopBounds:
-        """``(h0, W0, ((v, L_v), ...))``: what the lightest src->dst path
-        alone tells about every k-shortest set between the two nodes.
-
-        h0 and W0 are the first hop and left-fold weight of the first path
-        of ``k_shortest(src, dst, 1)``: Yen's first path, read off the
-        distance search, with A* only on exact ties, which is the first
-        path of ``k_shortest(src, dst, k)`` for every k. The baseline steps
-        along the same k=1 set, so both callers share one read per pair.
-        Each other out-edge src -> v of weight w from which dst is
-        reachable gets ``L_v = fl(w + h'[v])``, with h' the shrunk
-        heuristic towards dst. No loopless path that starts with that edge
-        weighs less than L_v: A* keys never decrease along such a path and
-        end at its fold weight (module docstring, "Exact ties"), and with
-        ``h' = 0`` the fold only grows. An edge to a node that cannot reach
-        dst is left out. Kept per (src, dst). Raises ValueError for a node
-        outside ``[0, node_count)``, for src == dst and when dst is
-        unreachable.
-        """
-        key = (src, dst)
-        cached = self._bounds.get(key)
-        if cached is None:
-            paths = self.k_shortest(src, dst, 1).paths  # checks the nodes on a miss
-            if src == dst:
-                raise ValueError(f"no first hop from node {src} to itself (node {dst})")
-            if not paths:
-                raise ValueError(f"no path from node {src} to node {dst}")
-            first = paths[0]
-            h, h0 = self._heuristic_to(dst), first.nodes[1]
-            cached = self._bounds[key] = (h0, first.total_weight, tuple(
-                (v, w + h[v]) for v, w in self.graph.out_edges(src) if v != h0 and h[v] != math.inf
-            ))
-        return cached
-
     def _heuristic_to(self, dst: int) -> list[float]:
-        """The shrunk heuristic towards ``dst``, computed once per destination."""
+        """The shrunk heuristic towards ``dst``, computed once per destination.
+
+        Yen's searches towards dst use it, and the router's bounded tier
+        reads its first-hop bounds off it (``engine`` docstring, point 4)."""
         h = self._to.get(dst)
         if h is None:
             h = self._to[dst] = _heuristic(self.graph, dst, self._factor)

@@ -68,6 +68,11 @@ class TestForceParams:
         with pytest.raises(ValueError):
             ForceParams(k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_rejects_a_k_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            ForceParams(k=k)
+
     @pytest.mark.parametrize("scale", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nan_scales(self, scale, value):
@@ -200,39 +205,44 @@ def _fleet_states(rng, m, count):
 
 
 class _CountingCache(PathCache):
-    """A PathCache that counts its k-shortest queries, also by k, and its
-    first-hop bounds queries."""
+    """A PathCache that counts its k-shortest queries and misses by k."""
 
     queries = 0
-    bounded = 0
 
     def __init__(self, graph):
         super().__init__(graph)
-        self.by_k = collections.Counter()
+        self.by_k, self.misses = collections.Counter(), collections.Counter()
 
     def k_shortest(self, src, dst, k):
         self.queries += 1
         self.by_k[k] += 1
+        self.misses[k] += (src, dst, k) not in self.k_shortest_keys
         return super().k_shortest(src, dst, k)
 
-    def first_hop_bounds(self, src, dst):
-        self.bounded += 1
-        return super().first_hop_bounds(src, dst)
+    @property
+    def bounded(self):
+        """The k=1 queries: while the chooser's k is above 1, its reads for
+        bounds (engine docstring, point 4)."""
+        return self.by_k[1]
 
 
 def _choose_on_both_tiers(reference, fresh, agent, others, params, seen):
     """``_choose_edge`` on a cache that holds only what the chooser asked
     for (first tier, with the k-sets it fetches) and on ``reference`` after
     ``compute_edge_forces`` filled it (exact tier). True if both give the
-    reference's move; ``seen`` counts how each first-tier choice ended."""
+    reference's move; ``seen`` counts how each first-tier choice ended:
+    with a k-set fetched, or settled with bounds read and none fetched."""
     want = select_edge(compute_edge_forces(reference, agent, others, params), agent.position)
-    fetched = fresh.by_k[params.k]
+    fetched, read = fresh.misses[params.k], fresh.bounded
     got = _choose_edge(fresh, agent, others[::-1], params)
-    if params.k > 1:
-        seen["fetched" if fresh.by_k[params.k] > fetched else "settled_by_bounds"] += 1
     bounded = reference.bounded
     exact = _choose_edge(reference, agent, others, params)
-    seen["exact_tier_used_bounds"] += reference.bounded > bounded
+    if params.k > 1:  # with k = 1 the k-set is the set the bounds are read from
+        if fresh.misses[params.k] > fetched:
+            seen["fetched"] += 1
+        elif fresh.bounded > read:
+            seen["settled_by_bounds"] += 1
+        seen["exact_tier_used_bounds"] += reference.bounded > bounded
     return got == want == exact
 
 
@@ -243,6 +253,7 @@ class TestFirstHopForcesMatchPerPathLoop:
     ``select_edge`` picks from them."""
 
     SCALES = [(0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 1.0), (3.7, 0.3), (0.1, 2.9)]
+    FETCHED_SETTLED = {False: (513, 5495), True: (1951, 391)}  # by force_sum
 
     @pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])
     def test_seeded_8x8_states(self, force_sum):
@@ -288,6 +299,10 @@ class TestFirstHopForcesMatchPerPathLoop:
         # and with every k-set cached no bound is asked for
         assert seen["settled_by_bounds"] > 0 and seen["fetched"] > 0
         assert seen["exact_tier_used_bounds"] == 0
+        # The counts pin how tight the bounds are: a looser bound (h0 given
+        # an L_v too) fetches more k-sets, a tighter, unsound one (h' not
+        # shrunk) settles more moves. A change to the tier rules updates them.
+        assert (seen["fetched"], seen["settled_by_bounds"]) == self.FETCHED_SETTLED[force_sum]
         # the states exercise every case the two loops could disagree on
         assert colocated > 0 and finished > 0
         assert multi_hop_groups > 0 and order_sensitive_sums > 0
@@ -313,10 +328,11 @@ class TestTwoTierEdgeChoice:
                     params = ForceParams(alpha, beta, k, force_sum)
                     if not _choose_on_both_tiers(reference, fresh[k], agent, others, params, seen):
                         wrong.append((graph_no, agent, others, params))
-            for cache in fresh.values():
-                for (src, dst), (h0, _, hops) in cache._bounds.items():
-                    out = {v for v, _ in graph.out_edges(src)}
-                    seen["hops_left_out"] += len(out) - 1 - len(hops)
+            for k, cache in fresh.items():
+                for (src, dst, k_read), found in cache._kpaths.items():
+                    if k > 1 and k_read == 1 and found.first_hops:  # a read for bounds
+                        h0, h = found.first_hops[0][0], cache._heuristic_to(dst)
+                        seen["hops_left_out"] += sum(v != h0 and h[v] == math.inf for v, _ in graph.out_edges(src))
         assert wrong == []
         assert seen["settled_by_bounds"] > 0 and seen["fetched"] > 0
         assert seen["exact_tier_used_bounds"] == 0

@@ -97,6 +97,16 @@ class TestYen:
         with pytest.raises(ValueError, match="k must be"):
             yen_k_shortest(eight_node_graph(), 0, 6, 0)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, True])
+    def test_k_must_be_an_int(self, k):
+        # a float k once failed deep inside the search with a bare TypeError,
+        # and True was read as 1
+        g = make_grid_graph(8, 8, seed=3)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            yen_k_shortest(g, 0, 63, k)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            PathCache(g).k_shortest(0, 63, k)
+
     def test_first_path_weight_equals_dijkstra_distance(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -457,19 +467,7 @@ class TestBadNodeIds:
             cache.k_shortest(src, dst, 3)
         with pytest.raises(ValueError, match="out of range"):
             cache.distance(src, dst)
-        with pytest.raises(ValueError, match="out of range"):
-            cache.first_hop_bounds(src, dst)
-        assert cache._kpaths == {} and cache._to == {} and cache._bounds == {}
-
-    def test_first_hop_bounds_needs_a_path_of_one_edge_or_more(self):
-        # node 3 reaches 0, but 0 cannot reach 3
-        cache = PathCache(load_edge_list("0 1 1.0\n1 2 1.0\n3 0 1.0"))
-        with pytest.raises(ValueError, match="no first hop from node 0 to itself"):
-            cache.first_hop_bounds(0, 0)
-        with pytest.raises(ValueError, match="no path from node 0 to node 3"):
-            cache.first_hop_bounds(0, 3)
-        assert cache._bounds == {}
-        assert cache.first_hop_bounds(3, 2) == (0, 3.0, ())
+        assert cache._kpaths == {} and cache._to == {}
 
     def test_k_shortest_checks_only_on_a_miss(self, monkeypatch):
         check, checked = paths._check_nodes, []

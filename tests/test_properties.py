@@ -171,19 +171,21 @@ def test_no_sampled_path_weighs_less_than_its_first_hop_bound(family, m, edge_pr
     edges = [(u, v, BOUND_WEIGHTS[family](rng)) for u in range(m) for v in range(m)
              if u != v and rng.random() < edge_prob]
     graph = Graph(m, edges)
-    cache, cold = PathCache(graph), PathCache(graph)  # ``cold`` answers no k-shortest query
+    cache, cold = PathCache(graph), PathCache(graph)  # ``cold`` answers only k=1 queries
     for src in range(m):
         for dst in range(m):
             paths = cache.k_shortest(src, dst, k).paths
             if src == dst or not paths:
                 continue
-            h0, w0, hops = cache.first_hop_bounds(src, dst)
-            assert cold.first_hop_bounds(src, dst) == (h0, w0, hops)
-            assert (h0, w0) == (paths[0].nodes[1], paths[0].total_weight)
-            bound = dict(hops)
-            assert h0 not in bound
+            # h0 and W0 as the edge chooser reads them, on either cache
+            first_hops = cold.k_shortest(src, dst, 1).first_hops
+            assert cache.k_shortest(src, dst, 1).first_hops == first_hops
+            assert first_hops == ((paths[0].nodes[1], (paths[0].total_weight,)),)
+            h0, h = first_hops[0][0], cold._heuristic_to(dst)
+            assert cache._heuristic_to(dst) == h
+            bound = {v: w + h[v] for v, w in graph.out_edges(src) if v != h0 and h[v] != math.inf}
             for path in paths[1:]:
-                if path.nodes[1] != h0:  # a hop left out of ``hops`` would raise KeyError
+                if path.nodes[1] != h0:  # a hop left out of ``bound`` would raise KeyError
                     assert path.total_weight >= bound[path.nodes[1]]
 
 
