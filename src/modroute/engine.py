@@ -193,23 +193,44 @@ class MissionResult:
     diagnostic: str | None = None
 
 
-# Memoised constructors: one shared instance per distinct value, reused
-# across agents, steps and runs. Sound because the records are frozen and
-# hold only ints, bools, None and immutable containers of them. Typed keys
-# keep 1 and True (and a step cost of 0 and 0.0) apart; inside a container
-# they compare equal, which is why ``validate`` admits only int node ids.
-# Internal code passes every field positionally, so equal values share a key.
+# Intern tables: one shared instance per distinct value, reused across
+# agents, steps and runs, each holding at most _INTERNED entries. Sound
+# because the records are frozen and hold only ints, bools, None and
+# immutable containers of them. ``_intent`` and ``_path`` are LRU caches, and
+# ``_intent``'s typed keys keep 1 and True apart. ``_agents`` and ``_records``
+# are plain dicts, emptied when full, whose keys compare by == alone, so 1
+# and True, or 0 and 0.0, would share an entry. An AgentState is keyed on its
+# fields, which the kernel fills with int ids, a bool and an int target or
+# None. A StepRecord is keyed on t, its traversed set, each intent's
+# (agent_id, src, dst, waiting) and its step cost with the cost's type: the
+# step cost is the one field whose type varies (an int wait_cost of 0 with
+# no edge crossed gives an int 0). Inside any container 1 and True compare
+# equal, which is why ``validate`` admits only int node ids.
 _INTERNED = 1 << 14
-_agent = functools.lru_cache(maxsize=_INTERNED, typed=True)(AgentState)
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
-_record = functools.lru_cache(maxsize=_INTERNED, typed=True)(StepRecord)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
+_agents: dict[tuple[int, int, int | None, bool], AgentState] = {}
+_records: dict[tuple, StepRecord] = {}
 _finished, _position = attrgetter("finished"), attrgetter("position")
 
 # 2u, the unit of ``_choose_edge``'s relative slack (module docstring, point 3),
 # and the smallest normal float, below which a product may lose that slack.
 _SLACK_UNIT = 2.0**-52
 _MIN_NORMAL = sys.float_info.min
+
+
+def _intern(table: dict, key: tuple, value):
+    """Store ``value`` under ``key``, emptying ``table`` first when it is full."""
+    if len(table) >= _INTERNED:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _agent(agent_id: int, position: int, assigned_target: int | None, finished: bool) -> AgentState:
+    """The shared AgentState with these fields."""
+    key = agent_id, position, assigned_target, finished
+    return _agents.get(key) or _intern(_agents, key, AgentState(*key))
 
 
 def assign_targets(
@@ -674,18 +695,21 @@ def _timestep(
         staged.append(agent)
     intents = choose(active)
 
-    moved, edges, n_waiting = {}, [], 0
+    moved, edges, n_waiting, intent_fields = {}, [], 0, []
     for intent in intents:
-        moved[intent.agent_id] = intent.dst
-        if intent.src != intent.dst:
-            edges.append((intent.src, intent.dst))
-        if intent.waiting:
+        agent_id, src, dst, waiting = intent.agent_id, intent.src, intent.dst, intent.waiting
+        moved[agent_id] = dst
+        if src != dst:
+            edges.append((src, dst))
+        if waiting:
             n_waiting += 1
-    next_agents, under = [], set()
+        intent_fields += agent_id, src, dst, waiting
+    next_agents, under, agents_get = [], set(), _agents.get
     for agent in staged:
         dst = moved.get(agent.agent_id, agent.position)
-        if dst != agent.position:
-            agent = _agent(agent.agent_id, dst, agent.assigned_target, agent.finished)
+        if dst != agent.position:  # a moved agent is active, so not finished
+            fields = agent.agent_id, dst, agent.assigned_target, False
+            agent = agents_get(fields) or _intern(_agents, fields, AgentState(*fields))
         next_agents.append(agent)
         under.add(dst)
 
@@ -695,7 +719,9 @@ def _timestep(
         step_cost = sum(map(weight, edges), 0.0)
     else:
         step_cost = sum(map(weight, sorted(traversed))) + wait_cost * n_waiting
-    return next_agents, frozenset(unvisited) - under, _record(t, traversed, tuple(intents), step_cost)
+    key = (*intent_fields, t, traversed, step_cost, type(step_cost))
+    record = _records.get(key) or _intern(_records, key, StepRecord(t, traversed, tuple(intents), step_cost))
+    return next_agents, frozenset(unvisited) - under, record
 
 
 def run_mission(

@@ -66,7 +66,10 @@ How the k-shortest search is made fast without changing any answer:
   proof assumes no order of settling. On an exact tie the read returns
   None and Yen runs its first search as before. It needs no heuristic, so
   it also holds on graphs that fail the shrink bound. Random float weights
-  almost never tie; integer and unit weights often do.
+  almost never tie; integer and unit weights often do. Yen's first path is
+  the same for every k, so a k > 1 miss whose k=1 set is cached hands Yen
+  that set's one path, whether the read gave it or a search found it: the
+  miss makes no read, and on an exact tie no first search either.
 * **Lawler's deviation pruning.** Yen's method spurs a new path from each
   of its nodes. Each candidate remembers the spur index i it was first
   generated at, and when it becomes a result it is spurred only from i
@@ -128,12 +131,13 @@ How the k-shortest search is made fast without changing any answer:
   cut heap is empty and both return None. When the full heap runs empty,
   so does the cut one. This needs no order of keys. Second, the spur
   search's first heap holds ``(w + h[v], w, (spur, v))`` for each
-  unbanned, open neighbour v, and it is empty exactly when no such v has
-  ``w + h[v] <= limit``. ``yen_k_shortest`` tests that same sum, rounded
-  the same way, before it copies ``h``, and skips a search whose heap
-  would start empty: that search returns None at once. In a 100-trial
-  8x8 ``run_batch`` with n = 5 (grid seed 3, missions 3000-3099) the test
-  skips 38,082 of 61,986 spur searches.
+  unbanned, open neighbour v with ``w + h[v] <= limit``. ``yen_k_shortest``
+  builds that heap itself, in its one scan of the spur's out-edges and with
+  the same sums rounded the same way, before it copies ``h``. It hands the
+  heap to ``_lex_shortest`` and skips a search whose heap is empty: that
+  search would return None at once. In a 100-trial 8x8 ``run_batch`` with
+  n = 5 (grid seed 3, missions 3000-3099) 38,082 of 61,986 spur heaps are
+  empty.
 
 The output is therefore the same path sets, in the same order and with the
 same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
@@ -142,7 +146,6 @@ same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 from collections.abc import Callable, KeysView
@@ -173,34 +176,46 @@ class Path:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Up to k distinct loopless paths, ascending by (weight, sequence)."""
+    """Up to k distinct loopless paths, ascending by (weight, sequence).
+
+    ``first_hops`` holds ``(next_node, weights)`` per distinct first hop, in
+    order of first appearance, each with the weights of the paths through
+    it; the paths are sorted by weight, so each ``weights`` ascends. The
+    table is built with the set and kept on the instance, outside the
+    dataclass fields, so equality, hashing, repr and pickling ignore it (a
+    pickle holds the fields, and loading it builds the table again).
+    """
 
     origin: int
     destination: int
     paths: tuple[Path, ...]
 
-    @functools.cached_property
-    def first_hops(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
-        """``(next_node, weights)`` per distinct first hop, in order of first
-        appearance, each with the weights of the paths through it.
+    def __post_init__(self) -> None:
+        paths = self.paths
+        if len(paths) == 1:  # a k=1 set, or the trivial path of src == dst
+            nodes = paths[0].nodes
+            table = ((nodes[1], (paths[0].total_weight,)),) if len(nodes) > 1 else ()
+        else:
+            hops: dict[int, list[float]] = {}
+            for path in paths:
+                if len(path.nodes) > 1:
+                    hops.setdefault(path.nodes[1], []).append(path.total_weight)
+            table = tuple((hop, tuple(weights)) for hop, weights in hops.items())
+        object.__setattr__(self, "first_hops", table)
 
-        The paths are sorted by weight, so each ``weights`` ascends. Built on
-        first use and kept on the instance, outside the dataclass fields, so
-        equality, hashing and repr ignore it; ``PathCache`` keeps its sets,
-        so each table is built once per cache entry.
-        """
-        hops: dict[int, list[float]] = {}
-        for path in self.paths:
-            if len(path.nodes) > 1:
-                hops.setdefault(path.nodes[1], []).append(path.total_weight)
-        return tuple((hop, tuple(weights)) for hop, weights in hops.items())
+    def __reduce__(self):
+        return PathSet, (self.origin, self.destination, self.paths)
 
 
 def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
     """Sum of edge weights along ``nodes``; 0 for a single-node path.
 
-    Raises ValueError when a consecutive pair is not a graph edge.
+    Raises ValueError for an empty sequence, for a node outside
+    ``[0, node_count)`` and when a consecutive pair is not a graph edge.
     """
+    if not nodes:
+        raise ValueError("a path needs at least one node")
+    _check_nodes(graph, *nodes)
     total = 0.0
     for u, v in zip(nodes, nodes[1:]):
         total += graph.weight(u, v)
@@ -280,6 +295,7 @@ def _lex_shortest(
     h: list[float],
     banned_next: set[int] | frozenset[int] = frozenset(),
     limit: float = math.inf,
+    heap: list[tuple[float, float, tuple[int, ...]]] | None = None,
 ) -> NodesWeight | None:
     """Minimum-weight src->dst path, lexicographically smallest among ties.
 
@@ -290,17 +306,21 @@ def _lex_shortest(
     first hop may not go to a node in ``banned_next``; that is the deviation
     step's banned-edge set, whose edges all leave ``src``. No label with a
     key above ``limit`` is pushed, so the search returns None when the path
-    it would have returned weighs more than ``limit``. Requires src != dst.
+    it would have returned weighs more than ``limit``. ``heap``, when given,
+    is the search's first heap, ``(w + h[v], w, (src, v))`` for each open v
+    not in ``banned_next`` whose key is at most ``limit``, in any order; it
+    is used up. Requires src != dst.
     """
     inf = math.inf
     adj = graph._adj
     push, pop = heapq.heappush, heapq.heappop
     h[src] = inf
-    heap = [
-        (w + h[v], w, (src, v))
-        for v, w in adj[src]
-        if w + h[v] <= limit and h[v] != inf and v not in banned_next
-    ]
+    if heap is None:  # a loop, not a comprehension, which would turn h and inf into cells
+        heap = []
+        for v, w in adj[src]:
+            key = w + h[v]
+            if key <= limit and h[v] != inf and v not in banned_next:
+                heap.append((key, w, (src, v)))
     heapq.heapify(heap)
     while heap:
         _, g, nodes = pop(heap)
@@ -372,14 +392,18 @@ def yen_k_shortest(
             spur = prev[i]
             if i >= start:
                 limit = bound - root_w + slack * bound
-                spur_result = None  # unless its first heap would hold a label
+                banned_i = banned[i]
+                heap = []  # the spur search's first heap, built as in _lex_shortest
                 for v, w in adj[spur]:
-                    if w + open_h[v] <= limit and open_h[v] != inf and v not in banned[i]:
-                        spur_result = _lex_shortest(graph, spur, dst, open_h[:], banned[i], limit)
-                        break
-                if spur_result is not None and (total := prev[:i] + spur_result[0]) not in seen:
+                    key = w + open_h[v]
+                    if key <= limit and open_h[v] != inf and v not in banned_i:
+                        heap.append((key, w, (spur, v)))
+                spur_result = None  # with an empty heap, the search would return None at once
+                if heap:
+                    spur_result = _lex_shortest(graph, spur, dst, open_h[:], banned_i, limit, heap)
+                if spur_result is not None and (total := prev[:i] + (spur_nodes := spur_result[0])) not in seen:
                     total_w = root_w
-                    for u, v in zip(total[i:], total[i + 1 :]):
+                    for u, v in zip(spur_nodes, spur_nodes[1:]):
                         total_w += weights[u, v]
                     bisect.insort(candidates, (total_w, total, i))
                     seen.add(total)
@@ -430,12 +454,13 @@ class PathCache:
         """``yen_k_shortest(graph, src, dst, k)``, computed once per
         (src, dst, k) and kept.
 
-        A miss reads the lightest path off the distance search from src
-        and hands it to Yen, which searches only when k > 1 or the read
-        meets an exact tie. Every caller of the path layer comes through
-        here: the router's exact tier reads the k-set, and its bounded tier
-        and the baseline read the k=1 set, whose one path is the first path
-        of the k-set for every k. A hit returns the same instance. Raises
+        A miss hands Yen its first path: the one path of the cached k=1
+        set for the pair, or else the lightest path read off the distance
+        search from src. Yen then searches only when k > 1 or the read met
+        an exact tie. Every caller of the path layer comes through here:
+        the router's exact tier reads the k-set, and its bounded tier and
+        the baseline read the k=1 set, whose one path is the first path of
+        the k-set for every k. A hit returns the same instance. Raises
         ValueError on a miss for a node outside ``[0, node_count)`` and for
         a k that is not an int >= 1.
         """
@@ -443,8 +468,12 @@ class PathCache:
         cached = self._kpaths.get(key)
         if cached is None:
             _check_nodes(self.graph, src, dst)
-            first = self._lightest_path(src, dst)
-            searches = src != dst and (first is None or k > 1)  # else Yen returns the read as it is
+            lightest = self._kpaths.get((src, dst, 1))
+            if lightest is None:
+                first = self._lightest_path(src, dst)
+            else:  # empty when dst is unreachable; then Yen's own search finds nothing too
+                first = (lightest.paths[0].nodes, lightest.paths[0].total_weight) if lightest.paths else None
+            searches = src != dst and (first is None or k > 1)  # else Yen returns ``first`` as it is
             cached = self._kpaths[key] = yen_k_shortest(
                 self.graph, src, dst, k, h=self._heuristic_to(dst) if searches else None, first=first
             )

@@ -9,7 +9,8 @@ force computation must match entry for entry and bit for bit, and a
 frozen copy of the original per-agent step, which the platoon-shared step
 must match record for record and draw for draw, and a frozen copy of the
 non-modular baseline's timestep, which the baseline must match step for
-step.
+step, and the original lazy grouping of a path set's first hops, which the
+table built with each set must equal.
 """
 
 import heapq
@@ -151,6 +152,17 @@ def reference_yen(graph, src, dst, k):
         found.append((nodes, w))
         found_set.add(nodes)
     return [(w, nodes) for nodes, w in found]
+
+
+def reference_first_hops(paths):
+    """``PathSet.first_hops`` as it was first built, lazily from the paths:
+    ``(next_node, weights)`` per distinct first hop, in order of first
+    appearance, each with the weights of the paths through it."""
+    hops = {}
+    for path in paths:
+        if len(path.nodes) > 1:
+            hops.setdefault(path.nodes[1], []).append(path.total_weight)
+    return tuple((hop, tuple(weights)) for hop, weights in hops.items())
 
 
 def reference_edge_forces(cache, agent, others, params):

@@ -31,7 +31,7 @@ from modroute import (
     step,
 )
 from modroute import engine
-from modroute.engine import _INTERNED, _agent, _choose_edge, _intent, _path, _record
+from modroute.engine import _INTERNED, _agent, _choose_edge, _intent, _path
 from modroute.experiments import generate_random_mission
 from modroute.paths import _shrink_factor
 
@@ -1009,8 +1009,20 @@ class TestSlottedInternedRecords:
 
     def test_int_and_float_step_costs_stay_apart(self):
         # an int wait_cost=0 with no edge crossed gives an int step cost of 0
-        as_int, as_float = _record(1, frozenset(), (), 0), _record(1, frozenset(), (), 0.0)
+        mission = shared_corridor_mission()
+        cache, targets = PathCache(mission.graph), mission.targets
+        agents = [_agent(i, start, None, False) for i, start in enumerate(mission.starts)]
+
+        def wait(active):
+            return [_intent(a.agent_id, a.position, a.position, True) for a in active]
+
+        def record(wait_cost):
+            return engine._timestep(cache, agents, targets, assign_targets(cache, agents, targets), wait, 1,
+                                    wait_cost)[2]
+
+        as_int, as_float = record(0), record(0.0)
         assert as_int == as_float and as_int is not as_float
+        assert record(0) is as_int and record(0.0) is as_float
         assert repr(as_int) != repr(as_float)
         assert type(as_int.step_cost) is int and type(as_float.step_cost) is float
 
@@ -1025,13 +1037,40 @@ class TestSlottedInternedRecords:
         assert copied == res and repr(copied) == repr(res)
         assert dataclasses.replace(res, total_cost=1.0).total_cost == 1.0
 
-    def test_tables_are_bounded_and_typed(self):
-        for table in (_agent, _intent):
-            assert table.cache_info().maxsize == _INTERNED
+    def test_tables_are_bounded_and_typed(self, monkeypatch):
+        assert _intent.cache_info().maxsize == _INTERNED
         assert _intent(0, 1, 1, True) is _intent(0, 1, 1, True)
         assert _intent(0, 1, 1, 1) is not _intent(0, 1, 1, True)
         assert repr(_intent(0, 1, 1, 1)) != repr(_intent(0, 1, 1, True))
+        # two steps from one state share every agent and the record
+        mission = shared_corridor_mission()
+        cache, state = PathCache(mission.graph), [AgentState(i, s) for i, s in enumerate(mission.starts)]
+        a, b = (step(cache, state, mission.targets, SHARED_CORRIDOR_PARAMS, random.Random(0)) for _ in range(2))
+        assert a[2] is b[2] and all(x is y for x, y in zip(a[0], b[0], strict=True))
+        # with a bound of 4 the agent and record tables never hold more, and the run is the same
+        graph = make_grid_graph(6, 6, seed=1)
+        missions = [generate_random_mission(graph, 3, 6, seed=s) for s in range(3)]
+        expected = [run_mission(m, seed=1, max_steps=100) for m in missions]
+        intern, sizes = engine._intern, []
 
-    def test_record_and_path_tables_share_the_bound(self):
-        for table in (_record, _path):
-            assert table.cache_info().maxsize == _INTERNED
+        def bounded_intern(table, key, value):
+            got = intern(table, key, value)
+            sizes.append(len(table))
+            return got
+
+        monkeypatch.setattr(engine, "_INTERNED", 4)
+        monkeypatch.setattr(engine, "_intern", bounded_intern)
+        monkeypatch.setattr(engine, "_agents", {})
+        monkeypatch.setattr(engine, "_records", {})
+        assert [run_mission(m, seed=1, max_steps=100) for m in missions] == expected
+        assert sum(r.steps_taken for r in expected) > 4 and max(sizes) == 4
+
+    def test_record_and_path_tables_share_the_bound(self, monkeypatch):
+        assert _path.cache_info().maxsize == _INTERNED
+        monkeypatch.setattr(engine, "_agents", {})
+        first = _agent(0, 0, None, False)
+        for agent_id in range(1, _INTERNED):
+            _agent(agent_id, 0, None, False)
+        assert len(engine._agents) == _INTERNED and _agent(0, 0, None, False) is first
+        _agent(_INTERNED, 0, None, False)  # a full table is emptied before the next entry
+        assert len(engine._agents) == 1 and _agent(0, 0, None, False) is not first

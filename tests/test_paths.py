@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -277,9 +279,9 @@ class TestBoundedSpurSearch:
         search = paths._lex_shortest
         cut = []
 
-        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
             unbounded = search(graph, src, dst, h[:], banned_next)
-            got = search(graph, src, dst, h, banned_next, limit)
+            got = search(graph, src, dst, h, banned_next, limit, heap)
             if got is None and unbounded is not None:
                 cut.append((src, dst, limit))
             return got
@@ -300,14 +302,19 @@ class TestBoundedSpurSearch:
         search = paths._lex_shortest
         limits = []
 
-        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
             if banned_next:  # a spur search: its first heap must hold a label
                 assert any(
                     w + h[v] <= limit for v, w in graph.out_edges(src)
                     if h[v] != math.inf and v not in banned_next
                 )
+                # ... and comes built: the labels the search would push first
+                assert sorted(heap) == sorted(
+                    (w + h[v], w, (src, v)) for v, w in graph.out_edges(src)
+                    if w + h[v] <= limit and h[v] != math.inf and v not in banned_next
+                )
             limits.append(limit)
-            return search(graph, src, dst, h, banned_next, limit)
+            return search(graph, src, dst, h, banned_next, limit, heap)
 
         monkeypatch.setattr(paths, "_lex_shortest", counting_search)
         g = make_grid_graph(8, 8, seed=3)
@@ -334,6 +341,18 @@ class TestPathWeight:
     def test_non_adjacent_pair_rejected(self):
         with pytest.raises(ValueError, match="no edge"):
             path_weight(eight_node_graph(), (0, 6))
+
+    @pytest.mark.parametrize("nodes", [[], ()])
+    def test_empty_sequence_rejected(self, nodes):
+        with pytest.raises(ValueError, match="at least one node"):
+            path_weight(make_grid_graph(3, 3), nodes)
+
+    @pytest.mark.parametrize("nodes", [[999], [-1], [9], (0, 1, -1), (4, 9)])
+    def test_node_out_of_range_rejected(self, nodes):
+        g = make_grid_graph(3, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            path_weight(g, nodes)
+        assert path_weight(g, [8]) == 0.0
 
 
 class TestFirstHops:
@@ -362,11 +381,16 @@ class TestFirstHops:
         g = eight_node_graph()
         built, fresh = yen_k_shortest(g, 0, 6, 3), yen_k_shortest(g, 0, 6, 3)
         assert built is not fresh
-        table = built.first_hops
-        assert built.first_hops is table
-        assert "first_hops" in vars(built) and "first_hops" not in vars(fresh)
+        # built with the set and kept on it, outside the dataclass fields
+        assert vars(built)["first_hops"] is built.first_hops == ((4, (4.0,)), (2, (5.0,)), (3, (5.0,)))
+        assert [field.name for field in dataclasses.fields(built)] == ["origin", "destination", "paths"]
         assert built == fresh and hash(built) == hash(fresh)
-        assert repr(built) == repr(fresh)
+        assert repr(built) == repr(fresh) and "first_hops" not in repr(built)
+        # a pickle holds the fields only, and loading it builds the table again
+        assert b"first_hops" not in pickle.dumps(built)
+        loaded = pickle.loads(pickle.dumps(built))
+        assert loaded == built and loaded.first_hops == built.first_hops
+        assert dataclasses.replace(built, paths=built.paths[1:]).first_hops == ((2, (5.0,)), (3, (5.0,)))
 
 
 class TestPathCache:
@@ -399,9 +423,9 @@ def _recorded_searches(monkeypatch):
     one marks a first-path search, a non-empty one a spur search."""
     search, calls = paths._lex_shortest, []
 
-    def recording_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf):
+    def recording_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
         calls.append(banned_next)
-        return search(graph, src, dst, h, banned_next, limit)
+        return search(graph, src, dst, h, banned_next, limit, heap)
 
     monkeypatch.setattr(paths, "_lex_shortest", recording_search)
     return calls
@@ -427,6 +451,35 @@ class TestFirstPathsFromTheDistanceSearch:
             first = path_set.paths[0]
             assert yen_k_shortest(g, src, dst, k, first=(first.nodes, first.total_weight)) == path_set
         assert all(calls) and (k == 1) == (calls == [])
+
+    @pytest.mark.parametrize("graph", [make_grid_graph(6, 6, seed=1), unit_grid(6, 6)], ids=["float", "unit"])
+    def test_a_k_set_missed_after_the_pairs_k1_set_is_the_cold_one(self, graph, monkeypatch):
+        pairs = ((0, 35), (7, 20), (30, 5), (14, 14))
+        cold = [PathCache(graph).k_shortest(src, dst, 5) for src, dst in pairs]
+        cache = PathCache(graph)
+        for src, dst in pairs:
+            cache.k_shortest(src, dst, 1)
+        # on unit weights the read declines, so the k=1 path came from Yen's own search
+        assert (cache._lightest_path(0, 35) is None) == (graph.weight(0, 1) == 1.0)
+        read, reads = cache._lightest_path, []
+        monkeypatch.setattr(cache, "_lightest_path", lambda src, dst: reads.append((src, dst)) or read(src, dst))
+        calls = _recorded_searches(monkeypatch)
+        assert [cache.k_shortest(src, dst, 5) for src, dst in pairs] == cold
+        assert reads == [] and calls and all(calls)  # the k=1 path is reused: no read, no first search
+
+    @pytest.mark.parametrize("k", [True, 2.0, 0])
+    def test_k_is_checked_on_a_miss_that_reuses_the_k1_set(self, k):
+        g = make_grid_graph(6, 6, seed=1)
+        cache = PathCache(g)
+        first = cache.k_shortest(0, 35, 1).paths[0]
+        cache.k_shortest(0, 35, 5)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            PathCache(g).k_shortest(0, 5, k)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            yen_k_shortest(g, 0, 35, k, first=(first.nodes, first.total_weight))
+        if k is not True:  # True == 1, so (0, 35, True) is the cached k=1 set
+            with pytest.raises(ValueError, match="k must be an int >= 1"):
+                cache.k_shortest(0, 35, k)
 
     def test_missions_on_a_float_grid_run_only_spur_searches(self, monkeypatch):
         calls = _recorded_searches(monkeypatch)

@@ -10,9 +10,12 @@ beta together by a power of two changes no run, and a run that completes
 within a horizon never beats the exact optimum over that horizon. Two
 more pin the lemmas the engine's bounded edge choice rests on: no sampled
 path weighs less than the cached Dijkstra distance, exactly, nor less than
-the first-hop bound of its first edge. The last pins ``PathCache``'s read
+the first-hop bound of its first edge. Another pins ``PathCache``'s read
 of a lightest path off its distance search: it declines or gives the path
-that Yen's first search finds.
+that Yen's first search finds. The last two pin what a cache miss skips:
+every cached set's first-hop table, built with the set, is the grouping of
+its paths, and a k-set missed after the pair's k=1 set is the one Yen finds
+cold; and a search handed its first heap returns what it finds on its own.
 """
 
 import math
@@ -32,10 +35,12 @@ from modroute import (  # noqa: E402
     make_grid_graph,
     run_mission,
     run_nonmodular_baseline,
+    yen_k_shortest,
 )
 from modroute.paths import _heuristic, _lex_shortest, _shrink_factor  # noqa: E402
 
 from _fixtures import PATH_READ_FAMILIES, family_graph  # noqa: E402
+from _oracles import reference_first_hops  # noqa: E402
 
 
 @st.composite
@@ -205,3 +210,54 @@ def test_a_first_path_read_off_the_distance_search_is_yens(family, m, edge_prob,
                 assert read == searched
             elif family == "float":  # floats do not tie: every reachable pair is read
                 assert searched is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PATH_READ_FAMILIES)), st.integers(2, 9), st.sampled_from([0.25, 0.4, 0.6]),
+       st.sampled_from([(1, 2, 5), (5, 2, 1)]), st.booleans(), st.integers(0, 2**16))
+def test_every_cached_set_has_the_first_hops_of_its_paths(family, m, edge_prob, ks, filled, seed):
+    # ks = (1, 2, 5): each k > 1 miss starts from the cached k=1 set;
+    # (5, 2, 1): the k=5 miss is cold. ``filled`` runs distances(src) first.
+    graph = family_graph(family, m, edge_prob, random.Random(seed))
+    cache = PathCache(graph)
+    for src in range(m):
+        if filled:
+            cache.distances(src)
+        for dst in range(m):
+            for k in ks:
+                path_set = cache.k_shortest(src, dst, k)
+                assert path_set.first_hops == reference_first_hops(path_set.paths)
+                assert path_set == yen_k_shortest(graph, src, dst, k)
+                if src == dst:  # the trivial set
+                    assert path_set.first_hops == () and len(path_set.paths) == 1
+                elif not path_set.paths:  # unreachable: the empty set
+                    assert path_set.first_hops == () and cache.distance(src, dst) == math.inf
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PATH_READ_FAMILIES)), st.integers(2, 9), st.sampled_from([0.25, 0.4, 0.6]),
+       st.integers(0, 2**16))
+def test_a_search_given_its_first_heap_returns_what_it_finds_itself(family, m, edge_prob, seed):
+    graph = family_graph(family, m, edge_prob, random.Random(seed))
+    rng, factor = random.Random(seed), _shrink_factor(graph)
+    for dst in range(m):
+        h = _heuristic(graph, dst, factor)
+        for src in range(m):
+            if src == dst:
+                continue
+            open_h = h[:]  # close a few nodes, as a spur's root closes them
+            for node in rng.sample(range(m), rng.randint(0, m // 3)):
+                if node != dst:
+                    open_h[node] = math.inf
+            banned = set(rng.sample(range(m), rng.randint(0, m // 2)))
+            unbounded = _lex_shortest(graph, src, dst, open_h[:], banned)
+            weight = unbounded[1] if unbounded else rng.uniform(0.0, 20.0)
+            for limit in (math.inf, weight, math.nextafter(weight, 0.0), weight * rng.random()):
+                heap = [(w + open_h[v], w, (src, v)) for v, w in graph.out_edges(src)
+                        if w + open_h[v] <= limit and open_h[v] != math.inf and v not in banned]
+                rng.shuffle(heap)  # in any order
+                expected = _lex_shortest(graph, src, dst, open_h[:], banned, limit)
+                if heap:
+                    assert _lex_shortest(graph, src, dst, open_h[:], banned, limit, heap) == expected
+                else:  # the spur loop skips such a search
+                    assert expected is None
