@@ -201,11 +201,12 @@ class MissionResult:
 # are plain dicts, emptied when full, whose keys compare by == alone, so 1
 # and True, or 0 and 0.0, would share an entry. An AgentState is keyed on its
 # fields, which the kernel fills with int ids, a bool and an int target or
-# None. A StepRecord is keyed on t, its traversed set, each intent's
-# (agent_id, src, dst, waiting) and its step cost with the cost's type: the
-# step cost is the one field whose type varies (an int wait_cost of 0 with
-# no edge crossed gives an int 0). Inside any container 1 and True compare
-# equal, which is why ``validate`` admits only int node ids.
+# None. A StepRecord is keyed on each intent's (agent_id, src, dst,
+# waiting), its traversed set, and t and its step cost, each with its type:
+# ``simulate`` numbers its steps with ints, but ``step`` takes any t, and an
+# int wait_cost of 0 with no edge crossed gives an int 0 cost. Inside any
+# container 1 and True compare equal, which is why ``validate`` admits only
+# int node ids.
 _INTERNED = 1 << 14
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
@@ -704,12 +705,11 @@ def _timestep(
         if waiting:
             n_waiting += 1
         intent_fields += agent_id, src, dst, waiting
-    next_agents, under, agents_get = [], set(), _agents.get
+    next_agents, under = [], set()
     for agent in staged:
         dst = moved.get(agent.agent_id, agent.position)
         if dst != agent.position:  # a moved agent is active, so not finished
-            fields = agent.agent_id, dst, agent.assigned_target, False
-            agent = agents_get(fields) or _intern(_agents, fields, AgentState(*fields))
+            agent = _agent(agent.agent_id, dst, agent.assigned_target, False)
         next_agents.append(agent)
         under.add(dst)
 
@@ -719,7 +719,7 @@ def _timestep(
         step_cost = sum(map(weight, edges), 0.0)
     else:
         step_cost = sum(map(weight, sorted(traversed))) + wait_cost * n_waiting
-    key = (*intent_fields, t, traversed, step_cost, type(step_cost))
+    key = (*intent_fields, t, type(t), traversed, step_cost, type(step_cost))
     record = _records.get(key) or _intern(_records, key, StepRecord(t, traversed, tuple(intents), step_cost))
     return next_agents, frozenset(unvisited) - under, record
 

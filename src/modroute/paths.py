@@ -131,11 +131,12 @@ How the k-shortest search is made fast without changing any answer:
   cut heap is empty and both return None. When the full heap runs empty,
   so does the cut one. This needs no order of keys. Second, the spur
   search's first heap holds ``(w + h[v], w, (spur, v))`` for each
-  unbanned, open neighbour v with ``w + h[v] <= limit``. ``yen_k_shortest``
-  builds that heap itself, in its one scan of the spur's out-edges and with
-  the same sums rounded the same way, before it copies ``h``. It hands the
-  heap to ``_lex_shortest`` and skips a search whose heap is empty: that
-  search would return None at once. In a 100-trial 8x8 ``run_batch`` with
+  unbanned, open neighbour v with ``w + h[v] <= limit``: the labels that
+  a search from the spur's own label would push first, less the banned
+  ones, with the same sums (``0.0 + w == w``). ``yen_k_shortest`` builds
+  that heap in its one scan of the spur's out-edges, before it copies
+  ``h``, hands it to ``_lex_shortest`` and skips a search whose heap is
+  empty: that search would return None at once. In a 100-trial 8x8 ``run_batch`` with
   n = 5 (grid seed 3, missions 3000-3099) 38,082 of 61,986 spur heaps are
   empty.
 
@@ -191,17 +192,11 @@ class PathSet:
     paths: tuple[Path, ...]
 
     def __post_init__(self) -> None:
-        paths = self.paths
-        if len(paths) == 1:  # a k=1 set, or the trivial path of src == dst
-            nodes = paths[0].nodes
-            table = ((nodes[1], (paths[0].total_weight,)),) if len(nodes) > 1 else ()
-        else:
-            hops: dict[int, list[float]] = {}
-            for path in paths:
-                if len(path.nodes) > 1:
-                    hops.setdefault(path.nodes[1], []).append(path.total_weight)
-            table = tuple((hop, tuple(weights)) for hop, weights in hops.items())
-        object.__setattr__(self, "first_hops", table)
+        hops: dict[int, list[float]] = {}
+        for path in self.paths:
+            if len(path.nodes) > 1:
+                hops.setdefault(path.nodes[1], []).append(path.total_weight)
+        object.__setattr__(self, "first_hops", tuple((hop, tuple(weights)) for hop, weights in hops.items()))
 
     def __reduce__(self):
         return PathSet, (self.origin, self.destination, self.paths)
@@ -290,37 +285,28 @@ def _heuristic(graph: Graph, dst: int, factor: float) -> list[float]:
 
 def _lex_shortest(
     graph: Graph,
-    src: int,
     dst: int,
     h: list[float],
-    banned_next: set[int] | frozenset[int] = frozenset(),
+    heap: list[tuple[float, float, tuple[int, ...]]],
     limit: float = math.inf,
-    heap: list[tuple[float, float, tuple[int, ...]]] | None = None,
 ) -> NodesWeight | None:
-    """Minimum-weight src->dst path, lexicographically smallest among ties.
+    """Minimum-weight path to dst from the labels in ``heap``,
+    lexicographically smallest among ties.
 
     A* keyed on (g + h[v], g, node sequence); see the module docstring for
     why this returns the same path as plain Dijkstra keyed on (g, sequence).
-    ``h`` is inf on every node the path may not enter. The search also sets
-    it to inf on each node it settles, so the caller passes a copy. The
-    first hop may not go to a node in ``banned_next``; that is the deviation
-    step's banned-edge set, whose edges all leave ``src``. No label with a
-    key above ``limit`` is pushed, so the search returns None when the path
-    it would have returned weighs more than ``limit``. ``heap``, when given,
-    is the search's first heap, ``(w + h[v], w, (src, v))`` for each open v
-    not in ``banned_next`` whose key is at most ``limit``, in any order; it
-    is used up. Requires src != dst.
+    ``heap`` holds the first labels ``(key, g, nodes)``, in any order, and
+    is used up: ``[(0.0, 0.0, (src,))]`` searches from src, and a spur
+    search gets its spur's open, unbanned next hops whose keys are at most
+    ``limit``. ``h`` is inf on every node the path may not enter, a spur's
+    own node included. The search also sets it to inf on each node it
+    settles, so the caller passes a copy. No label with a key above
+    ``limit`` is pushed, so the search returns None when the path it would
+    have returned weighs more than ``limit``.
     """
     inf = math.inf
     adj = graph._adj
     push, pop = heapq.heappush, heapq.heappop
-    h[src] = inf
-    if heap is None:  # a loop, not a comprehension, which would turn h and inf into cells
-        heap = []
-        for v, w in adj[src]:
-            key = w + h[v]
-            if key <= limit and h[v] != inf and v not in banned_next:
-                heap.append((key, w, (src, v)))
     heapq.heapify(heap)
     while heap:
         _, g, nodes = pop(heap)
@@ -364,7 +350,7 @@ def yen_k_shortest(
     if h is None:
         h = _heuristic(graph, dst, _shrink_factor(graph))
     if first is None:
-        first = _lex_shortest(graph, src, dst, h[:])
+        first = _lex_shortest(graph, dst, h[:], [(0.0, 0.0, (src,))])
     adj, weights = graph._adj, graph._weights
     slack = _BOUND_SLACK * graph.node_count
     # Sorted, lightest first; each with the spur index it deviated at.
@@ -390,17 +376,18 @@ def yen_k_shortest(
         root_w = 0.0  # left-to-right fold of the root's edge weights
         for i in range(len(prev) - 1):
             spur = prev[i]
+            open_h[spur] = inf
             if i >= start:
                 limit = bound - root_w + slack * bound
                 banned_i = banned[i]
-                heap = []  # the spur search's first heap, built as in _lex_shortest
+                heap = []  # the spur search's first heap; a comprehension would make open_h a cell
                 for v, w in adj[spur]:
                     key = w + open_h[v]
                     if key <= limit and open_h[v] != inf and v not in banned_i:
                         heap.append((key, w, (spur, v)))
                 spur_result = None  # with an empty heap, the search would return None at once
                 if heap:
-                    spur_result = _lex_shortest(graph, spur, dst, open_h[:], banned_i, limit, heap)
+                    spur_result = _lex_shortest(graph, dst, open_h[:], heap, limit)
                 if spur_result is not None and (total := prev[:i] + (spur_nodes := spur_result[0])) not in seen:
                     total_w = root_w
                     for u, v in zip(spur_nodes, spur_nodes[1:]):
@@ -409,7 +396,6 @@ def yen_k_shortest(
                     seen.add(total)
                     if len(found) + len(candidates) >= k:
                         bound = candidates[k - len(found) - 1][0]
-            open_h[spur] = inf
             root_w += weights[spur, prev[i + 1]]
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))

@@ -1026,6 +1026,16 @@ class TestSlottedInternedRecords:
         assert repr(as_int) != repr(as_float)
         assert type(as_int.step_cost) is int and type(as_float.step_cost) is float
 
+    def test_step_numbers_of_other_types_stay_apart(self):
+        # ``step`` takes any t, so a record for t=1 must not stand in for t=1.0 or t=True
+        mission = shared_corridor_mission()
+        cache, state = PathCache(mission.graph), [AgentState(i, s) for i, s in enumerate(mission.starts)]
+        records = [step(cache, state, mission.targets, SHARED_CORRIDOR_PARAMS, random.Random(0), t=t)[2]
+                   for t in (1, 1.0, True, 1)]
+        assert [type(r.t) for r in records] == [int, float, bool, int]
+        assert records[0] == records[1] == records[2] and records[3] is records[0]
+        assert len({id(r) for r in records}) == 3
+
     @pytest.mark.parametrize("clone", [
         lambda r: pickle.loads(pickle.dumps(r)),
         copy.deepcopy,

@@ -259,31 +259,59 @@ class TestGridsMatchPlainYen:
         assert mismatches == []
 
 
+def _search(graph, src, dst, h, banned=frozenset(), limit=math.inf):
+    """``_lex_shortest`` from src whose first hop is not in ``banned``, with
+    src closed and the first heap filtered as a spur search's is."""
+    h = h[:]
+    h[src] = math.inf
+    heap = [(w + h[v], w, (src, v)) for v, w in graph.out_edges(src)
+            if w + h[v] <= limit and h[v] != math.inf and v not in banned]
+    return _lex_shortest(graph, dst, h, heap, limit)
+
+
 class TestBoundedSpurSearch:
     def test_limit_cuts_below_the_shortest_weight_and_keeps_exact_ties(self):
         g = eight_node_graph()
         h = _heuristic(g, 5, _shrink_factor(g))
         # With the first hop to 4 banned, 0->2->5 and 0->3->5 tie at 4.0.
-        assert _lex_shortest(g, 0, 5, h[:], {4}) == ((0, 2, 5), 4.0)
-        assert _lex_shortest(g, 0, 5, h[:], {4}, limit=4.0) == ((0, 2, 5), 4.0)
-        assert _lex_shortest(g, 0, 5, h[:], {4}, limit=math.nextafter(4.0, 0.0)) is None
-        assert _lex_shortest(g, 0, 5, h[:], limit=3.0) == ((0, 4, 5), 3.0)
-        assert _lex_shortest(g, 0, 5, h[:], limit=2.5) is None
+        assert _search(g, 0, 5, h, {4}) == ((0, 2, 5), 4.0)
+        assert _search(g, 0, 5, h, {4}, limit=4.0) == ((0, 2, 5), 4.0)
+        assert _search(g, 0, 5, h, {4}, limit=math.nextafter(4.0, 0.0)) is None
+        assert _search(g, 0, 5, h, limit=3.0) == ((0, 4, 5), 3.0)
+        assert _search(g, 0, 5, h, limit=2.5) is None
 
     def test_a_first_hop_whose_key_equals_the_limit_is_kept(self):
         g = Graph(3, [(0, 1, 2.0), (0, 2, 1.0), (2, 1, 1.5)])
-        assert _lex_shortest(g, 0, 1, [0.0] * 3, limit=2.0) == ((0, 1), 2.0)
-        assert _lex_shortest(g, 0, 1, [0.0] * 3, limit=math.nextafter(2.0, 0.0)) is None
+        from_source = [(0.0, 0.0, (0,))]  # the search pushes the first hops itself
+        assert _lex_shortest(g, 1, [0.0] * 3, from_source[:], limit=2.0) == ((0, 1), 2.0)
+        assert _lex_shortest(g, 1, [0.0] * 3, from_source[:], limit=math.nextafter(2.0, 0.0)) is None
+        assert _search(g, 0, 1, [0.0] * 3, limit=2.0) == ((0, 1), 2.0)
+
+    def test_spur_first_keys_equal_to_the_limit_are_kept(self, monkeypatch):
+        # Weights of 1 and 2 make every sum exact, so with a slack too small to
+        # move a finite limit (inf * slack is still inf) a spur whose first hop
+        # reaches dst at exactly the bound has a first key equal to its limit;
+        # that candidate ties the bound and may sort before the queued one.
+        monkeypatch.setattr(paths, "_BOUND_SLACK", math.ulp(0.0))
+        rng = random.Random("limit-ties")
+        for _ in range(60):
+            m = 6
+            g = Graph(m, [(u, v, float(rng.randint(1, 2))) for u in range(m) for v in range(m)
+                          if u != v and rng.random() < 0.5])
+            for src, dst in ((s, d) for s in range(m) for d in range(m) if s != d):
+                for k in (3, 4):
+                    got = yen_k_shortest(g, src, dst, k)
+                    assert [(p.total_weight, p.nodes) for p in got.paths] == reference_yen(g, src, dst, k)
 
     def test_some_spur_search_stops_at_the_bound(self, monkeypatch):
         search = paths._lex_shortest
         cut = []
 
-        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
-            unbounded = search(graph, src, dst, h[:], banned_next)
-            got = search(graph, src, dst, h, banned_next, limit, heap)
+        def counting_search(graph, dst, h, heap, limit=math.inf):
+            unbounded = search(graph, dst, h[:], heap[:])
+            got = search(graph, dst, h, heap, limit)
             if got is None and unbounded is not None:
-                cut.append((src, dst, limit))
+                cut.append((dst, limit))
             return got
 
         monkeypatch.setattr(paths, "_lex_shortest", counting_search)
@@ -302,19 +330,16 @@ class TestBoundedSpurSearch:
         search = paths._lex_shortest
         limits = []
 
-        def counting_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
-            if banned_next:  # a spur search: its first heap must hold a label
-                assert any(
-                    w + h[v] <= limit for v, w in graph.out_edges(src)
-                    if h[v] != math.inf and v not in banned_next
-                )
-                # ... and comes built: the labels the search would push first
-                assert sorted(heap) == sorted(
-                    (w + h[v], w, (src, v)) for v, w in graph.out_edges(src)
-                    if w + h[v] <= limit and h[v] != math.inf and v not in banned_next
-                )
+        def counting_search(graph, dst, h, heap, limit=math.inf):
+            assert heap  # the spur loop skips a search whose first heap is empty
+            if len(heap[0][2]) == 2:  # a spur search: its spur is closed, and its heap holds
+                spur = heap[0][2][0]  # labels a search from the spur would push first
+                assert h[spur] == math.inf and len({nodes for _, _, nodes in heap}) == len(heap)
+                for key, g, (u, v) in heap:
+                    assert u == spur and (key, g) == (graph.weight(u, v) + h[v], graph.weight(u, v))
+                    assert key <= limit and h[v] != math.inf
             limits.append(limit)
-            return search(graph, src, dst, h, banned_next, limit, heap)
+            return search(graph, dst, h, heap, limit)
 
         monkeypatch.setattr(paths, "_lex_shortest", counting_search)
         g = make_grid_graph(8, 8, seed=3)
@@ -419,13 +444,14 @@ class TestPathCache:
 
 
 def _recorded_searches(monkeypatch):
-    """Record the ``banned_next`` of every ``_lex_shortest`` run; an empty
-    one marks a first-path search, a non-empty one a spur search."""
+    """Record, for every ``_lex_shortest`` run, whether it is a spur search,
+    whose first labels hold two nodes; False marks a first-path search,
+    which starts from the source's one label."""
     search, calls = paths._lex_shortest, []
 
-    def recording_search(graph, src, dst, h, banned_next=frozenset(), limit=math.inf, heap=None):
-        calls.append(banned_next)
-        return search(graph, src, dst, h, banned_next, limit, heap)
+    def recording_search(graph, dst, h, heap, limit=math.inf):
+        calls.append(len(heap[0][2]) == 2)
+        return search(graph, dst, h, heap, limit)
 
     monkeypatch.setattr(paths, "_lex_shortest", recording_search)
     return calls

@@ -12,10 +12,12 @@ more pin the lemmas the engine's bounded edge choice rests on: no sampled
 path weighs less than the cached Dijkstra distance, exactly, nor less than
 the first-hop bound of its first edge. Another pins ``PathCache``'s read
 of a lightest path off its distance search: it declines or gives the path
-that Yen's first search finds. The last two pin what a cache miss skips:
+that Yen's first search finds. The last two pin the path layer under a cache miss:
 every cached set's first-hop table, built with the set, is the grouping of
 its paths, and a k-set missed after the pair's k=1 set is the one Yen finds
-cold; and a search handed its first heap returns what it finds on its own.
+cold; and a search, from a spur's first heap or from the source's own
+label, returns the reference search's path, or None where that path
+weighs more than the search's limit.
 """
 
 import math
@@ -40,7 +42,7 @@ from modroute import (  # noqa: E402
 from modroute.paths import _heuristic, _lex_shortest, _shrink_factor  # noqa: E402
 
 from _fixtures import PATH_READ_FAMILIES, family_graph  # noqa: E402
-from _oracles import reference_first_hops  # noqa: E402
+from _oracles import reference_first_hops, reference_lex_shortest  # noqa: E402
 
 
 @st.composite
@@ -205,7 +207,7 @@ def test_a_first_path_read_off_the_distance_search_is_yens(family, m, edge_prob,
         for src in range(m):
             if src == dst:
                 continue
-            read, searched = cache._lightest_path(src, dst), _lex_shortest(graph, src, dst, h[:])
+            read, searched = cache._lightest_path(src, dst), _lex_shortest(graph, dst, h[:], [(0.0, 0.0, (src,))])
             if read is not None:
                 assert read == searched
             elif family == "float":  # floats do not tie: every reachable pair is read
@@ -237,7 +239,7 @@ def test_every_cached_set_has_the_first_hops_of_its_paths(family, m, edge_prob, 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(PATH_READ_FAMILIES)), st.integers(2, 9), st.sampled_from([0.25, 0.4, 0.6]),
        st.integers(0, 2**16))
-def test_a_search_given_its_first_heap_returns_what_it_finds_itself(family, m, edge_prob, seed):
+def test_a_search_returns_the_reference_path_within_its_limit(family, m, edge_prob, seed):
     graph = family_graph(family, m, edge_prob, random.Random(seed))
     rng, factor = random.Random(seed), _shrink_factor(graph)
     for dst in range(m):
@@ -245,19 +247,19 @@ def test_a_search_given_its_first_heap_returns_what_it_finds_itself(family, m, e
         for src in range(m):
             if src == dst:
                 continue
-            open_h = h[:]  # close a few nodes, as a spur's root closes them
-            for node in rng.sample(range(m), rng.randint(0, m // 3)):
-                if node != dst:
-                    open_h[node] = math.inf
-            banned = set(rng.sample(range(m), rng.randint(0, m // 2)))
-            unbounded = _lex_shortest(graph, src, dst, open_h[:], banned)
-            weight = unbounded[1] if unbounded else rng.uniform(0.0, 20.0)
-            for limit in (math.inf, weight, math.nextafter(weight, 0.0), weight * rng.random()):
-                heap = [(w + open_h[v], w, (src, v)) for v, w in graph.out_edges(src)
-                        if w + open_h[v] <= limit and open_h[v] != math.inf and v not in banned]
-                rng.shuffle(heap)  # in any order
-                expected = _lex_shortest(graph, src, dst, open_h[:], banned, limit)
-                if heap:
-                    assert _lex_shortest(graph, src, dst, open_h[:], banned, limit, heap) == expected
-                else:  # the spur loop skips such a search
-                    assert expected is None
+            closed = set(rng.sample(range(m), rng.randint(0, m // 3))) - {src, dst}  # as a spur's root
+            open_h = [math.inf if v in closed else hv for v, hv in enumerate(h)]
+            spur_h = open_h[:]
+            spur_h[src] = math.inf
+            # a spur search with banned first hops, and a search from the source's own label
+            for banned in (set(rng.sample(range(m), rng.randint(0, m // 2))), set()):
+                reference = reference_lex_shortest(graph, src, dst, closed, {(src, v) for v in banned})
+                weight = reference[1] if reference else rng.uniform(0.0, 20.0)
+                for limit in (math.inf, weight, math.nextafter(weight, 0.0), weight * rng.random()):
+                    expected = reference if reference and reference[1] <= limit else None
+                    heap = [(w + spur_h[v], w, (src, v)) for v, w in graph.out_edges(src)
+                            if w + spur_h[v] <= limit and spur_h[v] != math.inf and v not in banned]
+                    rng.shuffle(heap)  # in any order; the spur loop skips a search whose heap is empty
+                    assert (_lex_shortest(graph, dst, spur_h[:], heap, limit) if heap else None) == expected
+                    if not banned:
+                        assert _lex_shortest(graph, dst, open_h[:], [(0.0, 0.0, (src,))], limit) == expected
