@@ -18,7 +18,6 @@ from .experiments import (
     BatchConfig,
     DEFAULT_SWEEP_GRID,
     METHODS,
-    generate_random_mission,
     make_grid_graph,
     run_batch,
     sensitivity_sweep,
@@ -162,8 +161,7 @@ def _build_mission(graph: Graph, args) -> Mission:
                        frozenset(_resolve_nodes(graph, args.target_nodes)))
     if args.starts or args.target_nodes:
         raise GraphFormatError("--starts and --target-nodes must be given together")
-    n_targets = args.targets if args.targets is not None else 2 * args.agents
-    return generate_random_mission(graph, args.agents, n_targets, args.seed)
+    return BatchConfig(graph, args.agents, args.targets, trials=1, base_seed=args.seed).missions()[0]
 
 
 def _mission_json(graph: Graph, mission: Mission) -> dict:

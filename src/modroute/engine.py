@@ -202,11 +202,11 @@ class MissionResult:
 # and True, or 0 and 0.0, would share an entry. An AgentState is keyed on its
 # fields, which the kernel fills with int ids, a bool and an int target or
 # None. A StepRecord is keyed on each intent's (agent_id, src, dst,
-# waiting), its traversed set, and t and its step cost, each with its type:
-# ``simulate`` numbers its steps with ints, but ``step`` takes any t, and an
-# int wait_cost of 0 with no edge crossed gives an int 0 cost. Inside any
-# container 1 and True compare equal, which is why ``validate`` admits only
-# int node ids.
+# waiting), which fix its traversed set, and on t and its step cost, each
+# with its type: ``simulate`` numbers its steps with ints, but ``step`` takes
+# any t, and an int wait_cost of 0 with no edge crossed gives an int 0 cost.
+# Inside any container 1 and True compare equal, which is why ``validate``
+# admits only int node ids.
 _INTERNED = 1 << 14
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
@@ -476,23 +476,22 @@ def resolve_waits(
 ) -> list[MoveIntent]:
     """Order agents to wait where a one-step delay lets another one join.
 
-    Two triggers, both between unfinished agents at distinct positions:
+    One rule covers both triggers, the head-on swap and the catch-up. When
+    one agent's move lands on another's node and both have claimed a target,
+    the agent landed on waits one step if it is strictly nearer its target
+    than the other. If each lands on the other (a swap) at equal remaining
+    distances, one fair draw from the seeded stream picks the waiter;
+    otherwise both proceed. So an arriving agent joins a nearer agent
+    instead of chasing a vacated node, and a swap deadlock always ends.
 
-    * Swap deadlock: the pair intend to move onto each other's nodes. The
-      agent whose remaining distance to its claimed target is smaller
-      waits one step; an exact distance tie is settled by one fair draw
-      from the seeded stream.
-    * Catch-up: one agent is about to land on the other's node. If the
-      agent being landed on is the one closer to its target, it waits that
-      step so the arriving agent joins it instead of chasing a vacated
-      node; otherwise both proceed.
-
-    One pass visits the pairs in ascending id order, re-checking current
-    intents so an agent already converted to waiting triggers no further
-    pair. Waiting only ever switches triggers off, so the pass visits just
-    the pairs where one agent's original intent lands on the other's node.
-    Two intents for one agent raise ValueError, and an intent of no agent
-    KeyError.
+    Pairs come only from a move onto another agent's node: an intent that
+    waits, or whose ``dst`` is its own agent's node, forms none. One pass
+    visits the pairs in ascending (smaller id, larger id) order, re-checking
+    current intents, so an agent already converted to waiting lands on no
+    one. Waiting only ever switches landings off, so the pairs of the
+    original intents are all the pass needs. Distances are read only for a
+    pair where some side still lands. Two intents for one agent raise
+    ValueError, and an intent of no agent KeyError, before any draw.
     """
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
@@ -503,21 +502,14 @@ def resolve_waits(
     at: dict[int, list[int]] = {}
     for agent_id in current:
         at.setdefault(by_id[agent_id].position, []).append(agent_id)
-    pairs = sorted({
-        (min(a_id, b_id), max(a_id, b_id))
-        for a_id, intent in current.items() if not intent.waiting
-        for b_id in at.get(intent.dst, ()) if b_id != a_id
-    })
-
-    def make_wait(agent_id: int) -> None:
-        src = current[agent_id].src
-        current[agent_id] = _intent(agent_id, src, by_id[agent_id].position, True)
-
-    for first_id, second_id in pairs:
+    pairs = set()
+    for a_id, intent in current.items():
+        if not intent.waiting and intent.dst != by_id[a_id].position:
+            for b_id in at.get(intent.dst, ()):
+                pairs.add((min(a_id, b_id), max(a_id, b_id)))
+    for first_id, second_id in sorted(pairs):
         a, b = by_id[first_id], by_id[second_id]
         ia, ib = current[first_id], current[second_id]
-        if a.position == b.position:
-            continue
         if a.assigned_target is None or b.assigned_target is None:
             continue
         a_lands_on_b = not ia.waiting and ia.dst == b.position
@@ -526,17 +518,15 @@ def resolve_waits(
             continue
         dist_a = cache.distance(a.position, a.assigned_target)
         dist_b = cache.distance(b.position, b.assigned_target)
-        if a_lands_on_b and b_lands_on_a:
-            if dist_a < dist_b:
-                make_wait(first_id)
-            elif dist_b < dist_a:
-                make_wait(second_id)
-            else:
-                make_wait(first_id if rng.random() < 0.5 else second_id)
+        if b_lands_on_a and dist_a < dist_b:
+            waiter = first_id
         elif a_lands_on_b and dist_b < dist_a:
-            make_wait(second_id)
-        elif b_lands_on_a and dist_a < dist_b:
-            make_wait(first_id)
+            waiter = second_id
+        elif a_lands_on_b and b_lands_on_a:  # neither is nearer
+            waiter = first_id if rng.random() < 0.5 else second_id
+        else:
+            continue
+        current[waiter] = _intent(waiter, current[waiter].src, by_id[waiter].position, True)
     return [current[i.agent_id] for i in intents]
 
 
@@ -719,7 +709,7 @@ def _timestep(
         step_cost = sum(map(weight, edges), 0.0)
     else:
         step_cost = sum(map(weight, sorted(traversed))) + wait_cost * n_waiting
-    key = (*intent_fields, t, type(t), traversed, step_cost, type(step_cost))
+    key = (*intent_fields, t, type(t), step_cost, type(step_cost))
     record = _records.get(key) or _intern(_records, key, StepRecord(t, traversed, tuple(intents), step_cost))
     return next_agents, frozenset(unvisited) - under, record
 

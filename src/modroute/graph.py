@@ -129,21 +129,20 @@ class Mission:
 
 def _collapse_duplicates(
     directed: list[tuple[int, int, float]],
-    describe: dict[tuple[int, int], str] | None = None,
+    describe: dict[tuple[int, int], str],
 ) -> list[tuple[int, int, float]]:
     """Collapse repeated (src, dst) pairs to the minimum weight.
 
     Exact repeats (same weight) collapse silently; conflicting weights keep
-    the minimum and emit a warning, since downstream loopless-path logic
-    assumes simple edge identity.
+    the minimum and emit a warning, naming the pair by ``describe``, since
+    downstream loopless-path logic assumes simple edge identity.
     """
     out: dict[tuple[int, int], float] = {}
     for src, dst, w in directed:
         key = (src, dst)
         if key in out and out[key] != w:
-            where = describe.get(key, f"({src},{dst})") if describe else f"({src},{dst})"
             warnings.warn(
-                f"duplicate edge {where} with conflicting weights; keeping the minimum",
+                f"duplicate edge {describe[key]} with conflicting weights; keeping the minimum",
                 stacklevel=3,
             )
             out[key] = min(out[key], w)

@@ -447,13 +447,15 @@ class PathCache:
         the router's exact tier reads the k-set, and its bounded tier and
         the baseline read the k=1 set, whose one path is the first path of
         the k-set for every k. A hit returns the same instance. Raises
-        ValueError on a miss for a node outside ``[0, node_count)`` and for
-        a k that is not an int >= 1.
+        ValueError, before any search, for a k that is not an int >= 1 (a
+        bool or a float equal to a cached k is never a hit), and on a miss
+        for a node outside ``[0, node_count)``.
         """
         key = (src, dst, k)
         cached = self._kpaths.get(key)
-        if cached is None:
+        if cached is None or type(k) is not int:
             _check_nodes(self.graph, src, dst)
+            check_k(k)
             lightest = self._kpaths.get((src, dst, 1))
             if lightest is None:
                 first = self._lightest_path(src, dst)

@@ -155,6 +155,11 @@ class TestBruteForceOptimal:
         res = brute_force_optimal(Mission(g, (6,), frozenset({6})), horizon=3)
         assert res.optimal_cost == 0.0 and res.paths == ((6,),)
 
+    def test_infeasible_mission_raises(self):
+        g = load_edge_list("0 1 1.0\n2 3 1.0")
+        with pytest.raises(InfeasibleMissionError, match="target node 3 unreachable from every start"):
+            brute_force_optimal(Mission(g, (0,), frozenset({3})), horizon=4)
+
     def test_unreachable_within_horizon_is_infinite(self):
         g = load_edge_list("0 1 1.0\n1 2 1.0\n2 3 1.0")
         res = brute_force_optimal(Mission(g, (0,), frozenset({3})), horizon=2)

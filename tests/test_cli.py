@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from modroute import generate_random_mission, make_grid_graph
 from modroute.cli import main
 
 from _fixtures import EIGHT_NODE_EDGE_LIST
@@ -58,6 +59,36 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(out)["completed"] is True
+
+    def test_drawn_mission_is_the_batchs_first_with_2n_targets(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--grid", "6x6", "--agents", "3", "--seed", "2")
+        mission = generate_random_mission(make_grid_graph(6, 6, seed=0), 3, 6, seed=2)
+        assert code == 0
+        drawn = json.loads(out)["mission"]
+        assert (drawn["starts"], drawn["targets"]) == (list(mission.starts), sorted(mission.targets))
+
+    def test_infeasible_explicit_mission_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "split.edges"
+        path.write_text("0 1 1.0\n2 3 1.0\n")
+        code, out, err = run_cli(
+            capsys, "run", "--graph", str(path), "--starts", "0", "--target-nodes", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == "mission infeasible: target node 3 unreachable from every start\n"
+
+    def test_graphml_file_is_read_as_graphml(self, capsys, tmp_path):
+        path = tmp_path / "tiny.graphml"
+        path.write_text(
+            '<graphml><key id="d0" for="edge" attr.name="cost"/><graph><node id="a"/><node id="b"/>'
+            '<edge source="a" target="b"><data key="d0">5</data></edge></graph></graphml>'
+        )
+        code, out, _ = run_cli(
+            capsys, "run", "--graph", str(path), "--weight-attr", "cost",
+            "--starts", "a", "--target-nodes", "b",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total_cost"] == 5.0 and payload["per_agent_paths"] == [[0, 1]]
 
 
 class TestValidate:
@@ -203,6 +234,19 @@ class TestBadInput:
         )
         assert code == 1
         assert "unknown node" in err
+
+    def test_node_index_out_of_range_exits_1(self, capsys, demo_graph_file):
+        code, out, err = run_cli(
+            capsys, "validate", "--graph", demo_graph_file, "--starts", "0,8", "--target-nodes", "6",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: node index 8 out of range [0,8)\n"
+
+    @pytest.mark.parametrize("flag", ["--starts", "--target-nodes"])
+    def test_explicit_starts_and_targets_come_together(self, capsys, demo_graph_file, flag):
+        code, out, err = run_cli(capsys, "run", "--graph", demo_graph_file, flag, "0")
+        assert (code, out) == (1, "")
+        assert err == "error: --starts and --target-nodes must be given together\n"
 
     def test_label_that_is_another_nodes_index_exits_1(self, capsys, tmp_path):
         # Raw ids 1, 2, 3 load as indices 0, 1, 2: "2" is node 1's label

@@ -613,6 +613,28 @@ class TestFastPathsMatchOracles:
         # steps with and without a landing, shuffled intents and tie draws all occur
         assert landed > 500 and quiet > 500 and shuffled > 0 and draws > 0
 
+    def test_resolve_waits_on_a_move_onto_its_own_node(self):
+        # Only a direct caller writes a non-waiting intent onto the agent's
+        # own node; beside a co-located agent it forms no pair.
+        mismatches, compared = [], 0
+        graph = _integer_grid(1)
+        cache, rng = PathCache(graph), random.Random("waits-in-place")
+        for intents, agents in _seeded_wait_states(graph, rng, 600):
+            shared = [a for a in agents if [b.position for b in agents].count(a.position) > 1]
+            if not shared:
+                continue
+            mover = rng.choice(shared).agent_id
+            intents = [MoveIntent(i.agent_id, i.src, i.src) if i.agent_id == mover else i for i in intents]
+            seed = rng.getrandbits(32)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = resolve_waits(cache, intents, agents, got_rng)
+            want = _reference_resolve_waits(intents, agents, want_rng, cache)
+            if got != want or got_rng.getstate() != want_rng.getstate():
+                mismatches.append((intents, agents))
+            compared += 1
+        assert mismatches == []
+        assert compared > 200
+
     def test_resolve_waits_rejects_two_intents_for_one_agent(self):
         # the first intent used to vanish, and the second came back twice
         cache = PathCache(eight_node_graph())

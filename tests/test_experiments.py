@@ -22,6 +22,11 @@ from _fixtures import eight_node_graph, eight_node_mission
 
 
 class TestGridGraph:
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (-1, 2)])
+    def test_non_positive_dimensions_rejected(self, width, height):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            make_grid_graph(width, height)
+
     def test_shape_and_edge_count(self):
         g = make_grid_graph(8, 8, seed=0)
         assert g.node_count == 64
@@ -57,6 +62,11 @@ class TestGenerateRandomMission:
         for seed in range(20):
             m = generate_random_mission(g, 4, 8, seed=seed)
             assert not (set(m.starts) & set(m.targets))
+
+    @pytest.mark.parametrize("n, n_targets", [(0, 2), (2, 0)])
+    def test_no_agent_or_no_target_rejected(self, n, n_targets):
+        with pytest.raises(ValueError, match="need at least one agent and one target"):
+            generate_random_mission(eight_node_graph(), n, n_targets, seed=0)
 
     def test_no_room_for_distinct_nodes_rejected(self):
         g = eight_node_graph()
@@ -131,6 +141,12 @@ class TestRunBatch:
         result = run_batch(BatchConfig(graph=g, n_agents=2, trials=3, base_seed=1))
         assert len(result.rows) == 6
         assert {r["method"] for r in result.rows} == {FORCE_BASED, NONMODULAR}
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_mission_list_of_another_length_rejected(self, count):
+        config = BatchConfig(graph=eight_node_graph(), n_agents=2, n_targets=2, trials=1)
+        with pytest.raises(ValueError, match="explicit mission list must match the trial count"):
+            run_batch(config, missions=[eight_node_mission()] * count)
 
     def test_mission_on_another_graph_rejected(self):
         # Used silently, both methods reported 5.1207 for this mission.

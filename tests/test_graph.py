@@ -58,6 +58,16 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError, match="direction"):
             load_edge_list("0 1 1.0 sideways")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n", r"line 1: expected 'src dst weight \[directed\|undirected\]', got '0 1'"),
+        ("0 1 1.0\n1 2 1.0 directed extra\n", "line 2: expected 'src dst weight"),
+        ("0 1 1.0\n-1 2 1.0\n", "line 2: node ids must be non-negative"),
+        ("0 1 heavy\n", "line 1: weight 'heavy' is not a number"),
+    ])
+    def test_malformed_line_rejected(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            load_edge_list(text)
+
     def test_comments_and_blank_lines_ignored(self):
         g = load_edge_list("# header\n0 1 1.0  # trailing\n\n1 2 2.0\n")
         assert g.edge_count == 2
@@ -127,6 +137,40 @@ class TestGraphml:
         with pytest.raises(GraphFormatError, match="unparseable"):
             load_graphml(str(path))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('<node id="b"/>', "<node/>", "node without id"),
+        ('target="b"', 'target="c"', "edge a->c references unknown node"),
+        (">5<", ">0<", "edge a->b: weight must be positive, got 0.0"),
+        (">5<", ">-2.5<", "edge a->b: weight must be positive, got -2.5"),
+        ('<edge source="a" target="b"><data key="d0">5</data></edge>', "", "no edges in"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "bad.graphml"
+        path.write_text(GRAPHML_MINIMAL.replace(old, new))
+        with pytest.raises(GraphFormatError, match=message):
+            load_graphml(str(path))
+
+    @pytest.mark.parametrize("body, message", [
+        ("<key id='d0'/>", "no <graph> element in"),
+        ("<graph/>", "no nodes in"),
+    ])
+    def test_file_without_a_graph_or_nodes_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.graphml"
+        path.write_text(f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">{body}</graphml>')
+        with pytest.raises(GraphFormatError, match=message):
+            load_graphml(str(path))
+
+    def test_self_loop_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "loop.graphml"
+        loop = '<edge source="a" target="a"><data key="d0">1</data></edge>'
+        path.write_text(GRAPHML_MINIMAL.replace("</graph>", loop + "</graph>"))
+        with pytest.warns(UserWarning, match="ignoring self-loop at GraphML node 'a'"):
+            g = load_graphml(str(path))
+        assert g.edges() == [(0, 1, 5.0)]
+        path.write_text(GRAPHML_MINIMAL.replace('target="b"', 'target="a"'))
+        with pytest.warns(UserWarning, match="self-loop"), pytest.raises(GraphFormatError, match="no edges in"):
+            load_graphml(str(path))
+
     @pytest.mark.parametrize(
         "edgedefault, override, edges",
         [
@@ -184,6 +228,15 @@ class TestGraphml:
 
 
 class TestGraphInvariants:
+    def test_graph_without_nodes_rejected(self):
+        with pytest.raises(ValueError, match="graph needs at least one node"):
+            Graph(0, [])
+
+    def test_label_without_labels_is_the_index(self):
+        g = Graph(3, [(0, 1, 1.0)])
+        assert g.node_labels is None
+        assert [g.label(i) for i in range(3)] == ["0", "1", "2"]
+
     def test_constructor_rejects_bad_edges(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 5, 1.0)])
@@ -220,6 +273,11 @@ class TestValidate:
         g = load_edge_list("0 1 1.0")
         diags = validate(Mission(g, (9,), frozenset({1})))
         assert any("start node 9 out of range" in d for d in diags)
+
+    def test_out_of_range_target(self):
+        g = load_edge_list("0 1 1.0")
+        diags = validate(Mission(g, (0,), frozenset({1, 7, -1})))
+        assert diags == ["target node -1 out of range [0,2)", "target node 7 out of range [0,2)"]
 
     def test_empty_starts_and_targets(self):
         g = load_edge_list("0 1 1.0")

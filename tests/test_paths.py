@@ -493,19 +493,22 @@ class TestFirstPathsFromTheDistanceSearch:
         assert [cache.k_shortest(src, dst, 5) for src, dst in pairs] == cold
         assert reads == [] and calls and all(calls)  # the k=1 path is reused: no read, no first search
 
-    @pytest.mark.parametrize("k", [True, 2.0, 0])
-    def test_k_is_checked_on_a_miss_that_reuses_the_k1_set(self, k):
+    @pytest.mark.parametrize("k", [True, 1.0, 2.0, 5.0, 0])
+    def test_k_is_checked_on_a_miss_that_reuses_the_k1_set(self, k, monkeypatch):
+        # True and 1.0 equal the cached k=1 key, and 5.0 the cached k=5 key
         g = make_grid_graph(6, 6, seed=1)
         cache = PathCache(g)
         first = cache.k_shortest(0, 35, 1).paths[0]
         cache.k_shortest(0, 35, 5)
+        calls = _recorded_searches(monkeypatch)
+        monkeypatch.setattr(paths, "dijkstra", lambda graph, src: calls.append(src))
         with pytest.raises(ValueError, match="k must be an int >= 1"):
             PathCache(g).k_shortest(0, 5, k)
         with pytest.raises(ValueError, match="k must be an int >= 1"):
             yen_k_shortest(g, 0, 35, k, first=(first.nodes, first.total_weight))
-        if k is not True:  # True == 1, so (0, 35, True) is the cached k=1 set
-            with pytest.raises(ValueError, match="k must be an int >= 1"):
-                cache.k_shortest(0, 35, k)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            cache.k_shortest(0, 35, k)
+        assert calls == []  # each call raised before any search
 
     def test_missions_on_a_float_grid_run_only_spur_searches(self, monkeypatch):
         calls = _recorded_searches(monkeypatch)
