@@ -140,18 +140,18 @@ def _resolve_nodes(graph: Graph, node_list: str) -> list[int]:
             index = None
         if token in by_label:
             node = by_label[token]
-            if index is not None and 0 <= index < graph.node_count and index != node:
+            if graph.node_problem(index) is None and index != node:
                 raise GraphFormatError(
                     f"ambiguous node {token!r}: it is the label of node {node} "
                     f"and the index of node {index}"
                 )
             nodes.append(node)
-            continue
-        if index is None:
+        elif index is None:
             raise GraphFormatError(f"unknown node {token!r}")
-        if not (0 <= index < graph.node_count):
-            raise GraphFormatError(f"node index {index} out of range [0,{graph.node_count})")
-        nodes.append(index)
+        elif problem := graph.node_problem(index):
+            raise GraphFormatError(f"node index {index} {problem}")
+        else:
+            nodes.append(index)
     return nodes
 
 

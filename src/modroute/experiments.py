@@ -83,7 +83,7 @@ def generate_random_mission(
     pool = None
     if start_pool is not None:
         for node in start_pool:
-            if type(node) is not int or not 0 <= node < m:
+            if graph.node_problem(node):
                 raise ValueError(f"start pool node {node!r} is not a node of the graph [0,{m})")
         pool = sorted(start_pool)
         for a, b in zip(pool, pool[1:]):

@@ -1,10 +1,11 @@
 """Weighted directed graphs, mission instances, and file ingestion.
 
-Node ids are dense integers in ``[0, m)``. External identifiers (raw ids
-from an edge list, GraphML node ids) are kept in ``Graph.node_labels`` for
-reporting. Waiting in place is always allowed and free, so self-loops are
-implicit and never stored; a ``--wait-cost`` style surcharge is applied by
-the simulation layer, not the graph.
+Node ids are dense integers in ``[0, m)``: ``Graph.node_problem`` holds that
+rule, and every layer that takes a node id from its caller asks it.
+External identifiers (raw ids from an edge list, GraphML node ids) are kept
+in ``Graph.node_labels`` for reporting. Waiting in place is always allowed
+and free, so self-loops are implicit and never stored; a ``--wait-cost``
+style surcharge is applied by the simulation layer, not the graph.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+_NOT_INT = "is not an int"
 
 
 class GraphFormatError(ValueError):
@@ -29,7 +31,7 @@ class InfeasibleMissionError(ValueError):
 class Graph:
     """Immutable weighted directed graph.
 
-    Invariants enforced at construction: endpoints in range, weights
+    Invariants enforced at construction: endpoints are node ids, weights
     strictly positive and finite, no stored self-loops, at most one edge
     per (src, dst) pair. Instances are safe to share across concurrent
     mission runs; all mutation happens before construction.
@@ -51,8 +53,8 @@ class Graph:
         radj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
         weights: dict[tuple[int, int], float] = {}
         for src, dst, w in edges:
-            if not (0 <= src < node_count and 0 <= dst < node_count):
-                raise ValueError(f"edge ({src},{dst}) endpoint out of range [0,{node_count})")
+            if problem := self.node_problem(src) or self.node_problem(dst):
+                raise ValueError(f"edge ({src!r},{dst!r}) endpoint {problem}")
             if src == dst:
                 raise ValueError(f"self-loop ({src},{src}) cannot be stored; waiting is implicit")
             if not (w > 0.0 and w != float("inf")):
@@ -69,6 +71,21 @@ class Graph:
         self._adj = tuple(tuple(lst) for lst in adj)
         self._radj = tuple(tuple(lst) for lst in radj)
         self._weights = weights
+
+    def node_problem(self, node: object) -> str | None:
+        """Why ``node`` is not a node id of this graph, or None if it is one.
+
+        A node id is an int in ``[0, node_count)``. A bool or a float equal
+        to an id is not one: records that hold node ids compare by equality,
+        where ``True == 1`` and ``4.0 == 4``, so it would be merged with the
+        int while printing as itself. Each caller puts the answer, ``"is not
+        an int"`` or ``"out of range [0,m)"``, into its own message.
+        """
+        if type(node) is not int:
+            return _NOT_INT
+        if not 0 <= node < self.node_count:
+            return f"out of range [0,{self.node_count})"
+        return None
 
     def out_edges(self, src: int) -> tuple[tuple[int, float], ...]:
         """Out-neighbors of ``src`` as (dst, weight) pairs sorted by dst."""
@@ -129,20 +146,21 @@ class Mission:
 
 def _collapse_duplicates(
     directed: list[tuple[int, int, float]],
-    describe: dict[tuple[int, int], str],
+    labels: dict[int, str],
 ) -> list[tuple[int, int, float]]:
     """Collapse repeated (src, dst) pairs to the minimum weight.
 
     Exact repeats (same weight) collapse silently; conflicting weights keep
-    the minimum and emit a warning, naming the pair by ``describe``, since
-    downstream loopless-path logic assumes simple edge identity.
+    the minimum and emit a warning, naming the pair by its endpoints'
+    ``labels`` (the file's own node ids), since downstream loopless-path
+    logic assumes simple edge identity.
     """
     out: dict[tuple[int, int], float] = {}
     for src, dst, w in directed:
         key = (src, dst)
         if key in out and out[key] != w:
             warnings.warn(
-                f"duplicate edge {describe[key]} with conflicting weights; keeping the minimum",
+                f"duplicate edge {labels[src]}->{labels[dst]} with conflicting weights; keeping the minimum",
                 stacklevel=3,
             )
             out[key] = min(out[key], w)
@@ -198,8 +216,7 @@ def load_edge_list(text: str) -> Graph:
     index = {raw: i for i, raw in enumerate(raw_ids)}
     labels = {i: str(raw) for raw, i in index.items()}
     directed = [(index[s], index[d], w) for s, d, w in raw_edges]
-    describe = {(index[s], index[d]): f"{s}->{d}" for s, d, _ in raw_edges}
-    return Graph(len(raw_ids), _collapse_duplicates(directed, describe), labels)
+    return Graph(len(raw_ids), _collapse_duplicates(directed, labels), labels)
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -220,7 +237,8 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     ``<data>`` keyed by ``weight_attr`` itself when no ``<key>`` declares
     that id. ``edgedefault="undirected"`` graphs (and per-edge
     ``directed="false"`` overrides) expand to directed edge pairs.
-    GraphML node ids become labels over dense indices.
+    GraphML node ids become labels over dense indices; a repeated node id
+    is rejected.
     """
     try:
         tree = ET.parse(path)
@@ -250,14 +268,14 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
         node_id = el.get("id")
         if node_id is None:
             raise GraphFormatError("node without id")
-        if node_id not in index:
-            index[node_id] = len(index)
-            labels[index[node_id]] = node_id
+        if node_id in index:
+            raise GraphFormatError(f"duplicate node id {node_id!r}")
+        index[node_id] = len(index)
+        labels[index[node_id]] = node_id
     if not index:
         raise GraphFormatError(f"no nodes in {path}")
 
     directed: list[tuple[int, int, float]] = []
-    describe: dict[tuple[int, int], str] = {}
     for el in graph_el.iter():
         if _localname(el.tag) != "edge":
             continue
@@ -285,13 +303,11 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
         per_edge = el.get("directed")
         is_directed = {"true": True, "false": False}.get(per_edge, edgedefault != "undirected")
         directed.append((src, dst, value))
-        describe[(src, dst)] = f"{src_id}->{dst_id}"
         if not is_directed:
             directed.append((dst, src, value))
-            describe[(dst, src)] = f"{dst_id}->{src_id}"
     if not directed:
         raise GraphFormatError(f"no edges in {path}")
-    return Graph(len(index), _collapse_duplicates(directed, describe), labels)
+    return Graph(len(index), _collapse_duplicates(directed, labels), labels)
 
 
 def dump_graphml(graph: Graph, path: str, weight_attr: str = "length") -> None:
@@ -322,11 +338,12 @@ def dump_graphml(graph: Graph, path: str, weight_attr: str = "length") -> None:
 
 def reachable_from(graph: Graph, sources: list[int]) -> set[int]:
     """Nodes reachable from any source by directed traversal."""
+    adj = graph._adj
     seen = set(sources)
     queue = deque(sources)
     while queue:
         u = queue.popleft()
-        for v, _ in graph.out_edges(u):
+        for v, _ in adj[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -336,16 +353,18 @@ def reachable_from(graph: Graph, sources: list[int]) -> set[int]:
 def validate(mission: Mission) -> list[str]:
     """Return human-readable diagnostics; empty iff the mission is runnable.
 
-    A node id must be an int in ``[0, m)``: a bool or a float equal to a
-    valid id is reported, not read as that id. The diagnostics are worked
-    out once per mission; each call returns a new list.
+    A start or target that is not a node id (``Graph.node_problem``), such
+    as a bool or a float equal to a valid id, is reported, not read as that
+    id: starts in order, then targets that are not ints by repr, then
+    out-of-range targets ascending, then unreachable targets ascending. The
+    diagnostics are worked out once per mission; each call returns a new
+    list.
     """
     return list(mission._diagnostics)
 
 
 def _diagnose(mission: Mission) -> list[str]:
     graph = mission.graph
-    m = graph.node_count
     diags: list[str] = []
     if not mission.starts:
         diags.append("mission has no start nodes")
@@ -353,23 +372,18 @@ def _diagnose(mission: Mission) -> list[str]:
         diags.append("mission has no target nodes")
     valid_starts = []
     for s in mission.starts:
-        if type(s) is not int:
-            diags.append(f"start node {s!r} is not an int")
-        elif 0 <= s < m:
-            valid_starts.append(s)
+        if problem := graph.node_problem(s):
+            diags.append(f"start node {s!r} {problem}")
         else:
-            diags.append(f"start node {s} out of range [0,{m})")
-    targets = [t for t in mission.targets if type(t) is int]
-    if len(targets) < len(mission.targets):
-        for t in sorted(mission.targets.difference(targets), key=repr):
-            diags.append(f"target node {t!r} is not an int")
-    targets.sort()
-    for t in targets:
-        if not (0 <= t < m):
-            diags.append(f"target node {t} out of range [0,{m})")
+            valid_starts.append(s)
+    problems = {t: p for t in mission.targets if (p := graph.node_problem(t))}
+    if problems:  # those that are not ints by repr, then the ints ascending
+        not_ints = sorted((t for t, p in problems.items() if p == _NOT_INT), key=repr)
+        diags += [f"target node {t!r} {problems[t]}" for t in not_ints + sorted(problems.keys() - not_ints)]
+    targets = sorted(mission.targets.difference(problems))
     if valid_starts:
         reached = reachable_from(graph, valid_starts)
         for t in targets:
-            if 0 <= t < m and t not in reached:
+            if t not in reached:
                 diags.append(f"target node {t} unreachable from every start")
     return diags

@@ -205,8 +205,9 @@ class PathSet:
 def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
     """Sum of edge weights along ``nodes``; 0 for a single-node path.
 
-    Raises ValueError for an empty sequence, for a node outside
-    ``[0, node_count)`` and when a consecutive pair is not a graph edge.
+    Raises ValueError for an empty sequence, for an item that is not a node
+    id (``Graph.node_problem``) and when a consecutive pair is not a graph
+    edge.
     """
     if not nodes:
         raise ValueError("a path needs at least one node")
@@ -249,17 +250,20 @@ def dijkstra(
     distance 0 and predecessor None. A relaxation replaces a predecessor
     only with a strictly smaller distance, so among tied predecessors
     ``pred[v]`` is the one whose relaxation first reached v's final
-    distance.
+    distance. Raises ValueError for a ``src`` that is not a node id.
     """
     _check_nodes(graph, src)
     return _dijkstra(edges or graph.out_edges, graph.node_count, src)
 
 
 def _check_nodes(graph: Graph, *nodes: int) -> None:
-    """Raise ValueError for a node id outside ``[0, node_count)``."""
+    """Raise ValueError naming the first of ``nodes`` that is not a node id
+    of ``graph`` and why (``Graph.node_problem``): a bool or a float equal
+    to an id is rejected, and a negative int is not read from the end of a
+    list indexed by node."""
     for node in nodes:
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"node {node} out of range [0,{graph.node_count})")
+        if problem := graph.node_problem(node):
+            raise ValueError(f"node {node!r} {problem}")
 
 
 def check_k(k: int) -> None:
@@ -338,8 +342,9 @@ def yen_k_shortest(
     lightest path ``(nodes, weight)`` when the caller already knows it
     (``PathCache`` reads it off its distance search); it must be the path
     that the first search would find, and then that search is skipped.
-    Raises ValueError for a node outside ``[0, node_count)`` and for a k
-    that is not an int >= 1.
+    Raises ValueError for a src or dst that is not a node id
+    (``Graph.node_problem``: a bool or a float equal to one is rejected) and
+    for a k that is not an int >= 1.
     """
     _check_nodes(graph, src, dst)
     check_k(k)
@@ -408,6 +413,12 @@ class PathCache:
     heuristics and k-shortest path sets are pure functions of the graph,
     so results can be shared across steps, missions, and whole experiment
     batches without affecting determinism.
+
+    Node ids are checked (``Graph.node_problem``) where a query misses and
+    before it computes anything, so a bad id is never cached. A hit is
+    not checked again: the caches are dicts, so a bool or a float equal to
+    a cached int id finds that int's entry. ``distance`` checks both ids on
+    every call, since it indexes a list by ``dst``.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -431,9 +442,9 @@ class PathCache:
         weights (inf where unreachable), off the cached ``distances(src)``.
 
         The waiting policy compares agents by it. Raises ValueError for a
-        node outside ``[0, node_count)``.
+        src or dst that is not a node id, before any search.
         """
-        _check_nodes(self.graph, dst)
+        _check_nodes(self.graph, src, dst)
         return self.distances(src)[dst]
 
     def k_shortest(self, src: int, dst: int, k: int) -> PathSet:
@@ -449,7 +460,7 @@ class PathCache:
         the k-set for every k. A hit returns the same instance. Raises
         ValueError, before any search, for a k that is not an int >= 1 (a
         bool or a float equal to a cached k is never a hit), and on a miss
-        for a node outside ``[0, node_count)``.
+        for a src or dst that is not a node id.
         """
         key = (src, dst, k)
         cached = self._kpaths.get(key)

@@ -84,7 +84,8 @@ class TestGenerateRandomMission:
         ((), "start pool has 0 nodes"),
         ((0, 99), "start pool node 99 is not a node"),
         ((0, 0), "start pool repeats node 0"),
-    ], ids=["empty", "outside-graph", "repeated"])
+        ((0, 2.0), "start pool node 2.0 is not a node"),
+    ], ids=["empty", "outside-graph", "repeated", "float"])
     def test_bad_start_pool_rejected(self, pool, message):
         config = BatchConfig(make_grid_graph(4, 4), 2, trials=1, start_pool=pool)
         with pytest.raises(ValueError, match=message):

@@ -79,8 +79,8 @@ class TestEdgeList:
         assert [g.label(i) for i in range(3)] == ["5", "10", "20"]
 
     def test_conflicting_duplicate_collapses_to_min_with_warning(self):
-        with pytest.warns(UserWarning, match="duplicate"):
-            g = load_edge_list("0 1 3.0\n0 1 2.0")
+        with pytest.warns(UserWarning, match="duplicate edge 5->10 with conflicting weights"):
+            g = load_edge_list("5 10 3.0\n5 10 2.0")
         assert g.edges() == [(0, 1, 2.0)]
 
     def test_exact_duplicate_is_silent(self):
@@ -143,6 +143,7 @@ class TestGraphml:
         (">5<", ">0<", "edge a->b: weight must be positive, got 0.0"),
         (">5<", ">-2.5<", "edge a->b: weight must be positive, got -2.5"),
         ('<edge source="a" target="b"><data key="d0">5</data></edge>', "", "no edges in"),
+        ('<node id="b"/>', '<node id="b"/>\n    <node id="a"/>', "duplicate node id 'a'"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
         path = tmp_path / "bad.graphml"
@@ -170,6 +171,18 @@ class TestGraphml:
         path.write_text(GRAPHML_MINIMAL.replace('target="b"', 'target="a"'))
         with pytest.warns(UserWarning, match="self-loop"), pytest.raises(GraphFormatError, match="no edges in"):
             load_graphml(str(path))
+
+    def test_conflicting_duplicate_is_named_by_its_node_ids(self, tmp_path):
+        # the undirected edge b-a also stores a->b, at another weight
+        undirected = '<edge source="b" target="a" directed="false"><data key="d0">3</data></edge>'
+        path = tmp_path / "dup.graphml"
+        path.write_text(GRAPHML_MINIMAL.replace("</graph>", undirected + "</graph>"))
+        with pytest.warns(UserWarning) as record:
+            g = load_graphml(str(path))
+        assert [str(w.message) for w in record] == [
+            "duplicate edge a->b with conflicting weights; keeping the minimum"
+        ]
+        assert g.edges() == [(0, 1, 3.0), (1, 0, 3.0)]
 
     @pytest.mark.parametrize(
         "edgedefault, override, edges",
@@ -240,6 +253,10 @@ class TestGraphInvariants:
     def test_constructor_rejects_bad_edges(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 5, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \(True,0\) endpoint is not an int"):
+            Graph(2, [(True, 0, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \(0,1.0\) endpoint is not an int"):
+            Graph(2, [(0, 1.0, 1.0)])
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, [(1, 1, 1.0)])
         with pytest.raises(ValueError, match="positive"):
@@ -287,12 +304,16 @@ class TestValidate:
     def test_node_ids_that_are_not_ints(self):
         # True == 1 and 4.0 == 4, but neither is a node id: read as one, it
         # would print as itself and be merged with the int by equal records.
+        # Targets that are not ints come first, by repr, then out-of-range
+        # ints, ascending.
         g = make_grid_graph(3, 3)
-        diags = validate(Mission(g, (True, 4), frozenset({4.0, 8, "7"})))
+        diags = validate(Mission(g, (True, 4), frozenset({4.0, 8, "7", 12, -2})))
         assert diags == [
             "start node True is not an int",
             "target node '7' is not an int",
             "target node 4.0 is not an int",
+            "target node -2 out of range [0,9)",
+            "target node 12 out of range [0,9)",
         ]
 
     def test_each_call_returns_a_fresh_list(self, monkeypatch):

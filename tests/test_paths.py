@@ -536,20 +536,29 @@ class TestFirstPathsFromTheDistanceSearch:
 
 
 class TestBadNodeIds:
-    """Node ids outside [0, m) raise ValueError, as ``dijkstra`` does; a
-    negative id must not wrap around to the end of the node list."""
+    """A node id outside [0, m) or not an int raises ValueError: a negative
+    id must not wrap around to the end of the node list, and a bool or a
+    float equal to an id must not be read, or cached, as that id."""
 
-    @pytest.mark.parametrize("src,dst", [(0, -1), (0, 16), (-1, 3), (16, 3), (-1, -1)])
+    @pytest.mark.parametrize(
+        "src,dst", [(0, -1), (0, 16), (-1, 3), (16, 3), (-1, -1), (True, 15), (1.0, 15), (0, 35.0)]
+    )
     def test_every_entry_point_rejects_it(self, src, dst):
         g = make_grid_graph(4, 4)
         cache = PathCache(g)
-        with pytest.raises(ValueError, match="out of range"):
+        bad = next(node for node in (src, dst) if type(node) is not int or not 0 <= node < 16)
+        message = f"node {bad!r} " + ("out of range" if type(bad) is int else "is not an int")
+        with pytest.raises(ValueError, match=message):
             yen_k_shortest(g, src, dst, 2)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             cache.k_shortest(src, dst, 3)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             cache.distance(src, dst)
-        assert cache._kpaths == {} and cache._to == {}
+        with pytest.raises(ValueError, match=message):
+            dijkstra(g, bad)
+        with pytest.raises(ValueError, match=message):
+            path_weight(g, (src, dst))
+        assert cache._kpaths == {} and cache._to == {} and cache._dist == {}
 
     def test_k_shortest_checks_only_on_a_miss(self, monkeypatch):
         check, checked = paths._check_nodes, []
