@@ -31,10 +31,11 @@ class InfeasibleMissionError(ValueError):
 class Graph:
     """Immutable weighted directed graph.
 
-    Invariants enforced at construction: endpoints are node ids, weights
-    strictly positive and finite, no stored self-loops, at most one edge
-    per (src, dst) pair. Instances are safe to share across concurrent
-    mission runs; all mutation happens before construction.
+    Invariants enforced at construction: ``node_count`` is an int >= 1 (not
+    a bool or a float), endpoints are node ids, weights strictly positive
+    and finite, no stored self-loops, at most one edge per (src, dst) pair.
+    Instances are safe to share across concurrent mission runs; all
+    mutation happens before construction.
     """
 
     __slots__ = ("node_count", "node_labels", "_adj", "_radj", "_weights")
@@ -45,8 +46,8 @@ class Graph:
         edges: list[tuple[int, int, float]],
         node_labels: dict[int, str] | None = None,
     ) -> None:
-        if node_count <= 0:
-            raise ValueError("graph needs at least one node")
+        if type(node_count) is not int or node_count < 1:  # a bool or a float is rejected, as by node_problem
+            raise ValueError(f"graph needs at least one node: node_count must be an int >= 1, got {node_count!r}")
         self.node_count = node_count
         self.node_labels = dict(node_labels) if node_labels else None
         adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]

@@ -11,7 +11,8 @@ How the k-shortest search is made fast without changing any answer:
 * **Reverse distances.** ``h[v]`` is the shortest distance from ``v`` to
   the destination, from one Dijkstra over ``Graph.in_edges``. ``PathCache``
   computes it once per destination and reuses it for every query and spur
-  search towards that destination.
+  search towards that destination; on a symmetric graph it is the forward
+  search it already keeps (below).
 * **A\\* search.** ``_lex_shortest`` is a label-setting search over labels
   (g, node sequence), where g is the fold of the sequence's edge weights.
   Its heap key is ``(g + h'[v], g, nodes)`` with ``h' = h * (1 - 2**-10)``,
@@ -57,19 +58,39 @@ How the k-shortest search is made fast without changing any answer:
   pushed, and a label from an in-neighbour x settled after y would be
   larger than L(y) anyway, as ``g_x >= g_y`` and L(x) sorts after L(y). So
   L(y) is the smallest ``(fl(g_x + w), L(x) + (y))`` over all in-neighbours
-  x. The read walks the chain back from dst, and at each node y it checks
-  every in-edge (z, w) other than the one from ``pred[y]``. If none has
-  ``fl(dist[z] + w) == dist[y]``, ``pred[y]`` is the only in-neighbour
-  whose g term reaches the minimum, and ``L(y) = L(pred[y]) + (y)``. By
-  induction from ``L(src) = (src,)``, L(dst) is the chain, of weight
-  ``dist[dst]``. The scan covers in-neighbours settled after y too, so the
-  proof assumes no order of settling. On an exact tie the read returns
-  None and Yen runs its first search as before. It needs no heuristic, so
-  it also holds on graphs that fail the shrink bound. Random float weights
-  almost never tie; integer and unit weights often do. Yen's first path is
-  the same for every k, so a k > 1 miss whose k=1 set is cached hands Yen
-  that set's one path, whether the read gave it or a search found it: the
-  miss makes no read, and on an exact tie no first search either.
+  x. Call y tied when some in-edge (z, w) other than the one from
+  ``pred[y]`` has ``fl(dist[z] + w) == dist[y]``. If y is not tied,
+  ``pred[y]`` is the only in-neighbour whose g term reaches the minimum,
+  and ``L(y) = L(pred[y]) + (y)``. By induction from ``L(src) = (src,)``,
+  L(dst) is the predecessor chain, of weight ``dist[dst]``, when no node on
+  the chain is tied; a read declines exactly when some node on its chain
+  is tied. Whether y is tied depends on src and y only, not on dst, so
+  ``PathCache`` tests each node once per source. Its first-hop table
+  holds, per node y, the first hop of y's chain, or None when y or some
+  node before it on the chain is tied: y inherits None from ``pred[y]``. A
+  read looks up one entry and walks the chain back from dst. The build
+  follows each chain back to a node already done and fills it outward, and
+  the tie test covers in-neighbours settled after y too, so the proof
+  assumes no order of settling. Where the read declines, Yen runs its
+  first search as before. The read needs no heuristic, so it also holds
+  on graphs that fail the shrink bound. Random float weights almost never
+  tie; integer and unit weights often do. A k=1 read is the whole answer:
+  ``PathCache`` builds that one-path set with its one first-hop group and
+  calls no Yen. Yen's first path is the same for every k, so a k > 1 miss
+  whose k=1 set is cached hands Yen that set's one path, whether the read
+  gave it or a search found it: the miss makes no read, and on an exact
+  tie no first search either.
+* **One search per node on symmetric graphs.** ``h`` towards dst comes
+  from a Dijkstra over ``Graph.in_edges`` from dst. When every edge has a
+  reverse edge of equal weight, ``in_edges(v)`` and ``out_edges(v)`` are
+  the same (neighbour, weight) pairs in the same order for every v
+  (``graph._adj == graph._radj``, which ``PathCache`` checks once). That
+  search then makes the same relaxations in the same order as the forward
+  search from dst that ``distances(dst)`` runs, and leaves the same
+  floats. So ``PathCache`` scales the cached forward distances instead:
+  ``h`` is bit for bit the reverse search's, no answer or bound changes,
+  and each node costs one Dijkstra instead of two. Grids and undirected
+  files are symmetric; a digraph keeps the reverse search.
 * **Lawler's deviation pruning.** Yen's method spurs a new path from each
   of its nodes. Each candidate remembers the spur index i it was first
   generated at, and when it becomes a result it is spurred only from i
@@ -201,6 +222,21 @@ class PathSet:
     def __reduce__(self):
         return PathSet, (self.origin, self.destination, self.paths)
 
+    @classmethod
+    def _lightest(cls, origin: int, destination: int, nodes: tuple[int, ...], weight: float) -> PathSet:
+        """``PathSet(origin, destination, (Path(nodes, weight),))`` for a path
+        of at least one edge, with its table ``((nodes[1], (weight,)),)`` set
+        directly rather than grouped by ``__post_init__``. The attributes are
+        set one by one, in ``__init__``'s order, so the instance keeps the
+        compact layout ``__init__`` gives it."""
+        path_set = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(path_set, "origin", origin)
+        setattr_(path_set, "destination", destination)
+        setattr_(path_set, "paths", (Path(nodes, weight),))
+        setattr_(path_set, "first_hops", ((nodes[1], (weight,)),))
+        return path_set
+
 
 def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
     """Sum of edge weights along ``nodes``; 0 for a single-node path.
@@ -283,7 +319,11 @@ def _shrink_factor(graph: Graph) -> float:
 
 def _heuristic(graph: Graph, dst: int, factor: float) -> list[float]:
     """Scaled distance from every node to ``dst``; inf where it cannot reach it."""
-    dist = _dijkstra(graph.in_edges, graph.node_count, dst)[0]
+    return _scaled(_dijkstra(graph.in_edges, graph.node_count, dst)[0], factor)
+
+
+def _scaled(dist: list[float], factor: float) -> list[float]:
+    """``dist`` times ``factor``, with inf kept where ``factor`` is 0."""
     return [d * factor if d < math.inf else math.inf for d in dist]
 
 
@@ -348,6 +388,11 @@ def yen_k_shortest(
     """
     _check_nodes(graph, src, dst)
     check_k(k)
+    return _yen(graph, src, dst, k, h, first)
+
+
+def _yen(graph: Graph, src: int, dst: int, k: int, h: list[float] | None, first: NodesWeight | None) -> PathSet:
+    """``yen_k_shortest`` for node ids and a k that are already checked."""
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
     if first is not None and k == 1:
@@ -409,10 +454,10 @@ def yen_k_shortest(
 class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
-    Dijkstra distance maps with their predecessors, reverse-distance
-    heuristics and k-shortest path sets are pure functions of the graph,
-    so results can be shared across steps, missions, and whole experiment
-    batches without affecting determinism.
+    Dijkstra distance maps with their predecessors and first-hop tables,
+    reverse-distance heuristics and k-shortest path sets are pure functions
+    of the graph, so results can be shared across steps, missions, and
+    whole experiment batches without affecting determinism.
 
     Node ids are checked (``Graph.node_problem``) where a query misses and
     before it computes anything, so a bad id is never cached. A hit is
@@ -424,11 +469,14 @@ class PathCache:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._dist: dict[int, tuple[list[float], list[int | None]]] = {}  # dijkstra's (dist, pred)
+        self._first: dict[int, list[int | None]] = {}  # per source, each node's first hop (None: declined)
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
         # a live view of the (src, dst, k) queries that k_shortest answers from the cache
         self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
         self._to: dict[int, list[float]] = {}
         self._factor = _shrink_factor(graph)
+        # every edge has a reverse edge of equal weight: a search over in-edges is one over out-edges
+        self._symmetric = graph._adj == graph._radj
 
     def distances(self, src: int) -> list[float]:
         """Dense distance vector from ``src`` (inf where unreachable)."""
@@ -451,16 +499,17 @@ class PathCache:
         """``yen_k_shortest(graph, src, dst, k)``, computed once per
         (src, dst, k) and kept.
 
-        A miss hands Yen its first path: the one path of the cached k=1
-        set for the pair, or else the lightest path read off the distance
-        search from src. Yen then searches only when k > 1 or the read met
-        an exact tie. Every caller of the path layer comes through here:
-        the router's exact tier reads the k-set, and its bounded tier and
-        the baseline read the k=1 set, whose one path is the first path of
-        the k-set for every k. A hit returns the same instance. Raises
-        ValueError, before any search, for a k that is not an int >= 1 (a
-        bool or a float equal to a cached k is never a hit), and on a miss
-        for a src or dst that is not a node id.
+        A miss takes the pair's lightest path from the cached k=1 set, or
+        else reads it off the distance search from src. A k=1 miss whose
+        read succeeds is that path's set, built without Yen. Any other miss
+        runs Yen, handed that path as its first; Yen then searches only
+        when k > 1 or the read declined. Every caller of the path layer
+        comes through here: the router's exact tier reads the k-set, and its
+        bounded tier and the baseline read the k=1 set, whose one path is
+        the first path of the k-set for every k. A hit returns the same
+        instance. Raises ValueError, before any search, for a k that is not
+        an int >= 1 (a bool or a float equal to a cached k is never a hit),
+        and on a miss for a src or dst that is not a node id.
         """
         key = (src, dst, k)
         cached = self._kpaths.get(key)
@@ -472,38 +521,78 @@ class PathCache:
                 first = self._lightest_path(src, dst)
             else:  # empty when dst is unreachable; then Yen's own search finds nothing too
                 first = (lightest.paths[0].nodes, lightest.paths[0].total_weight) if lightest.paths else None
-            searches = src != dst and (first is None or k > 1)  # else Yen returns ``first`` as it is
-            cached = self._kpaths[key] = yen_k_shortest(
-                self.graph, src, dst, k, h=self._heuristic_to(dst) if searches else None, first=first
-            )
+            if k == 1 and first is not None and src != dst:
+                cached = PathSet._lightest(src, dst, *first)
+            else:  # Yen needs no heuristic when src == dst
+                cached = _yen(self.graph, src, dst, k, self._heuristic_to(dst) if src != dst else None, first)
+            self._kpaths[key] = cached
         return cached
 
     def _lightest_path(self, src: int, dst: int) -> NodesWeight | None:
         """Yen's first src->dst path read off the distance search from
-        ``src``, or None when dst is unreachable or the predecessor chain
-        meets an exact tie (module docstring, "First paths from the
-        distance search")."""
+        ``src``: the predecessor chain, or None where ``_first_hop_table``
+        declines (module docstring, "First paths from the distance
+        search")."""
+        if dst == src:
+            return (src,), 0.0
+        if (self._first.get(src) or self._first_hop_table(src))[dst] is None:
+            return None
+        dist, pred = self._dist[src]
+        nodes, y = [dst], dst
+        while (y := pred[y]) is not None:
+            nodes.append(y)
+        nodes.reverse()
+        return tuple(nodes), dist[dst]
+
+    def _first_hop_table(self, src: int) -> list[int | None]:
+        """Each node's first hop on its predecessor chain from ``src``,
+        computed once per source. It is None at ``src``, at a node src
+        cannot reach, and at a node whose chain holds some y with an in-edge
+        (z, w), z other than ``pred[y]``, and ``fl(dist[z] + w) == dist[y]``:
+        an exact tie, where the read declines.
+
+        A node inherits a tie from its predecessor, so each node's in-edges
+        are scanned at most once per source. Each chain is followed back to
+        a node already done and then filled from there outward, so no order
+        of settling is assumed."""
         self.distances(src)
         dist, pred = self._dist[src]
-        d = dist[dst]
-        if d == math.inf:
-            return None
-        radj, nodes, y = self.graph._radj, [dst], dst
-        while (x := pred[y]) is not None:
-            dy = dist[y]
-            for z, w in radj[y]:
-                if dist[z] + w == dy and z != x:
-                    return None
-            nodes.append(x)
-            y = x
-        return tuple(reversed(nodes)), d
+        radj, m = self.graph._radj, len(dist)
+        first: list[int | None] = [None] * m
+        done = bytearray(m)
+        done[src] = 1
+        for node in range(m):
+            chain, y = [], node
+            while not done[y] and (x := pred[y]) is not None:  # unreachable nodes have no predecessor
+                done[y] = 1
+                chain.append(y)
+                y = x
+            for y in reversed(chain):  # from src outward: first[pred[y]] is final
+                x = pred[y]
+                hop = y if x == src else first[x]
+                if hop is not None:
+                    dy = dist[y]
+                    for z, w in radj[y]:
+                        if dist[z] + w == dy and z != x:
+                            hop = None
+                            break
+                first[y] = hop
+        self._first[src] = first
+        return first
 
     def _heuristic_to(self, dst: int) -> list[float]:
         """The shrunk heuristic towards ``dst``, computed once per destination.
 
         Yen's searches towards dst use it, and the router's bounded tier
-        reads its first-hop bounds off it (``engine`` docstring, point 4)."""
+        reads its first-hop bounds off it (``engine`` docstring, point 4).
+        On a symmetric graph it scales the cached ``distances(dst)``, the
+        same computation as the reverse search, so no second search runs
+        (module docstring, "One search per node on symmetric graphs")."""
         h = self._to.get(dst)
         if h is None:
-            h = self._to[dst] = _heuristic(self.graph, dst, self._factor)
+            if self._symmetric:
+                h = _scaled(self.distances(dst), self._factor)
+            else:
+                h = _heuristic(self.graph, dst, self._factor)
+            self._to[dst] = h
         return h

@@ -10,7 +10,9 @@ frozen copy of the original per-agent step, which the platoon-shared step
 must match record for record and draw for draw, and a frozen copy of the
 non-modular baseline's timestep, which the baseline must match step for
 step, and the original lazy grouping of a path set's first hops, which the
-table built with each set must equal.
+table built with each set must equal, and the original per-query read of a
+lightest path off a distance search, which the per-source first-hop table
+must answer alike.
 """
 
 import heapq
@@ -163,6 +165,26 @@ def reference_first_hops(paths):
         if len(path.nodes) > 1:
             hops.setdefault(path.nodes[1], []).append(path.total_weight)
     return tuple((hop, tuple(weights)) for hop, weights in hops.items())
+
+
+def reference_lightest_path(graph, dist, pred, dst):
+    """The lightest path to ``dst`` read off ``(dist, pred)``, the output of
+    ``dijkstra`` from some source, as ``PathCache`` first read it, query by
+    query: (nodes, ``dist[dst]``), or None when dst is unreachable or some
+    node y on the predecessor chain has an in-edge (z, w) other than the one
+    from ``pred[y]`` with ``dist[z] + w == dist[y]``."""
+    d = dist[dst]
+    if d == math.inf:
+        return None
+    nodes, y = [dst], dst
+    while (x := pred[y]) is not None:
+        dy = dist[y]
+        for z, w in graph.in_edges(y):
+            if dist[z] + w == dy and z != x:
+                return None
+        nodes.append(x)
+        y = x
+    return tuple(reversed(nodes)), d
 
 
 def reference_edge_forces(cache, agent, others, params):

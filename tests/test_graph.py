@@ -242,8 +242,15 @@ class TestGraphml:
 
 class TestGraphInvariants:
     def test_graph_without_nodes_rejected(self):
-        with pytest.raises(ValueError, match="graph needs at least one node"):
+        with pytest.raises(ValueError, match="graph needs at least one node: node_count must be an int >= 1, got 0"):
             Graph(0, [])
+
+    @pytest.mark.parametrize("node_count", [True, 2.0, "3"])
+    def test_node_count_must_be_an_int(self, node_count):
+        # True once built a graph whose ids were checked against [0,True), and
+        # 2.0 died with a bare TypeError
+        with pytest.raises(ValueError, match=f"node_count must be an int >= 1, got {node_count!r}"):
+            Graph(node_count, [])
 
     def test_label_without_labels_is_the_index(self):
         g = Graph(3, [(0, 1, 1.0)])

@@ -22,7 +22,7 @@ from modroute import paths
 from modroute.paths import _heuristic, _lex_shortest, _shrink_factor
 
 from _fixtures import PATH_READ_FAMILIES, eight_node_graph, family_graph, unit_grid
-from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_yen
+from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_lightest_path, reference_yen
 
 
 class TestDijkstra:
@@ -439,8 +439,29 @@ class TestPathCache:
                 for k in (1, 2, 5):
                     direct = yen_k_shortest(g, src, dst, k)
                     assert [(p.total_weight, p.nodes) for p in direct.paths] == reference_yen(g, src, dst, k)
-                    assert PathCache(g).k_shortest(src, dst, k) == direct
-                    assert filled.k_shortest(src, dst, k) == direct
+                    for got in (PathCache(g).k_shortest(src, dst, k), filled.k_shortest(src, dst, k)):
+                        assert got == direct and got.first_hops == direct.first_hops
+
+
+def _shrink_failing_grid(width, height, rng):
+    """4-connected grid with weights 1e-12 and 7e3, which fail the
+    heuristic's rounding bound, so every heuristic is 0 where finite."""
+    edges = []
+    for u, v, _ in make_grid_graph(width, height).edges():
+        if u < v:
+            w = rng.choice((1e-12, 7e3))
+            edges += [(u, v, w), (v, u, w)]
+    return Graph(width * height, edges)
+
+
+# Graphs for the per-source reads: random floats rarely tie, integer weights
+# tie often, the digraph has one-way edges, and the last fails the shrink bound.
+READ_GRAPHS = {
+    "float_grid": lambda: make_grid_graph(6, 6, seed=1),
+    "integer_1_3_grid": lambda: _integer_grid(6, 6, random.Random("reads")),
+    "random_digraph": lambda: Graph(*random_digraph(random.Random(29), max_nodes=12)),
+    "shrink_failing": lambda: _shrink_failing_grid(6, 6, random.Random("shrink")),
+}
 
 
 def _recorded_searches(monkeypatch):
@@ -467,6 +488,32 @@ class TestFirstPathsFromTheDistanceSearch:
         assert cache._lightest_path(0, 15) is None  # 20 shortest paths tie
         assert cache._lightest_path(5, 5) == ((5,), 0.0)
         assert PathCache(load_edge_list("0 1 1.0\n2 0 1.0"))._lightest_path(0, 2) is None  # unreachable
+
+    @pytest.mark.parametrize("name", sorted(READ_GRAPHS))
+    def test_the_tables_reads_equal_the_per_query_read_on_every_pair(self, name):
+        g = READ_GRAPHS[name]()
+        m, cache, read = g.node_count, PathCache(g), []
+        assert (_shrink_factor(g) == 0.0) == (name == "shrink_failing")
+        for src in range(m):
+            dist, pred = dijkstra(g, src)
+            for dst in range(m):
+                got = cache._lightest_path(src, dst)
+                assert got == reference_lightest_path(g, dist, pred, dst)
+                read.append(got is not None)
+        assert len(cache._first) == m  # one table per source
+        assert any(read) and (all(read) == (name == "float_grid"))
+
+    def test_a_read_k1_miss_is_built_without_yen(self, monkeypatch):
+        g, pairs = make_grid_graph(6, 6, seed=1), ((0, 35), (7, 20), (30, 5))
+        plain = [yen_k_shortest(g, src, dst, 1) for src, dst in pairs]
+        runs = []
+        monkeypatch.setattr(paths, "_yen", lambda *args: runs.append(args))
+        cache = PathCache(g)
+        for (src, dst), path_set in zip(pairs, plain):
+            got = cache.k_shortest(src, dst, 1)
+            (path,) = got.paths
+            assert got == path_set and got.first_hops == path_set.first_hops == ((path.nodes[1], (path.total_weight,)),)
+        assert runs == [] and cache._to == {}
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_yen_given_its_first_path_returns_what_it_finds_itself(self, k, monkeypatch):
@@ -535,6 +582,35 @@ class TestFirstPathsFromTheDistanceSearch:
         assert not all(calls)
 
 
+def _one_way_grid():
+    """A 5x5 float grid less one direction of one edge: a digraph."""
+    return Graph(25, [(u, v, w) for u, v, w in make_grid_graph(5, 5, seed=2).edges() if (u, v) != (12, 13)])
+
+
+class TestOneSearchPerNodeOnSymmetricGraphs:
+    """On a graph whose every edge has a reverse edge of equal weight, the
+    heuristic towards dst scales the cached forward search from dst; a
+    digraph keeps the reverse search."""
+
+    @pytest.mark.parametrize("name", ["float_grid", "integer_1_3_grid", "undirected_file", "shrink_failing", "one_way"])
+    def test_heuristic_equals_the_reverse_searchs_bit_for_bit(self, name, monkeypatch):
+        g = {**READ_GRAPHS, "undirected_file": eight_node_graph, "one_way": _one_way_grid}[name]()
+        m, factor = g.node_count, _shrink_factor(g)
+        expected = [[x.hex() for x in _heuristic(g, dst, factor)] for dst in range(m)]
+        search, searched = paths._dijkstra, []
+        monkeypatch.setattr(paths, "_dijkstra", lambda edges, n, src: searched.append(edges) or search(edges, n, src))
+        cache = PathCache(g)
+        assert cache._symmetric == (name != "one_way")
+        assert [[x.hex() for x in cache._heuristic_to(dst)] for dst in range(m)] == expected
+        if cache._symmetric:  # one forward search per node, which distances() reuses
+            assert searched == [g.out_edges] * m
+            for dst in range(m):
+                cache.distances(dst)
+            assert len(searched) == m
+        else:
+            assert searched == [g.in_edges] * m
+
+
 class TestBadNodeIds:
     """A node id outside [0, m) or not an int raises ValueError: a negative
     id must not wrap around to the end of the node list, and a bool or a
@@ -574,3 +650,15 @@ class TestBadNodeIds:
         assert misses > 0
         assert cache.k_shortest(0, 15, 3) is first
         assert len(checked) == misses
+
+    def test_a_cold_k_set_miss_checks_its_ids_once(self, monkeypatch):
+        # each forward search checks its own source, so both are made first
+        g = make_grid_graph(6, 6, seed=1)
+        cache = PathCache(g)
+        for src in (0, 35):
+            cache.distances(src)
+        problem, asked = Graph.node_problem, []
+        monkeypatch.setattr(Graph, "node_problem", lambda graph, node: asked.append(node) or problem(graph, node))
+        got = cache.k_shortest(0, 35, 5)
+        assert asked == [0, 35]
+        assert got == yen_k_shortest(g, 0, 35, 5)
