@@ -65,18 +65,18 @@ How the k-shortest search is made fast without changing any answer:
   L(dst) is the predecessor chain, of weight ``dist[dst]``, when no node on
   the chain is tied; a read declines exactly when some node on its chain
   is tied. Whether y is tied depends on src and y only, not on dst, so
-  ``PathCache`` tests each node once per source. Its first-hop table
-  holds, per node y, the first hop of y's chain, or None when y or some
-  node before it on the chain is tied: y inherits None from ``pred[y]``. A
-  read looks up one entry and walks the chain back from dst. The build
+  ``PathCache`` tests each node once per source. Its table of declined
+  reads holds one byte per node y: 1 when y is unreachable or y or some
+  node before it on the chain is tied, as y inherits the 1 from
+  ``pred[y]``. A read looks up one byte and walks the chain back from
+  dst. The build
   follows each chain back to a node already done and fills it outward, and
   the tie test covers in-neighbours settled after y too, so the proof
   assumes no order of settling. Where the read declines, Yen runs its
   first search as before. The read needs no heuristic, so it also holds
   on graphs that fail the shrink bound. Random float weights almost never
   tie; integer and unit weights often do. A k=1 read is the whole answer:
-  ``PathCache`` builds that one-path set with its one first-hop group and
-  calls no Yen. Yen's first path is the same for every k, so a k > 1 miss
+  ``PathCache`` builds that one-path set itself and calls no Yen. Yen's first path is the same for every k, so a k > 1 miss
   whose k=1 set is cached hands Yen that set's one path, whether the read
   gave it or a search found it: the miss makes no read, and on an exact
   tie no first search either.
@@ -90,7 +90,9 @@ How the k-shortest search is made fast without changing any answer:
   floats. So ``PathCache`` scales the cached forward distances instead:
   ``h`` is bit for bit the reverse search's, no answer or bound changes,
   and each node costs one Dijkstra instead of two. Grids and undirected
-  files are symmetric; a digraph keeps the reverse search.
+  files are symmetric. The test is all or nothing: a graph with a single
+  one-way edge, such as a road network with one-way streets, keeps the
+  reverse search for every destination.
 * **Lawler's deviation pruning.** Yen's method spurs a new path from each
   of its nodes. Each candidate remembers the spur index i it was first
   generated at, and when it becomes a result it is spurred only from i
@@ -221,21 +223,6 @@ class PathSet:
 
     def __reduce__(self):
         return PathSet, (self.origin, self.destination, self.paths)
-
-    @classmethod
-    def _lightest(cls, origin: int, destination: int, nodes: tuple[int, ...], weight: float) -> PathSet:
-        """``PathSet(origin, destination, (Path(nodes, weight),))`` for a path
-        of at least one edge, with its table ``((nodes[1], (weight,)),)`` set
-        directly rather than grouped by ``__post_init__``. The attributes are
-        set one by one, in ``__init__``'s order, so the instance keeps the
-        compact layout ``__init__`` gives it."""
-        path_set = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(path_set, "origin", origin)
-        setattr_(path_set, "destination", destination)
-        setattr_(path_set, "paths", (Path(nodes, weight),))
-        setattr_(path_set, "first_hops", ((nodes[1], (weight,)),))
-        return path_set
 
 
 def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
@@ -388,11 +375,6 @@ def yen_k_shortest(
     """
     _check_nodes(graph, src, dst)
     check_k(k)
-    return _yen(graph, src, dst, k, h, first)
-
-
-def _yen(graph: Graph, src: int, dst: int, k: int, h: list[float] | None, first: NodesWeight | None) -> PathSet:
-    """``yen_k_shortest`` for node ids and a k that are already checked."""
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
     if first is not None and k == 1:
@@ -454,7 +436,7 @@ def _yen(graph: Graph, src: int, dst: int, k: int, h: list[float] | None, first:
 class PathCache:
     """Memoized shortest-path queries over one immutable graph.
 
-    Dijkstra distance maps with their predecessors and first-hop tables,
+    Dijkstra distance maps with their predecessors and declined reads,
     reverse-distance heuristics and k-shortest path sets are pure functions
     of the graph, so results can be shared across steps, missions, and
     whole experiment batches without affecting determinism.
@@ -469,7 +451,7 @@ class PathCache:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._dist: dict[int, tuple[list[float], list[int | None]]] = {}  # dijkstra's (dist, pred)
-        self._first: dict[int, list[int | None]] = {}  # per source, each node's first hop (None: declined)
+        self._declined: dict[int, bytearray] = {}  # per source, 1 per node where the read declines
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
         # a live view of the (src, dst, k) queries that k_shortest answers from the cache
         self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
@@ -521,21 +503,22 @@ class PathCache:
                 first = self._lightest_path(src, dst)
             else:  # empty when dst is unreachable; then Yen's own search finds nothing too
                 first = (lightest.paths[0].nodes, lightest.paths[0].total_weight) if lightest.paths else None
-            if k == 1 and first is not None and src != dst:
-                cached = PathSet._lightest(src, dst, *first)
+            if k == 1 and first is not None:
+                cached = PathSet(src, dst, (Path(*first),))
             else:  # Yen needs no heuristic when src == dst
-                cached = _yen(self.graph, src, dst, k, self._heuristic_to(dst) if src != dst else None, first)
+                h = self._heuristic_to(dst) if src != dst else None
+                cached = yen_k_shortest(self.graph, src, dst, k, h=h, first=first)
             self._kpaths[key] = cached
         return cached
 
     def _lightest_path(self, src: int, dst: int) -> NodesWeight | None:
         """Yen's first src->dst path read off the distance search from
-        ``src``: the predecessor chain, or None where ``_first_hop_table``
+        ``src``: the predecessor chain, or None where ``_declined_reads``
         declines (module docstring, "First paths from the distance
         search")."""
         if dst == src:
             return (src,), 0.0
-        if (self._first.get(src) or self._first_hop_table(src))[dst] is None:
+        if (self._declined.get(src) or self._declined_reads(src))[dst]:
             return None
         dist, pred = self._dist[src]
         nodes, y = [dst], dst
@@ -544,12 +527,11 @@ class PathCache:
         nodes.reverse()
         return tuple(nodes), dist[dst]
 
-    def _first_hop_table(self, src: int) -> list[int | None]:
-        """Each node's first hop on its predecessor chain from ``src``,
-        computed once per source. It is None at ``src``, at a node src
-        cannot reach, and at a node whose chain holds some y with an in-edge
-        (z, w), z other than ``pred[y]``, and ``fl(dist[z] + w) == dist[y]``:
-        an exact tie, where the read declines.
+    def _declined_reads(self, src: int) -> bytearray:
+        """Per node, 1 where the read from ``src`` declines, computed once
+        per source: at a node src cannot reach, and at a node whose
+        predecessor chain holds some y with an in-edge (z, w), z other than
+        ``pred[y]``, and ``fl(dist[z] + w) == dist[y]`` (an exact tie).
 
         A node inherits a tie from its predecessor, so each node's in-edges
         are scanned at most once per source. Each chain is followed back to
@@ -558,7 +540,8 @@ class PathCache:
         self.distances(src)
         dist, pred = self._dist[src]
         radj, m = self.graph._radj, len(dist)
-        first: list[int | None] = [None] * m
+        declined = bytearray(b"\x01") * m  # unreachable nodes keep their 1
+        declined[src] = 0
         done = bytearray(m)
         done[src] = 1
         for node in range(m):
@@ -567,18 +550,18 @@ class PathCache:
                 done[y] = 1
                 chain.append(y)
                 y = x
-            for y in reversed(chain):  # from src outward: first[pred[y]] is final
+            for y in reversed(chain):  # from src outward: declined[pred[y]] is final
                 x = pred[y]
-                hop = y if x == src else first[x]
-                if hop is not None:
+                tied = declined[x]
+                if not tied:
                     dy = dist[y]
                     for z, w in radj[y]:
                         if dist[z] + w == dy and z != x:
-                            hop = None
+                            tied = 1
                             break
-                first[y] = hop
-        self._first[src] = first
-        return first
+                declined[y] = tied
+        self._declined[src] = declined
+        return declined
 
     def _heuristic_to(self, dst: int) -> list[float]:
         """The shrunk heuristic towards ``dst``, computed once per destination.

@@ -500,20 +500,30 @@ class TestFirstPathsFromTheDistanceSearch:
                 got = cache._lightest_path(src, dst)
                 assert got == reference_lightest_path(g, dist, pred, dst)
                 read.append(got is not None)
-        assert len(cache._first) == m  # one table per source
+        assert len(cache._declined) == m  # one table per source
         assert any(read) and (all(read) == (name == "float_grid"))
 
     def test_a_read_k1_miss_is_built_without_yen(self, monkeypatch):
         g, pairs = make_grid_graph(6, 6, seed=1), ((0, 35), (7, 20), (30, 5))
         plain = [yen_k_shortest(g, src, dst, 1) for src, dst in pairs]
         runs = []
-        monkeypatch.setattr(paths, "_yen", lambda *args: runs.append(args))
+        monkeypatch.setattr(paths, "yen_k_shortest", lambda *args, **kw: runs.append(args))
         cache = PathCache(g)
         for (src, dst), path_set in zip(pairs, plain):
             got = cache.k_shortest(src, dst, 1)
             (path,) = got.paths
             assert got == path_set and got.first_hops == path_set.first_hops == ((path.nodes[1], (path.total_weight,)),)
         assert runs == [] and cache._to == {}
+
+    @pytest.mark.parametrize("graph, k", [(make_grid_graph(6, 6, seed=1), 5), (unit_grid(6, 6), 1)], ids=["k5", "tied_k1"])
+    def test_every_other_miss_runs_the_public_yen(self, graph, k, monkeypatch):
+        # perfbench counts Yen's runs where it wraps paths.yen_k_shortest
+        yen, runs = paths.yen_k_shortest, []
+        monkeypatch.setattr(paths, "yen_k_shortest", lambda g, *args, **kw: runs.append(args) or yen(g, *args, **kw))
+        cache = PathCache(graph)
+        assert (cache._lightest_path(0, 35) is None) == (k == 1)
+        assert cache.k_shortest(0, 35, k) == yen(graph, 0, 35, k)
+        assert runs == [(0, 35, k)]
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_yen_given_its_first_path_returns_what_it_finds_itself(self, k, monkeypatch):
@@ -650,15 +660,3 @@ class TestBadNodeIds:
         assert misses > 0
         assert cache.k_shortest(0, 15, 3) is first
         assert len(checked) == misses
-
-    def test_a_cold_k_set_miss_checks_its_ids_once(self, monkeypatch):
-        # each forward search checks its own source, so both are made first
-        g = make_grid_graph(6, 6, seed=1)
-        cache = PathCache(g)
-        for src in (0, 35):
-            cache.distances(src)
-        problem, asked = Graph.node_problem, []
-        monkeypatch.setattr(Graph, "node_problem", lambda graph, node: asked.append(node) or problem(graph, node))
-        got = cache.k_shortest(0, 35, 5)
-        assert asked == [0, 35]
-        assert got == yen_k_shortest(g, 0, 35, 5)
