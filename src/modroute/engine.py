@@ -559,10 +559,14 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     with ``completed=False`` and a diagnostic when the step cap (default
     ``4 * m**2``, a generous multiple of the worst-case step count) is hit,
     which signals oscillation, or when every agent has finished while
-    targets remain unreachable. A negative ``max_steps`` raises ValueError.
+    targets remain unreachable. A ``max_steps`` that is not an int (a bool
+    included) or is negative raises ValueError.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if max_steps is not None:
+        if type(max_steps) is not int:
+            raise ValueError(f"max_steps must be an int or None, got {max_steps!r}")
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     diags = validate(mission)
     if diags:
         raise InfeasibleMissionError("; ".join(diags))

@@ -136,8 +136,8 @@ class BatchConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if type(self.trials) is not int or self.trials < 1:  # a bool or a float is rejected
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if self.n_targets is None:
             object.__setattr__(self, "n_targets", 2 * self.n_agents)
 

@@ -65,21 +65,25 @@ How the k-shortest search is made fast without changing any answer:
   L(dst) is the predecessor chain, of weight ``dist[dst]``, when no node on
   the chain is tied; a read declines exactly when some node on its chain
   is tied. Whether y is tied depends on src and y only, not on dst, so
-  ``PathCache`` tests each node once per source. Its table of declined
-  reads holds one byte per node y: 1 when y is unreachable or y or some
-  node before it on the chain is tied, as y inherits the 1 from
-  ``pred[y]``. A read looks up one byte and walks the chain back from
-  dst. The build
-  follows each chain back to a node already done and fills it outward, and
-  the tie test covers in-neighbours settled after y too, so the proof
-  assumes no order of settling. Where the read declines, Yen runs its
+  ``PathCache`` tests each node at most once per source, and only the
+  nodes that some read walks. Per source it keeps one byte per node y: 0
+  until a read walks y, then whether a read to y succeeds or declines. It
+  declines when y is unreachable or y or some node before it on the chain
+  is tied, as y inherits the decline from ``pred[y]``. A read of a known
+  dst looks up one byte and walks the chain back. A read of an unknown dst
+  follows the chain back to the first known node (src is known from the
+  start) and fills it from there outward, so each read fills only its own
+  chain. The tie test covers in-neighbours settled after y too, so the
+  proof assumes no order of settling, and a node's state is the same
+  whichever reads came before. Where the read declines, Yen runs its
   first search as before. The read needs no heuristic, so it also holds
   on graphs that fail the shrink bound. Random float weights almost never
   tie; integer and unit weights often do. A k=1 read is the whole answer:
-  ``PathCache`` builds that one-path set itself and calls no Yen. Yen's first path is the same for every k, so a k > 1 miss
-  whose k=1 set is cached hands Yen that set's one path, whether the read
-  gave it or a search found it: the miss makes no read, and on an exact
-  tie no first search either.
+  ``PathCache`` builds that one-path set itself and calls no Yen. Yen's
+  first path is the same for every k, so a k > 1 miss whose k=1 set is
+  cached hands Yen that set's one path, whether the read gave it or a
+  search found it: the miss makes no read, and on an exact tie no first
+  search either.
 * **One search per node on symmetric graphs.** ``h`` towards dst comes
   from a Dijkstra over ``Graph.in_edges`` from dst. When every edge has a
   reverse edge of equal weight, ``in_edges(v)`` and ``out_edges(v)`` are
@@ -184,6 +188,8 @@ _MIN_WEIGHT_SHARE = 2.0**-40
 # Relative slack per graph node in the spur search's weight limit,
 # 8 * 2**-53 (derivation in the module docstring).
 _BOUND_SLACK = 2.0**-50
+# States of a node in a source's table of lightest-path reads; 0 is not yet known.
+_READS, _DECLINES = 1, 2
 
 Edges = Callable[[int], tuple[tuple[int, float], ...]]
 # (nodes, left-fold weight) of one path, as the searches return it
@@ -451,7 +457,7 @@ class PathCache:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self._dist: dict[int, tuple[list[float], list[int | None]]] = {}  # dijkstra's (dist, pred)
-        self._declined: dict[int, bytearray] = {}  # per source, 1 per node where the read declines
+        self._declined: dict[int, bytearray] = {}  # per source, each node's read state (_lightest_path)
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
         # a live view of the (src, dst, k) queries that k_shortest answers from the cache
         self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
@@ -513,55 +519,48 @@ class PathCache:
 
     def _lightest_path(self, src: int, dst: int) -> NodesWeight | None:
         """Yen's first src->dst path read off the distance search from
-        ``src``: the predecessor chain, or None where ``_declined_reads``
-        declines (module docstring, "First paths from the distance
-        search")."""
-        if dst == src:
-            return (src,), 0.0
-        if (self._declined.get(src) or self._declined_reads(src))[dst]:
-            return None
+        ``src``: the predecessor chain, or None where the read declines, at a
+        dst src cannot reach or where some y on the chain has an in-edge
+        (z, w), z other than ``pred[y]``, with ``fl(dist[z] + w) == dist[y]``
+        (module docstring, "First paths from the distance search").
+
+        ``_declined[src]`` holds one byte per node: 0 until a read walks the
+        node, then ``_READS`` or ``_DECLINES``. A read of an unknown dst
+        follows the chain back to a known node (src is known from the start)
+        and fills it from there outward, a node inheriting a decline from its
+        predecessor, so each node's in-edges are scanned at most once per
+        source."""
+        known = self._declined.get(src)
+        if known is None:
+            self.distances(src)
+            known = self._declined[src] = bytearray(self.graph.node_count)
+            known[src] = _READS
         dist, pred = self._dist[src]
+        if not known[dst]:
+            chain, y = [], dst
+            while not known[y] and (x := pred[y]) is not None:
+                chain.append(y)
+                y = x
+            if not known[y]:  # y == dst has no predecessor and is not src: unreachable
+                known[y] = _DECLINES
+            radj = self.graph._radj
+            for y in reversed(chain):  # from src outward: known[pred[y]] is set
+                x = pred[y]
+                state = known[x]
+                if state == _READS:
+                    dy = dist[y]
+                    for z, w in radj[y]:
+                        if dist[z] + w == dy and z != x:
+                            state = _DECLINES
+                            break
+                known[y] = state
+        if known[dst] == _DECLINES:
+            return None
         nodes, y = [dst], dst
         while (y := pred[y]) is not None:
             nodes.append(y)
         nodes.reverse()
         return tuple(nodes), dist[dst]
-
-    def _declined_reads(self, src: int) -> bytearray:
-        """Per node, 1 where the read from ``src`` declines, computed once
-        per source: at a node src cannot reach, and at a node whose
-        predecessor chain holds some y with an in-edge (z, w), z other than
-        ``pred[y]``, and ``fl(dist[z] + w) == dist[y]`` (an exact tie).
-
-        A node inherits a tie from its predecessor, so each node's in-edges
-        are scanned at most once per source. Each chain is followed back to
-        a node already done and then filled from there outward, so no order
-        of settling is assumed."""
-        self.distances(src)
-        dist, pred = self._dist[src]
-        radj, m = self.graph._radj, len(dist)
-        declined = bytearray(b"\x01") * m  # unreachable nodes keep their 1
-        declined[src] = 0
-        done = bytearray(m)
-        done[src] = 1
-        for node in range(m):
-            chain, y = [], node
-            while not done[y] and (x := pred[y]) is not None:  # unreachable nodes have no predecessor
-                done[y] = 1
-                chain.append(y)
-                y = x
-            for y in reversed(chain):  # from src outward: declined[pred[y]] is final
-                x = pred[y]
-                tied = declined[x]
-                if not tied:
-                    dy = dist[y]
-                    for z, w in radj[y]:
-                        if dist[z] + w == dy and z != x:
-                            tied = 1
-                            break
-                declined[y] = tied
-        self._declined[src] = declined
-        return declined
 
     def _heuristic_to(self, dst: int) -> list[float]:
         """The shrunk heuristic towards ``dst``, computed once per destination.

@@ -114,6 +114,12 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="trials"):
             BatchConfig(graph=eight_node_graph(), n_agents=2, trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 1.5, "3"])
+    def test_trials_that_are_not_an_int_are_rejected(self, trials):
+        # True once ran one trial, and 1.5 failed later with a bare TypeError
+        with pytest.raises(ValueError, match=f"trials must be an int >= 1, got {trials!r}"):
+            BatchConfig(graph=eight_node_graph(), n_agents=2, trials=trials)
+
     def test_n_targets_defaults_to_twice_agents(self):
         config = BatchConfig(graph=make_grid_graph(6, 6, seed=0), n_agents=3)
         assert config.n_targets == 6

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import pickle
@@ -478,6 +479,38 @@ def _recorded_searches(monkeypatch):
     return calls
 
 
+# Orders in which the every-pair test reads its (src, dst) pairs: a node's
+# state must not depend on which reads filled its table first.
+READ_ORDERS = {
+    "ascending": lambda pairs: pairs,
+    "descending": lambda pairs: pairs[::-1],
+    "shuffled": lambda pairs: random.Random("read-order").sample(pairs, len(pairs)),
+}
+
+
+def _counted_in_edge_scans(graph, monkeypatch):
+    """Count, per node, the reads of its in-edges through ``graph._radj``,
+    which the tie test scans. Set it after the ``PathCache`` is built: its
+    symmetry check compares ``_radj`` itself."""
+    radj, scans = graph._radj, collections.Counter()
+
+    class CountedInEdges:
+        def __getitem__(self, y):
+            scans[y] += 1
+            return radj[y]
+
+    monkeypatch.setattr(graph, "_radj", CountedInEdges())
+    return scans
+
+
+def _chain(pred, dst):
+    """The nodes of the predecessor chain to dst in ``dijkstra``'s ``pred``, from its source."""
+    nodes, y = [dst], dst
+    while (y := pred[y]) is not None:
+        nodes.append(y)
+    return nodes[::-1]
+
+
 class TestFirstPathsFromTheDistanceSearch:
     """``PathCache`` reads each lightest path off the Dijkstra it keeps for
     ``distances`` and searches only where the read meets an exact tie."""
@@ -489,19 +522,69 @@ class TestFirstPathsFromTheDistanceSearch:
         assert cache._lightest_path(5, 5) == ((5,), 0.0)
         assert PathCache(load_edge_list("0 1 1.0\n2 0 1.0"))._lightest_path(0, 2) is None  # unreachable
 
+    @pytest.mark.parametrize("order", sorted(READ_ORDERS))
     @pytest.mark.parametrize("name", sorted(READ_GRAPHS))
-    def test_the_tables_reads_equal_the_per_query_read_on_every_pair(self, name):
+    def test_the_tables_reads_equal_the_per_query_read_on_every_pair(self, name, order):
         g = READ_GRAPHS[name]()
         m, cache, read = g.node_count, PathCache(g), []
         assert (_shrink_factor(g) == 0.0) == (name == "shrink_failing")
-        for src in range(m):
-            dist, pred = dijkstra(g, src)
-            for dst in range(m):
-                got = cache._lightest_path(src, dst)
-                assert got == reference_lightest_path(g, dist, pred, dst)
-                read.append(got is not None)
+        searches = [dijkstra(g, src) for src in range(m)]
+        for src, dst in READ_ORDERS[order]([(src, dst) for src in range(m) for dst in range(m)]):
+            dist, pred = searches[src]
+            got = cache._lightest_path(src, dst)
+            assert got == reference_lightest_path(g, dist, pred, dst)
+            read.append(got is not None)
         assert len(cache._declined) == m  # one table per source
+        assert all(all(table) for table in cache._declined.values())  # every node was read, so known
         assert any(read) and (all(read) == (name == "float_grid"))
+
+    def test_a_read_fills_only_its_own_chain(self):
+        g = make_grid_graph(6, 6, seed=1)
+        cache = PathCache(g)
+        nodes, _ = cache._lightest_path(0, 35)
+        table = cache._declined[0]
+        assert {y for y in range(g.node_count) if table[y]} == set(nodes)
+        assert all(table[y] == paths._READS for y in nodes)
+
+    def test_a_chain_that_meets_a_declined_node_declines_without_a_tie_test(self, monkeypatch):
+        g = unit_grid(4, 4)
+        cache, (dist, pred) = PathCache(g), dijkstra(g, 0)
+        assert cache._lightest_path(0, 5) is None  # 0-1-5 and 0-4-5 tie
+        beyond = next(z for z in range(g.node_count) if pred[z] == 5)
+        assert reference_lightest_path(g, dist, pred, beyond) is None
+        scans = _counted_in_edge_scans(g, monkeypatch)
+        assert cache._lightest_path(0, beyond) is None
+        assert cache._declined[0][beyond] == paths._DECLINES and scans == {}  # it inherits 5's decline
+
+    def test_an_unreachable_dst_declines_on_every_read(self, monkeypatch):
+        g = load_edge_list("0 1 1.0\n2 0 1.0")
+        cache = PathCache(g)
+        scans = _counted_in_edge_scans(g, monkeypatch)
+        assert cache._lightest_path(0, 2) is None
+        assert cache._declined[0] == bytes((paths._READS, 0, paths._DECLINES))
+        assert cache._lightest_path(0, 2) is None
+        assert scans == {}  # nothing to tie-test: the walk back from 2 ends at once
+
+    def test_a_chain_that_meets_a_read_node_tests_only_the_nodes_beyond_it(self, monkeypatch):
+        g = make_grid_graph(6, 6, seed=1)
+        cache, (dist, pred) = PathCache(g), dijkstra(g, 0)
+        chain = max((_chain(pred, z) for z in range(g.node_count)), key=len)
+        middle, expected = chain[len(chain) // 2], reference_lightest_path(g, dist, pred, chain[-1])
+        assert cache._lightest_path(0, middle) == reference_lightest_path(g, dist, pred, middle)
+        scans = _counted_in_edge_scans(g, monkeypatch)
+        assert cache._lightest_path(0, chain[-1]) == expected
+        assert scans == dict.fromkeys(chain[len(chain) // 2 + 1 :], 1)
+
+    @pytest.mark.parametrize("name", sorted(READ_GRAPHS))
+    def test_each_nodes_in_edges_are_scanned_at_most_once_per_source(self, name, monkeypatch):
+        g = READ_GRAPHS[name]()
+        m, cache = g.node_count, PathCache(g)
+        scans = _counted_in_edge_scans(g, monkeypatch)
+        for src in range(m):
+            for dst in READ_ORDERS["shuffled"](list(range(m))):
+                cache._lightest_path(src, dst)
+            assert scans and max(scans.values()) == 1
+            scans.clear()
 
     def test_a_read_k1_miss_is_built_without_yen(self, monkeypatch):
         g, pairs = make_grid_graph(6, 6, seed=1), ((0, 35), (7, 20), (30, 5))

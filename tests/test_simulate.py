@@ -6,12 +6,14 @@ here as a different hash.
 """
 
 import hashlib
+import re
 
 import pytest
 
 from modroute import (
     BatchConfig,
     ForceParams,
+    PathCache,
     generate_random_mission,
     make_grid_graph,
     run_batch,
@@ -20,7 +22,7 @@ from modroute import (
 )
 from modroute.experiments import DEFAULT_SWEEP_GRID
 
-from _fixtures import chain_mission
+from _fixtures import chain_mission, unit_grid
 
 PINNED_DIGEST = "a891490ebd10395f03f4f4e6906e6a95a7eaf38767be187a0f4fbfa16e6f1f87"
 
@@ -68,6 +70,27 @@ def test_pinned_trajectories_on_every_interpreter():
     assert h.hexdigest() == PINNED_TRAJECTORY_DIGEST
 
 
+# Road-scale runs, trajectories and intents only as above: one mission on a
+# 32x32 float grid and one on a 16x16 unit grid, whose ties make many
+# lightest-path reads decline, each routed by both methods on a cold cache.
+PINNED_ROAD_SCALE_DIGEST = "84a22c1ec2a2aec9f818f4547443dd44f390865c13eb88d947c535f1675c1793"
+
+
+def test_pinned_trajectories_at_road_scale():
+    h, known, table_bytes = hashlib.sha256(), 0, 0
+    for graph in (make_grid_graph(32, 32, seed=0), unit_grid(16, 16)):
+        mission, cap = generate_random_mission(graph, 8, 16, seed=100), 4 * graph.node_count
+        for run in (lambda cache: run_mission(mission, seed=100, max_steps=cap, cache=cache),
+                    lambda cache: run_nonmodular_baseline(mission, max_steps=cap, cache=cache)):
+            cache = PathCache(graph)
+            res = run(cache)
+            h.update(repr((res.per_agent_paths, [r.intents for r in res.steps])).encode())
+            known += sum(len(table) - table.count(0) for table in cache._declined.values())
+            table_bytes += sum(map(len, cache._declined.values()))
+    assert h.hexdigest() == PINNED_ROAD_SCALE_DIGEST
+    assert known < table_bytes / 10  # the reads fill only the chains they walk
+
+
 def test_without_waiting_a_swap_deadlock_runs_to_the_step_cap():
     graph = make_grid_graph(8, 8, seed=0)
     mission = generate_random_mission(graph, 2, 4, seed=200)
@@ -91,3 +114,11 @@ def test_step_cap_aborts_both_methods(method):
 def test_negative_step_cap_is_rejected_by_both_methods(method):
     with pytest.raises(ValueError, match="max_steps must be >= 0, got -3"):
         method(chain_mission(), max_steps=-3)
+
+
+@pytest.mark.parametrize("cap", [True, 1.5, "3"])
+@pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
+def test_a_step_cap_that_is_not_an_int_is_rejected_by_both_methods(method, cap):
+    # True once ran one step, and 1.5 ran two
+    with pytest.raises(ValueError, match=re.escape(f"max_steps must be an int or None, got {cap!r}")):
+        method(chain_mission(), max_steps=cap)
