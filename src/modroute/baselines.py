@@ -69,9 +69,12 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
     sequence covers all targets in time. Pruning: abandon branches whose
     partial cost meets the incumbent, and memoize the best partial cost per
     (positions, visited, t) state. Hard instance limits keep the search at
-    desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A negative
-    horizon raises ValueError.
+    desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A horizon
+    that is not an int, a bool or a float included, or is negative raises
+    ValueError.
     """
+    if type(horizon) is not int:
+        raise ValueError(f"horizon must be an int, got {horizon!r}")
     graph = mission.graph
     n = len(mission.starts)
     if n > 3:

@@ -53,7 +53,7 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 def _add_mission_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--agents", type=int, default=2, help="number of agents")
     sub.add_argument("--targets", type=int, default=None, help="number of targets (default 2x agents)")
-    sub.add_argument("--seed", type=int, default=0, help="base random seed")
+    sub.add_argument("--seed", type=int, default=BatchConfig.base_seed, help="base random seed")
 
 
 def _add_explicit_mission_args(sub: argparse.ArgumentParser) -> None:
@@ -63,9 +63,9 @@ def _add_explicit_mission_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_param_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.5, help="agent-agent attraction scale")
-    sub.add_argument("--beta", type=float, default=1.0, help="agent-target attraction scale")
-    sub.add_argument("--k", type=int, default=5, help="sampled cheapest paths per attraction source")
+    sub.add_argument("--alpha", type=float, default=ForceParams.alpha, help="agent-agent attraction scale")
+    sub.add_argument("--beta", type=float, default=ForceParams.beta, help="agent-target attraction scale")
+    sub.add_argument("--k", type=int, default=ForceParams.k, help="sampled cheapest paths per attraction source")
     sub.add_argument("--force-sum", action="store_true",
                      help="sum all sampled paths per candidate edge instead of taking the strongest")
 
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(batch_p)
     _add_mission_args(batch_p)
     _add_param_args(batch_p)
-    batch_p.add_argument("--trials", type=int, default=100)
+    batch_p.add_argument("--trials", type=int, default=BatchConfig.trials)
     batch_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
     batch_p.add_argument("--starts-from", help="comma-separated node labels to sample starts from")
     batch_p.add_argument("--out", help="CSV output path")
@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = subs.add_parser("sweep", help="alpha/beta sensitivity sweep")
     _add_graph_args(sweep_p)
     _add_mission_args(sweep_p)
-    sweep_p.add_argument("--trials", type=int, default=100)
-    sweep_p.add_argument("--k", type=int, default=5)
+    sweep_p.add_argument("--trials", type=int, default=BatchConfig.trials)
+    sweep_p.add_argument("--k", type=int, default=ForceParams.k)
     sweep_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
     sweep_p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_SWEEP_GRID))
     sweep_p.add_argument("--betas", default=",".join(str(b) for b in DEFAULT_SWEEP_GRID))

@@ -34,12 +34,22 @@ SWEEP_COLUMNS = (
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _check_int(name: str, value: object) -> None:
+    """Raise ValueError naming ``value`` unless it is an int; a bool or a
+    float equal to an int is rejected, as ``validate`` rejects such node ids."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def make_grid_graph(width: int, height: int, seed: int = 0) -> Graph:
     """4-connected grid with seeded, perturbed positive weights.
 
     Each lattice edge gets one weight drawn uniformly from [0.5, 1.5) and
     is stored in both directions. Node labels carry "x,y" coordinates.
+    Raises ValueError for a width or height that is not an int >= 1.
     """
+    _check_int("width", width)
+    _check_int("height", height)
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     rng = random.Random(seed)
@@ -73,9 +83,12 @@ def generate_random_mission(
     a start node). Infeasible draws are rejected and resampled up to 100
     times. ``start_pool`` restricts where starts may be placed, e.g. to a
     fixed set of depot nodes; it must hold at least n distinct nodes of
-    the graph, or ValueError is raised.
+    the graph, or ValueError is raised. So is a count that is not an
+    int >= 1.
     """
     m = graph.node_count
+    _check_int("n", n)
+    _check_int("n_targets", n_targets)
     if n < 1 or n_targets < 1:
         raise ValueError("need at least one agent and one target")
     if n + n_targets > m:
@@ -123,7 +136,10 @@ class BatchConfig:
 
     ``run_batch`` and ``sensitivity_sweep`` both run ``missions()``, each
     trial with ``trial_seed(trial)``. ``max_steps`` is the step cap of
-    every run (the methods' default when None).
+    every run (the methods' default when None). ``n_agents``, ``n_targets``
+    and ``base_seed`` must be ints and ``trials`` an int >= 1: anything
+    else, a bool or a float included, raises ValueError before any mission
+    is drawn.
     """
 
     graph: Graph
@@ -138,8 +154,10 @@ class BatchConfig:
     def __post_init__(self) -> None:
         if type(self.trials) is not int or self.trials < 1:  # a bool or a float is rejected
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if self.n_targets is None:
-            object.__setattr__(self, "n_targets", 2 * self.n_agents)
+        for name in ("n_agents", "n_targets", "base_seed"):  # n_agents first: the default is derived from it
+            if name == "n_targets" and self.n_targets is None:
+                object.__setattr__(self, "n_targets", 2 * self.n_agents)
+            _check_int(name, getattr(self, name))
 
     def trial_seed(self, trial: int) -> int:
         return self.base_seed + trial

@@ -248,17 +248,22 @@ def path_weight(graph: Graph, nodes: list[int] | tuple[int, ...]) -> float:
 
 
 def _dijkstra(edges: Edges, m: int, src: int) -> tuple[list[float], list[int | None]]:
-    """Dense distances and predecessors from ``src`` along ``edges(u)``."""
+    """Dense distances and predecessors from ``src`` along ``edges(u)``.
+
+    A push needs a strictly smaller distance, so a node's heap entries have
+    distinct keys and the newest one, keyed ``dist[u]``, pops first; as
+    ``fl(d + w) >= d``, no node is pushed again after that pop. So an entry
+    popped with ``d > dist[u]`` is stale and skipped, and each node relaxes
+    its edges once, when it settles.
+    """
     dist = [math.inf] * m
     pred: list[int | None] = [None] * m
     dist[src] = 0.0
     heap: list[tuple[float, int]] = [(0.0, src)]
-    settled = bytearray(m)
     while heap:
         d, u = heapq.heappop(heap)
-        if settled[u]:
+        if d > dist[u]:
             continue
-        settled[u] = 1
         for v, w in edges(u):
             nd = d + w
             if nd < dist[v]:
@@ -374,7 +379,9 @@ def yen_k_shortest(
     one); it is computed here when needed and not given. ``first`` is the
     lightest path ``(nodes, weight)`` when the caller already knows it
     (``PathCache`` reads it off its distance search); it must be the path
-    that the first search would find, and then that search is skipped.
+    that the first search would find, and then that search is skipped. It
+    is the first output, so with k = 1 it is the whole set; ``PathCache``
+    builds that set itself and does not call Yen for it.
     Raises ValueError for a src or dst that is not a node id
     (``Graph.node_problem``: a bool or a float equal to one is rejected) and
     for a k that is not an int >= 1.
@@ -383,8 +390,6 @@ def yen_k_shortest(
     check_k(k)
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
-    if first is not None and k == 1:
-        return PathSet(src, dst, (Path(*first),))
     if h is None:
         h = _heuristic(graph, dst, _shrink_factor(graph))
     if first is None:

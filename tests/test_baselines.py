@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -164,6 +165,12 @@ class TestBruteForceOptimal:
         g = load_edge_list("0 1 1.0\n1 2 1.0\n2 3 1.0")
         res = brute_force_optimal(Mission(g, (0,), frozenset({3})), horizon=2)
         assert res.optimal_cost == math.inf and res.paths is None
+
+    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
+    def test_horizon_that_is_not_an_int_is_rejected(self, horizon):
+        # 2.5 once searched 1,433 states, and True ran as horizon 1
+        with pytest.raises(ValueError, match=re.escape(f"horizon must be an int, got {horizon!r}")):
+            brute_force_optimal(eight_node_mission(), horizon)
 
     def test_limits_enforced(self):
         g = make_grid_graph(4, 4, seed=0)

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from modroute import generate_random_mission, make_grid_graph
-from modroute.cli import main
+from modroute import BatchConfig, ForceParams, generate_random_mission, make_grid_graph
+from modroute.cli import build_parser, main
 
 from _fixtures import EIGHT_NODE_EDGE_LIST
 
@@ -224,6 +224,21 @@ class TestBatchAndSweep:
             main([command, "--grid", "4x4", "--agents", "2", "--trials", "3", flag])
         assert excinfo.value.code == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ("alpha", "beta", "k", "seed")),
+        ("batch", ("alpha", "beta", "k", "trials", "seed")),
+        ("sweep", ("k", "trials", "seed")),
+    ])
+    def test_unset_flags_are_the_library_defaults(self, command, flags):
+        # the CLI keeps no copy of these numbers: it reads them off the dataclasses
+        args = vars(build_parser().parse_args([command, "--grid", "4x4"]))
+        params, config = ForceParams(), BatchConfig(make_grid_graph(4, 4), 2)
+        library = {"alpha": params.alpha, "beta": params.beta, "k": params.k,
+                   "trials": config.trials, "seed": config.base_seed}
+        assert {flag: repr(args[flag]) for flag in flags} == {flag: repr(library[flag]) for flag in flags}
 
 
 class TestBadInput:

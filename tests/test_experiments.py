@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -25,6 +26,16 @@ class TestGridGraph:
     @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (-1, 2)])
     def test_non_positive_dimensions_rejected(self, width, height):
         with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            make_grid_graph(width, height)
+
+    @pytest.mark.parametrize("width, height, message", [
+        (True, 3, "width must be an int, got True"),
+        (2.0, 3, "width must be an int, got 2.0"),
+        (2, "3", "height must be an int, got '3'"),
+    ])
+    def test_dimensions_that_are_not_an_int_are_rejected(self, width, height, message):
+        # True once built a 1x3 grid, and 2.0 failed with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
             make_grid_graph(width, height)
 
     def test_shape_and_edge_count(self):
@@ -62,6 +73,16 @@ class TestGenerateRandomMission:
         for seed in range(20):
             m = generate_random_mission(g, 4, 8, seed=seed)
             assert not (set(m.starts) & set(m.targets))
+
+    @pytest.mark.parametrize("n, n_targets, message", [
+        (True, 2, "n must be an int, got True"),
+        (2.0, 2, "n must be an int, got 2.0"),
+        (2, "3", "n_targets must be an int, got '3'"),
+    ])
+    def test_counts_that_are_not_an_int_are_rejected(self, n, n_targets, message):
+        # True once drew a 1-agent mission, and 2.0 failed with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_random_mission(make_grid_graph(4, 4), n, n_targets, seed=0)
 
     @pytest.mark.parametrize("n, n_targets", [(0, 2), (2, 0)])
     def test_no_agent_or_no_target_rejected(self, n, n_targets):
@@ -119,6 +140,16 @@ class TestRunBatch:
         # True once ran one trial, and 1.5 failed later with a bare TypeError
         with pytest.raises(ValueError, match=f"trials must be an int >= 1, got {trials!r}"):
             BatchConfig(graph=eight_node_graph(), n_agents=2, trials=trials)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    @pytest.mark.parametrize("name", ["n_agents", "n_targets", "base_seed"])
+    def test_counts_and_seed_that_are_not_an_int_are_rejected(self, name, value):
+        # True once ran 1-agent missions, 2.0 failed in run_batch with a bare
+        # TypeError, and base_seed=1.5 wrote rows with seed 1.5; n_agents is
+        # checked before n_targets' default is derived from it
+        fields = {"n_agents": 2, "n_targets": None, "base_seed": 0, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            BatchConfig(graph=make_grid_graph(4, 4), trials=2, **fields)
 
     def test_n_targets_defaults_to_twice_agents(self):
         config = BatchConfig(graph=make_grid_graph(6, 6, seed=0), n_agents=3)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import math
 import pickle
 import random
@@ -74,6 +75,31 @@ class TestDijkstra:
             for dst in range(m):
                 got = dijkstra(g, dst, g.in_edges)[0]
                 assert got == [expected[v][dst] for v in range(m)]
+
+    # No routing output shows which of two tied predecessors ``pred`` keeps: that
+    # rule only decides which lightest-path reads decline. So this pins the bits
+    # of ``dist`` and every ``pred`` from every source, over out-edges and in-edges.
+    # ``dist`` holds dijkstra's own left folds and no ``sum()``, so the digest is
+    # the same on every interpreter.
+    PINNED_DIJKSTRA_DIGEST = "8272b3db2fb10aba9604f0c996d24e4f3dc5a33427bd6cefda0bb97902dfb0c9"
+
+    def test_pinned_distances_and_predecessors_on_tie_heavy_graphs(self):
+        m, edges = random_digraph(random.Random(6), max_nodes=30, edge_prob=0.2)
+        digest, tied = hashlib.sha256(), []
+        for g in (unit_grid(8, 8), Graph(m, edges), make_grid_graph(8, 8, seed=3)):
+            ties = 0
+            for edges_of, edges_into in ((g.out_edges, g.in_edges), (g.in_edges, g.out_edges)):
+                for src in range(g.node_count):
+                    dist, pred = dijkstra(g, src, edges_of)
+                    digest.update(repr([(d.hex(), p) for d, p in zip(dist, pred)]).encode())
+                    ties += sum(
+                        dist[z] + w == dist[y] and z != pred[y]
+                        for y in range(g.node_count) if y != src
+                        for z, w in edges_into(y)
+                    )
+            tied.append(ties > 0)
+        assert tied == [True, True, False]  # the float grid has no tie, the other two many
+        assert digest.hexdigest() == self.PINNED_DIJKSTRA_DIGEST
 
 
 class TestYen:
