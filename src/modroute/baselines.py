@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import MissionResult, _cache_for, _intent, _timestep, assign_targets, simulate
-from .graph import InfeasibleMissionError, Mission, validate
+from .graph import InfeasibleMissionError, Mission, check_int, validate
 from .paths import PathCache
 
 
@@ -70,11 +70,9 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
     partial cost meets the incumbent, and memoize the best partial cost per
     (positions, visited, t) state. Hard instance limits keep the search at
     desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A horizon
-    that is not an int, a bool or a float included, or is negative raises
-    ValueError.
+    that is not an int (``check_int``) or is negative raises ValueError.
     """
-    if type(horizon) is not int:
-        raise ValueError(f"horizon must be an int, got {horizon!r}")
+    check_int("horizon", horizon)
     graph = mission.graph
     n = len(mission.starts)
     if n > 3:

@@ -3,7 +3,8 @@
 Subcommands: run (single mission), batch (method comparison), sweep
 (alpha/beta sensitivity), oracle (tiny-instance exact solve), validate
 (mission diagnostics). Exit codes: 0 success, 1 invalid input, 2 mission
-infeasible, 3 step-cap abort in `run`.
+infeasible, 3 the run aborted in `run`: step cap, or every agent finished
+with targets unvisited.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graph import Graph, GraphFormatError, InfeasibleMissionError, Mission, loa
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
-EXIT_STEP_CAP = 3
+EXIT_ABORTED = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,7 +192,7 @@ def _cmd_run(args) -> int:
         "diagnostic": result.diagnostic,
     }
     print(json.dumps(payload, indent=2))
-    return EXIT_OK if result.completed else EXIT_STEP_CAP
+    return EXIT_OK if result.completed else EXIT_ABORTED
 
 
 def _batch_config(args, graph: Graph, params: ForceParams,

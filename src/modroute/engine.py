@@ -117,8 +117,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .graph import Graph, InfeasibleMissionError, Mission, validate
-from .paths import PathCache, check_k
+from .graph import Graph, InfeasibleMissionError, Mission, check_int, validate
+from .paths import PathCache
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,9 @@ class ForceParams:
 
     ``alpha`` scales agent-agent attraction, ``beta`` agent-target
     attraction, and ``k`` is the number of cheapest loopless paths sampled
-    per attraction source, an int >= 1. With ``force_sum`` every sampled
-    path through a candidate edge contributes, instead of only the
-    strongest one.
+    per attraction source, an int >= 1 (``check_int``). With ``force_sum``
+    every sampled path through a candidate edge contributes, instead of
+    only the strongest one.
     """
 
     alpha: float = 0.5
@@ -142,7 +142,7 @@ class ForceParams:
             raise ValueError(f"alpha and beta must be finite and non-negative, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
-        check_k(self.k)
+        check_int("k", self.k, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -563,7 +563,7 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     included) or is negative raises ValueError.
     """
     if max_steps is not None:
-        if type(max_steps) is not int:
+        if type(max_steps) is not int:  # not check_int: the rule here is "an int or None"
             raise ValueError(f"max_steps must be an int or None, got {max_steps!r}")
         if max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {max_steps}")
@@ -737,10 +737,12 @@ def run_mission(
     (``4 * m**2`` steps by default) with ``completed=False``. This happens
     on ordinary missions, e.g. 3 of 9 seeded 8x8 missions in
     ``tests/test_simulate.py``. A negative, NaN or infinite ``wait_cost``
-    raises ValueError, and so does a ``cache`` built for a graph whose
-    edges or weights differ from ``mission.graph``'s.
+    raises ValueError, and so do a ``seed`` that is not an int
+    (``check_int``) and a ``cache`` built for a graph whose edges or
+    weights differ from ``mission.graph``'s.
     """
     _check_wait_cost(wait_cost)
+    check_int("seed", seed)
     params = params or ForceParams()
     cache = _cache_for(mission.graph, cache)
     rng = random.Random(seed)

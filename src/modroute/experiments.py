@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .baselines import run_nonmodular_baseline
 from .engine import ForceParams, run_mission
-from .graph import Graph, InfeasibleMissionError, Mission, validate
+from .graph import Graph, InfeasibleMissionError, Mission, check_int, validate
 from .paths import PathCache
 
 FORCE_BASED = "force_based"
@@ -34,24 +34,19 @@ SWEEP_COLUMNS = (
 DEFAULT_SWEEP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def _check_int(name: str, value: object) -> None:
-    """Raise ValueError naming ``value`` unless it is an int; a bool or a
-    float equal to an int is rejected, as ``validate`` rejects such node ids."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def make_grid_graph(width: int, height: int, seed: int = 0) -> Graph:
     """4-connected grid with seeded, perturbed positive weights.
 
     Each lattice edge gets one weight drawn uniformly from [0.5, 1.5) and
     is stored in both directions. Node labels carry "x,y" coordinates.
-    Raises ValueError for a width or height that is not an int >= 1.
+    Raises ValueError for a width or height that is not an int >= 1 and
+    for a seed that is not an int (``check_int``).
     """
-    _check_int("width", width)
-    _check_int("height", height)
+    check_int("width", width)
+    check_int("height", height)
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
+    check_int("seed", seed)
     rng = random.Random(seed)
     m = width * height
     labels = {y * width + x: f"{x},{y}" for y in range(height) for x in range(width)}
@@ -84,11 +79,12 @@ def generate_random_mission(
     times. ``start_pool`` restricts where starts may be placed, e.g. to a
     fixed set of depot nodes; it must hold at least n distinct nodes of
     the graph, or ValueError is raised. So is a count that is not an
-    int >= 1.
+    int >= 1 or a seed that is not an int (``check_int``).
     """
     m = graph.node_count
-    _check_int("n", n)
-    _check_int("n_targets", n_targets)
+    check_int("n", n)
+    check_int("n_targets", n_targets)
+    check_int("seed", seed)
     if n < 1 or n_targets < 1:
         raise ValueError("need at least one agent and one target")
     if n + n_targets > m:
@@ -137,9 +133,9 @@ class BatchConfig:
     ``run_batch`` and ``sensitivity_sweep`` both run ``missions()``, each
     trial with ``trial_seed(trial)``. ``max_steps`` is the step cap of
     every run (the methods' default when None). ``n_agents``, ``n_targets``
-    and ``base_seed`` must be ints and ``trials`` an int >= 1: anything
-    else, a bool or a float included, raises ValueError before any mission
-    is drawn.
+    and ``base_seed`` must be ints and ``trials`` an int >= 1
+    (``check_int``): anything else raises ValueError before any mission is
+    drawn.
     """
 
     graph: Graph
@@ -152,12 +148,11 @@ class BatchConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if type(self.trials) is not int or self.trials < 1:  # a bool or a float is rejected
-            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
+        check_int("trials", self.trials, 1)
         for name in ("n_agents", "n_targets", "base_seed"):  # n_agents first: the default is derived from it
             if name == "n_targets" and self.n_targets is None:
                 object.__setattr__(self, "n_targets", 2 * self.n_agents)
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
 
     def trial_seed(self, trial: int) -> int:
         return self.base_seed + trial

@@ -2,6 +2,8 @@
 
 Node ids are dense integers in ``[0, m)``: ``Graph.node_problem`` holds that
 rule, and every layer that takes a node id from its caller asks it.
+``check_int`` holds the rule for every other int a caller passes (a node
+count, grid size, agent or target count, k, trial count, seed or horizon).
 External identifiers (raw ids from an edge list, GraphML node ids) are kept
 in ``Graph.node_labels`` for reporting. Waiting in place is always allowed
 and free, so self-loops are implicit and never stored; a ``--wait-cost``
@@ -28,11 +30,20 @@ class InfeasibleMissionError(ValueError):
     """Mission that fails validation or cannot be constructed."""
 
 
+def check_int(name: str, value: object, low: int | None = None) -> None:
+    """Raise ValueError naming ``value`` unless it is an int, and ``>= low``
+    when ``low`` is given. A bool or a float equal to an int is rejected, for
+    the reason ``Graph.node_problem`` gives for node ids: ``True == 1`` and
+    ``4.0 == 4``, so it would pass for the int while printing as itself."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ValueError(f"{name} must be an int{' >= ' + str(low) if low is not None else ''}, got {value!r}")
+
+
 class Graph:
     """Immutable weighted directed graph.
 
-    Invariants enforced at construction: ``node_count`` is an int >= 1 (not
-    a bool or a float), endpoints are node ids, weights strictly positive
+    Invariants enforced at construction: ``node_count`` is an int >= 1
+    (``check_int``), endpoints are node ids, weights strictly positive
     and finite, no stored self-loops, at most one edge per (src, dst) pair.
     Instances are safe to share across concurrent mission runs; all
     mutation happens before construction.
@@ -46,8 +57,7 @@ class Graph:
         edges: list[tuple[int, int, float]],
         node_labels: dict[int, str] | None = None,
     ) -> None:
-        if type(node_count) is not int or node_count < 1:  # a bool or a float is rejected, as by node_problem
-            raise ValueError(f"graph needs at least one node: node_count must be an int >= 1, got {node_count!r}")
+        check_int("graph needs at least one node: node_count", node_count, 1)
         self.node_count = node_count
         self.node_labels = dict(node_labels) if node_labels else None
         adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]

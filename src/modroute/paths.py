@@ -179,7 +179,7 @@ import math
 from collections.abc import Callable, KeysView
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, check_int
 
 # Heuristic shrink factor 1 - 2**-10 and the smallest min-weight / total-weight
 # ratio for which it keeps exact ties (derivation in the module docstring).
@@ -300,13 +300,6 @@ def _check_nodes(graph: Graph, *nodes: int) -> None:
             raise ValueError(f"node {node!r} {problem}")
 
 
-def check_k(k: int) -> None:
-    """Raise ValueError unless ``k`` is an int >= 1; a bool or a float equal
-    to an int is rejected, as ``validate`` rejects such node ids."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
-
-
 def _shrink_factor(graph: Graph) -> float:
     """Heuristic scale: 1 - 2**-10 if ties provably survive rounding, else 0."""
     weights = [w for u in range(graph.node_count) for _, w in graph.out_edges(u)]
@@ -376,7 +369,8 @@ def yen_k_shortest(
     zero-length path. Candidates are kept in one list sorted by
     (weight, node sequence) so the output order is deterministic. ``h`` is
     the search heuristic towards ``dst`` (``PathCache`` passes its cached
-    one); it is computed here when needed and not given. ``first`` is the
+    one); when not given, it is computed here only if Yen will search: with
+    ``first`` given and k = 1 nothing is searched. ``first`` is the
     lightest path ``(nodes, weight)`` when the caller already knows it
     (``PathCache`` reads it off its distance search); it must be the path
     that the first search would find, and then that search is skipped. It
@@ -384,13 +378,13 @@ def yen_k_shortest(
     builds that set itself and does not call Yen for it.
     Raises ValueError for a src or dst that is not a node id
     (``Graph.node_problem``: a bool or a float equal to one is rejected) and
-    for a k that is not an int >= 1.
+    for a k that is not an int >= 1 (``check_int``).
     """
     _check_nodes(graph, src, dst)
-    check_k(k)
+    check_int("k", k, 1)
     if src == dst:
         return PathSet(src, dst, (Path((src,), 0.0),))
-    if h is None:
+    if h is None and (first is None or k > 1):  # else the loop returns first and reads no h
         h = _heuristic(graph, dst, _shrink_factor(graph))
     if first is None:
         first = _lex_shortest(graph, dst, h[:], [(0.0, 0.0, (src,))])
@@ -501,14 +495,14 @@ class PathCache:
         bounded tier and the baseline read the k=1 set, whose one path is
         the first path of the k-set for every k. A hit returns the same
         instance. Raises ValueError, before any search, for a k that is not
-        an int >= 1 (a bool or a float equal to a cached k is never a hit),
-        and on a miss for a src or dst that is not a node id.
+        an int >= 1 (``check_int``; a bool or a float equal to a cached k is
+        never a hit), and on a miss for a src or dst that is not a node id.
         """
         key = (src, dst, k)
         cached = self._kpaths.get(key)
-        if cached is None or type(k) is not int:
+        if cached is None or type(k) is not int:  # the hit guard: check_int below raises for a non-int k
             _check_nodes(self.graph, src, dst)
-            check_k(k)
+            check_int("k", k, 1)
             lightest = self._kpaths.get((src, dst, 1))
             if lightest is None:
                 first = self._lightest_path(src, dst)

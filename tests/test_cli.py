@@ -53,6 +53,16 @@ class TestRun:
         payload = json.loads(out)
         assert payload["completed"] is False and "step cap" in payload["diagnostic"]
 
+    def test_finished_agents_with_targets_unvisited_exit_3(self, capsys, tmp_path):
+        # the agent takes target 1 first, after which it can no longer reach 3
+        path = tmp_path / "trap.edges"
+        path.write_text("0 1 1.0\n1 2 1.0\n0 3 5.0\n")
+        code, out, _ = run_cli(capsys, "run", "--graph", str(path), "--starts", "0", "--target-nodes", "1,3")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["completed"] is False
+        assert payload["diagnostic"] == "all agents finished with targets still unvisited: [3]"
+
     def test_grid_mission_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--grid", "6x6", "--agents", "2", "--targets", "4", "--seed", "3"

@@ -121,6 +121,19 @@ class TestGenerateRandomMission:
             generate_random_mission(g, 1, 3, seed=0)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, None, "3"])
+@pytest.mark.parametrize("draw", [
+    lambda seed: make_grid_graph(3, 3, seed=seed),
+    lambda seed: generate_random_mission(make_grid_graph(6, 6, seed=1), 2, 4, seed=seed),
+    lambda seed: run_mission(eight_node_mission(), seed=seed),
+], ids=["make_grid_graph", "generate_random_mission", "run_mission"])
+def test_a_seed_that_is_not_an_int_is_rejected(draw, seed):
+    # True once drew the seed-1 result, 1.5 drew one of its own, and None
+    # seeded from OS entropy, so a run could not be repeated
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        draw(seed)
+
+
 class TestRunBatch:
     def test_single_trial_on_demo_mission(self, tmp_path):
         config = BatchConfig(graph=eight_node_graph(), n_agents=2, n_targets=2, trials=1,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -238,6 +239,25 @@ class TestGraphml:
         again = load_graphml(str(path))
         assert again.node_count == g.node_count
         assert again.edges() == g.edges()
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value, low", [(0, None), (-3, None), (1, 1), (7, 1)])
+    def test_an_int_at_or_above_low_passes(self, value, low):
+        assert graph_module.check_int("x", value, low) is None
+
+    @pytest.mark.parametrize("value, low, message", [
+        (True, None, "x must be an int, got True"),
+        (1.0, None, "x must be an int, got 1.0"),
+        ("3", None, "x must be an int, got '3'"),
+        (None, None, "x must be an int, got None"),
+        (0, 1, "x must be an int >= 1, got 0"),
+        (True, 1, "x must be an int >= 1, got True"),
+        (2.0, 1, "x must be an int >= 1, got 2.0"),
+    ])
+    def test_anything_else_is_rejected_with_the_name_and_value(self, value, low, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_module.check_int("x", value, low)
 
 
 class TestGraphInvariants:

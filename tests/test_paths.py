@@ -639,10 +639,14 @@ class TestFirstPathsFromTheDistanceSearch:
         g, pairs = make_grid_graph(6, 6, seed=1), ((0, 35), (7, 20), (30, 5))
         plain = [yen_k_shortest(g, src, dst, k) for src, dst in pairs]
         calls = _recorded_searches(monkeypatch)
+        dijkstra_, reverse = paths._dijkstra, []
+        monkeypatch.setattr(paths, "_dijkstra", lambda edges, m, src: reverse.append(src) or dijkstra_(edges, m, src))
         for (src, dst), path_set in zip(pairs, plain):
             first = path_set.paths[0]
             assert yen_k_shortest(g, src, dst, k, first=(first.nodes, first.total_weight)) == path_set
         assert all(calls) and (k == 1) == (calls == [])
+        # the heuristic's reverse search from dst runs only when Yen searches
+        assert reverse == ([] if k == 1 else [dst for _, dst in pairs])
 
     @pytest.mark.parametrize("graph", [make_grid_graph(6, 6, seed=1), unit_grid(6, 6)], ids=["float", "unit"])
     def test_a_k_set_missed_after_the_pairs_k1_set_is_the_cold_one(self, graph, monkeypatch):

@@ -13,6 +13,8 @@ import pytest
 from modroute import (
     BatchConfig,
     ForceParams,
+    Graph,
+    Mission,
     PathCache,
     generate_random_mission,
     make_grid_graph,
@@ -108,6 +110,16 @@ def test_step_cap_aborts_both_methods(method):
     assert res.completed is False
     assert res.steps_taken == 1
     assert "step cap" in res.diagnostic
+
+
+@pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
+def test_finished_agents_with_targets_unvisited_abort_both_methods(method):
+    # the agent takes target 1 first, after which it can no longer reach 3
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0)])
+    res = method(Mission(g, (0,), frozenset({1, 3})))
+    assert res.completed is False
+    assert (res.steps_taken, res.total_cost, res.per_agent_paths) == (2, 1.0, ((0, 1, 1),))
+    assert res.diagnostic == "all agents finished with targets still unvisited: [3]"
 
 
 @pytest.mark.parametrize("method", [run_mission, run_nonmodular_baseline], ids=["router", "baseline"])
