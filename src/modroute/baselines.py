@@ -92,45 +92,36 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
     start_visited = frozenset(p for p in start_positions if p in targets)
 
     best_cost = math.inf
-    best_actions: list[tuple[int, ...]] | None = None
+    best_actions: tuple[tuple[int, ...], ...] | None = None
     seen: dict[tuple[tuple[int, ...], frozenset[int], int], float] = {}
     explored = 0
+    weight = graph._weights.__getitem__
+    moves_from = [(u,) + tuple(v for v, _ in out) for u, out in enumerate(graph._adj)]
 
-    moves_from = {
-        u: (u,) + tuple(v for v, _ in graph.out_edges(u)) for u in range(graph.node_count)
-    }
-
-    def search(positions: tuple[int, ...], visited: frozenset[int], t: int,
-               cost: float, actions: list[tuple[int, ...]]) -> None:
+    def search(positions: tuple[int, ...], visited: frozenset[int], cost: float,
+               actions: tuple[tuple[int, ...], ...]) -> None:
         nonlocal best_cost, best_actions, explored
         explored += 1
         if visited == targets:
             if cost < best_cost:
                 best_cost = cost
-                best_actions = list(actions)
+                best_actions = actions
             return
-        if t >= horizon or cost >= best_cost:
+        if len(actions) >= horizon or cost >= best_cost:
             return
-        key = (positions, visited, t)
+        key = (positions, visited, len(actions))
         if seen.get(key, math.inf) <= cost:
             return
         seen[key] = cost
         # First agent slowest: the witness kept among equal-cost optima and the
         # explored-state count depend on this order.
         for move in itertools.product(*(moves_from[p] for p in positions)):
-            edges = {(positions[i], move[i]) for i in range(n) if move[i] != positions[i]}
-            inc = sum(graph.weight(u, v) for u, v in sorted(edges))
-            new_visited = visited | (targets & set(move))
-            actions.append(move)
-            search(move, new_visited, t + 1, cost + inc, actions)
-            actions.pop()
+            edges = {(u, v) for u, v in zip(positions, move) if u != v}
+            search(move, visited | (targets & set(move)), cost + sum(map(weight, sorted(edges))),
+                   actions + (move,))
 
-    search(start_positions, start_visited, 0, 0.0, [])
+    search(start_positions, start_visited, 0.0, ())
 
     if best_actions is None:
         return OracleResult(math.inf, None, explored)
-    paths = [[p] for p in start_positions]
-    for move in best_actions:
-        for i in range(n):
-            paths[i].append(move[i])
-    return OracleResult(best_cost, tuple(tuple(p) for p in paths), explored)
+    return OracleResult(best_cost, tuple(zip(start_positions, *best_actions)), explored)

@@ -73,12 +73,9 @@ class Graph:
             if (src, dst) in weights:
                 raise ValueError(f"duplicate edge ({src},{dst})")
             weights[(src, dst)] = float(w)
-            adj[src].append((dst, float(w)))
-            radj[dst].append((src, float(w)))
-        for lst in adj:
-            lst.sort()
-        for lst in radj:
-            lst.sort()
+        for (src, dst), w in sorted(weights.items()):
+            adj[src].append((dst, w))
+            radj[dst].append((src, w))
         self._adj = tuple(tuple(lst) for lst in adj)
         self._radj = tuple(tuple(lst) for lst in radj)
         self._weights = weights

@@ -126,6 +126,23 @@ class TestNonmodularBaseline:
             run_nonmodular_baseline(mission, cache=PathCache(make_grid_graph(4, 4, seed=2)))
 
 
+# Python 3.12 made float sum() compensated. That moves some of the oracle's
+# partial costs by an ulp, so other branches meet the incumbent and the
+# explored-state count changes, though the optimum does not (ROADMAP item 2).
+SUM_IS_LEFT_FOLD = sum([0.1] * 10) == 0.9999999999999999
+
+
+def replayed_cost(g, paths):
+    """Cost of joint paths, replayed: each step pays its distinct moved edges
+    once, summed in sorted order, and the step sums fold left from 0.0."""
+    cost = 0.0
+    for before, after in itertools.pairwise(zip(*paths)):
+        edges = {(u, v) for u, v in zip(before, after) if u != v}
+        assert all(g.has_edge(u, v) for u, v in edges)
+        cost += sum(g.weight(u, v) for u, v in sorted(edges))
+    return cost
+
+
 class TestBruteForceOptimal:
     def test_demo_mission_optimum(self):
         res = brute_force_optimal(eight_node_mission(), horizon=5)
@@ -136,20 +153,26 @@ class TestBruteForceOptimal:
     def test_witness_paths_are_valid_and_cover(self):
         mission = eight_node_mission()
         res = brute_force_optimal(mission, horizon=5)
-        g = mission.graph
-        cost = 0.0
-        horizon = max(len(p) for p in res.paths) - 1
-        for t in range(horizon):
-            edges = set()
-            for path in res.paths:
-                u, v = path[t], path[t + 1]
-                assert u == v or g.has_edge(u, v)
-                if u != v:
-                    edges.add((u, v))
-            cost += sum(g.weight(u, v) for u, v in sorted(edges))
-        assert math.isclose(cost, res.optimal_cost, abs_tol=1e-9)
+        assert replayed_cost(mission.graph, res.paths) == res.optimal_cost
         visited = set(itertools.chain.from_iterable(res.paths))
         assert set(mission.targets) <= visited
+
+    @pytest.mark.parametrize("seed, horizon, cost, paths, explored", [
+        (1, 5, "0x1.d95d2b7b3685ep+1", ((2, 2, 2, 2, 2, 2), (9, 9, 9, 9, 9, 10), (1, 1, 1, 4, 3, 6)),
+         (47850, 46938)),
+        (2, 6, "0x1.314e96245b5a3p+2",
+         ((0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 2, 5, 8), (10, 10, 10, 10, 10, 9, 6)), (153891, 152959)),
+        (3, 6, "0x1.eb3fffa2bde8cp+1",
+         ((3, 3, 3, 3, 4, 5, 2), (9, 9, 9, 9, 9, 9, 9), (8, 8, 8, 8, 8, 11, 11)), (92223, 91467)),
+    ])
+    def test_three_agent_optimum_and_its_witness(self, seed, horizon, cost, paths, explored):
+        mission = generate_random_mission(make_grid_graph(3, 4, seed=0), 3, 4, seed=seed)
+        res = brute_force_optimal(mission, horizon=horizon)
+        assert res.optimal_cost == float.fromhex(cost)
+        assert res.paths == paths
+        assert res.explored_states == explored[0 if SUM_IS_LEFT_FOLD else 1]
+        assert replayed_cost(mission.graph, res.paths) == res.optimal_cost
+        assert set(mission.targets) <= set(itertools.chain.from_iterable(res.paths))
 
     def test_presatisfied_mission_costs_nothing(self):
         g = eight_node_graph()
