@@ -23,7 +23,8 @@ from .experiments import (
     run_batch,
     sensitivity_sweep,
 )
-from .graph import Graph, GraphFormatError, InfeasibleMissionError, Mission, load_edge_list, load_graphml, validate
+from .graph import (Graph, GraphFormatError, InfeasibleMissionError, Mission, load_edge_list, load_graphml,
+                    read_int, validate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -117,11 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(args) -> Graph:
     if args.grid:
-        try:
-            width, height = (int(part) for part in args.grid.lower().split("x"))
-        except ValueError:
-            raise GraphFormatError(f"--grid expects WxH, got {args.grid!r}") from None
-        return make_grid_graph(width, height, seed=0)
+        sizes = [read_int(part.strip()) for part in args.grid.lower().split("x")]
+        if len(sizes) != 2 or None in sizes:
+            raise GraphFormatError(f"--grid expects WxH, got {args.grid!r}")
+        return make_grid_graph(*sizes, seed=0)
     if args.graph.endswith(".graphml"):
         return load_graphml(args.graph, weight_attr=args.weight_attr)
     with open(args.graph, encoding="utf-8") as handle:
@@ -135,10 +135,7 @@ def _resolve_nodes(graph: Graph, node_list: str) -> list[int]:
     nodes = []
     for token in node_list.split(","):
         token = token.strip()
-        try:
-            index = int(token)
-        except ValueError:
-            index = None
+        index = read_int(token)
         if token in by_label:
             node = by_label[token]
             if graph.node_problem(index) is None and index != node:
@@ -156,7 +153,8 @@ def _resolve_nodes(graph: Graph, node_list: str) -> list[int]:
     return nodes
 
 
-def _build_mission(graph: Graph, args) -> Mission:
+def _build_mission(args) -> Mission:
+    graph = _load_graph(args)
     if args.starts and args.target_nodes:
         return Mission(graph, tuple(_resolve_nodes(graph, args.starts)),
                        frozenset(_resolve_nodes(graph, args.target_nodes)))
@@ -165,13 +163,14 @@ def _build_mission(graph: Graph, args) -> Mission:
     return BatchConfig(graph, args.agents, args.targets, trials=1, base_seed=args.seed).missions()[0]
 
 
-def _mission_json(graph: Graph, mission: Mission) -> dict:
-    return {
+def _print_json(mission: Mission, **fields) -> None:
+    graph, targets = mission.graph, sorted(mission.targets)
+    print(json.dumps({"mission": {
         "starts": list(mission.starts),
-        "targets": sorted(mission.targets),
+        "targets": targets,
         "start_labels": [graph.label(s) for s in mission.starts],
-        "target_labels": [graph.label(t) for t in sorted(mission.targets)],
-    }
+        "target_labels": [graph.label(t) for t in targets],
+    }, **fields}, indent=2))
 
 
 def _force_params(args) -> ForceParams:
@@ -179,19 +178,11 @@ def _force_params(args) -> ForceParams:
 
 
 def _cmd_run(args) -> int:
-    graph = _load_graph(args)
-    mission = _build_mission(graph, args)
+    mission = _build_mission(args)
     result = run_mission(mission, _force_params(args), seed=args.seed, max_steps=args.max_steps,
                          wait_cost=args.wait_cost)
-    payload = {
-        "mission": _mission_json(graph, mission),
-        "completed": result.completed,
-        "total_cost": result.total_cost,
-        "steps": result.steps_taken,
-        "per_agent_paths": [list(path) for path in result.per_agent_paths],
-        "diagnostic": result.diagnostic,
-    }
-    print(json.dumps(payload, indent=2))
+    _print_json(mission, completed=result.completed, total_cost=result.total_cost, steps=result.steps_taken,
+                per_agent_paths=[list(path) for path in result.per_agent_paths], diagnostic=result.diagnostic)
     return EXIT_OK if result.completed else EXIT_ABORTED
 
 
@@ -228,24 +219,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graph = _load_graph(args)
-    mission = _build_mission(graph, args)
+    mission = _build_mission(args)
     result = brute_force_optimal(mission, horizon=args.horizon)
-    payload = {
-        "mission": _mission_json(graph, mission),
-        "optimal_cost": result.optimal_cost if result.paths else None,
-        "paths": [list(p) for p in result.paths] if result.paths else None,
-        "explored_states": result.explored_states,
-    }
-    print(json.dumps(payload, indent=2))
+    _print_json(mission, optimal_cost=result.optimal_cost if result.paths else None,
+                paths=[list(p) for p in result.paths] if result.paths else None,
+                explored_states=result.explored_states)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    graph = _load_graph(args)
-    mission = _build_mission(graph, args)
+    mission = _build_mission(args)
     diags = validate(mission)
-    print(json.dumps({"mission": _mission_json(graph, mission), "diagnostics": diags}, indent=2))
+    _print_json(mission, diagnostics=diags)
     return EXIT_OK if not diags else EXIT_INFEASIBLE
 
 

@@ -3,7 +3,8 @@
 Node ids are dense integers in ``[0, m)``: ``Graph.node_problem`` holds that
 rule, and every layer that takes a node id from its caller asks it.
 ``check_int`` holds the rule for every other int a caller passes (a node
-count, grid size, agent or target count, k, trial count, seed or horizon).
+count, grid size, agent or target count, k, trial count, seed or horizon),
+and ``read_int`` the rule for reading an int from a text token.
 External identifiers (raw ids from an edge list, GraphML node ids) are kept
 in ``Graph.node_labels`` for reporting. Waiting in place is always allowed
 and free, so self-loops are implicit and never stored; a ``--wait-cost``
@@ -13,6 +14,7 @@ style surcharge is applied by the simulation layer, not the graph.
 from __future__ import annotations
 
 import functools
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 _NOT_INT = "is not an int"
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_XS_BOOLEAN = {"true": True, "1": True, "false": False, "0": False}
 
 
 class GraphFormatError(ValueError):
@@ -37,6 +41,14 @@ def check_int(name: str, value: object, low: int | None = None) -> None:
     ``4.0 == 4``, so it would pass for the int while printing as itself."""
     if type(value) is not int or (low is not None and value < low):
         raise ValueError(f"{name} must be an int{' >= ' + str(low) if low is not None else ''}, got {value!r}")
+
+
+def read_int(token: str) -> int | None:
+    """The int that ``token`` spells with an optional sign and ASCII digits
+    0-9, or None. ``int()`` also reads ``"1_0"`` as 10 and ``"１"`` (a
+    full-width digit) as 1, so a token of a file or a flag that is no int
+    there would be merged into node 10 or node 1."""
+    return int(token) if _INT_TOKEN.fullmatch(token) else None
 
 
 class Graph:
@@ -181,10 +193,11 @@ def load_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format into a Graph.
 
     Each non-comment line reads ``src dst weight [directed|undirected]``
-    with non-negative integer node ids and a positive real weight. The
-    direction field defaults to ``directed``; ``undirected`` lines produce
-    two directed edges of equal weight. ``#`` starts a comment. Node ids
-    are compacted to dense indices; the raw ids are kept as labels.
+    with non-negative integer node ids (``read_int`` tokens) and a positive
+    real weight. The direction field defaults to ``directed``;
+    ``undirected`` lines produce two directed edges of equal weight. ``#``
+    starts a comment. Node ids are compacted to dense indices; the raw ids
+    are kept as labels.
     """
     raw_edges: list[tuple[int, int, float]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -196,10 +209,9 @@ def load_edge_list(text: str) -> Graph:
             raise GraphFormatError(
                 f"line {lineno}: expected 'src dst weight [directed|undirected]', got {line!r}"
             )
-        try:
-            src, dst = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: node ids must be integers") from None
+        src, dst = read_int(fields[0]), read_int(fields[1])
+        if src is None or dst is None:
+            raise GraphFormatError(f"line {lineno}: node ids must be integers")
         if src < 0 or dst < 0:
             raise GraphFormatError(f"line {lineno}: node ids must be non-negative")
         try:
@@ -244,7 +256,9 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     attribute: the ``<key>`` whose ``attr.name`` is ``weight_attr``, or a
     ``<data>`` keyed by ``weight_attr`` itself when no ``<key>`` declares
     that id. ``edgedefault="undirected"`` graphs (and per-edge
-    ``directed="false"`` overrides) expand to directed edge pairs.
+    ``directed="false"`` or ``"0"`` overrides) expand to directed edge
+    pairs; any other ``edgedefault`` than ``directed`` or ``undirected``, or
+    ``directed`` value than the four ``xs:boolean`` spellings, is rejected.
     GraphML node ids become labels over dense indices; a repeated node id
     is rejected.
     """
@@ -267,6 +281,8 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     if graph_el is None:
         raise GraphFormatError(f"no <graph> element in {path}")
     edgedefault = graph_el.get("edgedefault", "directed")
+    if edgedefault not in ("directed", "undirected"):
+        raise GraphFormatError(f"edgedefault must be 'directed' or 'undirected', got {edgedefault!r}")
 
     index: dict[str, int] = {}
     labels: dict[int, str] = {}
@@ -304,12 +320,15 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
             raise GraphFormatError(f"edge {src_id}->{dst_id} missing weight attribute {weight_attr!r}")
         if not (value > 0.0 and value != float("inf")):
             raise GraphFormatError(f"edge {src_id}->{dst_id}: weight must be positive, got {value}")
+        per_edge = el.get("directed")
+        if per_edge is None:
+            is_directed = edgedefault == "directed"
+        elif (is_directed := _XS_BOOLEAN.get(per_edge)) is None:
+            raise GraphFormatError(f"edge {src_id}->{dst_id}: directed={per_edge!r} is not true, false, 1 or 0")
         src, dst = index[src_id], index[dst_id]
         if src == dst:
             warnings.warn(f"ignoring self-loop at GraphML node {src_id!r}", stacklevel=2)
             continue
-        per_edge = el.get("directed")
-        is_directed = {"true": True, "false": False}.get(per_edge, edgedefault != "undirected")
         directed.append((src, dst, value))
         if not is_directed:
             directed.append((dst, src, value))

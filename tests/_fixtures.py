@@ -7,6 +7,11 @@ Weights are dyadic so path sums are exact in floating point.
 
 from modroute import ForceParams, Graph, Mission, load_edge_list, make_grid_graph
 
+# Python 3.12 made float sum() compensated, so a cost summed from floats can
+# differ in its last bit from the left fold of earlier versions (ROADMAP item
+# 2). A pin of such a value keeps one entry for each kind of sum.
+SUM_IS_LEFT_FOLD = sum([0.1] * 10) == 0.9999999999999999
+
 EIGHT_NODE_EDGE_LIST = """\
 # two starts (0, 1), meeting node 4, corridor 4-5, twin goals 6 and 7
 0 2 1.5 undirected

@@ -23,7 +23,7 @@ from modroute import (
 from modroute import baselines
 from modroute.experiments import generate_random_mission
 
-from _fixtures import eight_node_graph, eight_node_mission
+from _fixtures import SUM_IS_LEFT_FOLD, eight_node_graph, eight_node_mission
 from _oracles import random_digraph, reference_baseline_step
 
 
@@ -126,12 +126,6 @@ class TestNonmodularBaseline:
             run_nonmodular_baseline(mission, cache=PathCache(make_grid_graph(4, 4, seed=2)))
 
 
-# Python 3.12 made float sum() compensated. That moves some of the oracle's
-# partial costs by an ulp, so other branches meet the incumbent and the
-# explored-state count changes, though the optimum does not (ROADMAP item 2).
-SUM_IS_LEFT_FOLD = sum([0.1] * 10) == 0.9999999999999999
-
-
 def replayed_cost(g, paths):
     """Cost of joint paths, replayed: each step pays its distinct moved edges
     once, summed in sorted order, and the step sums fold left from 0.0."""
@@ -157,6 +151,9 @@ class TestBruteForceOptimal:
         visited = set(itertools.chain.from_iterable(res.paths))
         assert set(mission.targets) <= visited
 
+    # A compensated sum() moves some of the oracle's partial costs by an ulp,
+    # so other branches meet the incumbent and the explored-state count
+    # changes, though the optimum does not.
     @pytest.mark.parametrize("seed, horizon, cost, paths, explored", [
         (1, 5, "0x1.d95d2b7b3685ep+1", ((2, 2, 2, 2, 2, 2), (9, 9, 9, 9, 9, 10), (1, 1, 1, 4, 3, 6)),
          (47850, 46938)),

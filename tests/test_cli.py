@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from modroute import BatchConfig, ForceParams, generate_random_mission, make_grid_graph
 from modroute.cli import build_parser, main
 
-from _fixtures import EIGHT_NODE_EDGE_LIST
+from _fixtures import EIGHT_NODE_EDGE_LIST, SUM_IS_LEFT_FOLD
 
 
 @pytest.fixture
@@ -260,6 +261,13 @@ class TestBadInput:
         assert code == 1
         assert "unknown node" in err
 
+    @pytest.mark.parametrize("token", ["1_0", "１"])
+    def test_token_that_int_misreads_is_an_unknown_node(self, capsys, token):
+        # int() reads these as 10 and 1, both nodes of the grid
+        code, out, err = run_cli(capsys, "run", "--grid", "4x4", "--starts", token, "--target-nodes", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown node {token!r}\n"
+
     def test_node_index_out_of_range_exits_1(self, capsys, demo_graph_file):
         code, out, err = run_cli(
             capsys, "validate", "--graph", demo_graph_file, "--starts", "0,8", "--target-nodes", "6",
@@ -308,9 +316,11 @@ class TestBadInput:
         assert out == ""
         assert flag[2:].split("=")[0].replace("-", "_") in err
 
-    def test_bad_grid_string_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--grid", "notagrid", "--agents", "1")
-        assert code == 1
+    @pytest.mark.parametrize("grid", ["notagrid", "8_0x8", "８x８"])
+    def test_bad_grid_string_exits_1(self, capsys, grid):
+        code, out, err = run_cli(capsys, "run", "--grid", grid, "--agents", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: --grid expects WxH, got {grid!r}\n"
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -322,6 +332,28 @@ class TestBadInput:
             capsys, "run", "--graph", "/nonexistent.edges", "--agents", "1"
         )
         assert code == 1
+
+
+class TestOutputBytes:
+    # Other tests parse the printed JSON, so they would not see a change in
+    # key order, indent or float text. A drawn run's total cost and the
+    # oracle's explored-state count differ where sum() is compensated, so
+    # those two have a digest for each kind of sum.
+    @pytest.mark.parametrize("argv, code, digests", [
+        ("run --grid 6x6 --agents 3 --seed 2", 0,
+         ("a2bfab877dc07cc2467a6a53c929ec9968701cb9d2195d96a8f43c8b5c786f0c",
+          "080d6b88395447cbd9602a44d4331146331875e28ac004062882d448ae039c61")),
+        ("run --grid 6x6 --starts 0,5 --target-nodes 30,35 --max-steps 2", 3,
+         ("085371d38d286073ff43d8ca7cd5b81bade0447b59356e25e99ea23c0fc914cb",) * 2),
+        ("oracle --grid 3x4 --agents 3 --targets 4 --seed 1 --horizon 5", 0,
+         ("977b17b2610677333534a32fa8d4e30058fc93f8c30efe85042013fbf1411742",
+          "99e22d58f088423dd3104fb1d56949d0fc74ffa494cf9703bd14fdf77c39d66d")),
+        ("validate --grid 4x4 --agents 2 --seed 0", 0,
+         ("863eb7aabe4f80eadd048749662644d773057cb193f7ca6b3c31459894206b9f",) * 2),
+    ])
+    def test_stdout_bytes_and_exit_code(self, capsys, argv, code, digests):
+        got, out, _ = run_cli(capsys, *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digests[0 if SUM_IS_LEFT_FOLD else 1])
 
 
 class TestHashSeedIndependence:

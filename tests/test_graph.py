@@ -64,10 +64,17 @@ class TestEdgeList:
         ("0 1 1.0\n1 2 1.0 directed extra\n", "line 2: expected 'src dst weight"),
         ("0 1 1.0\n-1 2 1.0\n", "line 2: node ids must be non-negative"),
         ("0 1 heavy\n", "line 1: weight 'heavy' is not a number"),
+        # int() would read 1_0 as 10, merging it into node 10, and a non-ASCII digit as its value
+        ("1_0 2 1.0\n10 3 1.0\n", "line 1: node ids must be integers"),
+        ("\u0661 2 1.0\n", "line 1: node ids must be integers"),
     ])
     def test_malformed_line_rejected(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             load_edge_list(text)
+
+    def test_signed_node_id_is_read_as_its_int(self):
+        g = load_edge_list("+3 4 1.0")
+        assert [g.label(i) for i in range(g.node_count)] == ["3", "4"]
 
     def test_comments_and_blank_lines_ignored(self):
         g = load_edge_list("# header\n0 1 1.0  # trailing\n\n1 2 2.0\n")
@@ -145,6 +152,10 @@ class TestGraphml:
         (">5<", ">-2.5<", "edge a->b: weight must be positive, got -2.5"),
         ('<edge source="a" target="b"><data key="d0">5</data></edge>', "", "no edges in"),
         ('<node id="b"/>', '<node id="b"/>\n    <node id="a"/>', "duplicate node id 'a'"),
+        ('target="b"', 'target="b" directed="False"', "edge a->b: directed='False' is not true, false, 1 or 0"),
+        ('target="b"', 'target="b" directed="yes"', "edge a->b: directed='yes' is not true, false, 1 or 0"),
+        ('edgedefault="directed"', 'edgedefault="Undirected"',
+         "edgedefault must be 'directed' or 'undirected', got 'Undirected'"),
     ])
     def test_malformed_file_rejected(self, tmp_path, old, new, message):
         path = tmp_path / "bad.graphml"
@@ -191,8 +202,11 @@ class TestGraphml:
             ("undirected", "", [(0, 1, 5.0), (1, 0, 5.0)]),
             ("directed", ' directed="false"', [(0, 1, 5.0), (1, 0, 5.0)]),
             ("undirected", ' directed="true"', [(0, 1, 5.0)]),
+            ("directed", ' directed="0"', [(0, 1, 5.0), (1, 0, 5.0)]),
+            ("undirected", ' directed="1"', [(0, 1, 5.0)]),
         ],
-        ids=["undirected-default", "directed-false-override", "directed-true-override"],
+        ids=["undirected-default", "directed-false-override", "directed-true-override",
+             "directed-0-override", "directed-1-override"],
     )
     def test_undirected_default_doubles_edge_count(self, tmp_path, edgedefault, override, edges):
         # a per-edge ``directed`` attribute overrides the graph's edgedefault
@@ -258,6 +272,16 @@ class TestCheckInt:
     def test_anything_else_is_rejected_with_the_name_and_value(self, value, low, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph_module.check_int("x", value, low)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("7", 7), ("+3", 3), ("-1", -1), ("007", 7),
+    # int() reads each of these as an int: 10, 1, 1 and (stripped) 4
+    ("1_0", None), ("١", None), ("１", None), (" 4", None),
+    ("", None), ("+", None), ("--1", None), ("1.0", None),
+])
+def test_read_int_takes_a_sign_and_ascii_digits_only(token, value):
+    assert graph_module.read_int(token) == value
 
 
 class TestGraphInvariants:
