@@ -24,7 +24,7 @@ from .experiments import (
     sensitivity_sweep,
 )
 from .graph import (Graph, GraphFormatError, InfeasibleMissionError, Mission, load_edge_list, load_graphml,
-                    read_int, validate)
+                    read_float, read_int, validate)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -43,6 +43,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _float_arg(token: str) -> float:
+    # argparse's own message for a float flag that float() cannot read
+    if (value := read_float(token)) is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}")
+    return value
+
+
+def _float_list(flag: str, text: str) -> list[float]:
+    values = []
+    for item in text.split(","):
+        if item := item.strip():
+            if (value := read_float(item)) is None:
+                raise ValueError(f"{flag}: {item!r} is not a number")
+            values.append(value)
+    return values
 
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
@@ -65,8 +82,8 @@ def _add_explicit_mission_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_param_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=ForceParams.alpha, help="agent-agent attraction scale")
-    sub.add_argument("--beta", type=float, default=ForceParams.beta, help="agent-target attraction scale")
+    sub.add_argument("--alpha", type=_float_arg, default=ForceParams.alpha, help="agent-agent attraction scale")
+    sub.add_argument("--beta", type=_float_arg, default=ForceParams.beta, help="agent-target attraction scale")
     sub.add_argument("--k", type=int, default=ForceParams.k, help="sampled cheapest paths per attraction source")
     sub.add_argument("--force-sum", action="store_true",
                      help="sum all sampled paths per candidate edge instead of taking the strongest")
@@ -82,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_explicit_mission_args(run_p)
     _add_param_args(run_p)
     run_p.add_argument("--max-steps", type=int, default=None, help="step cap (default 4*m^2)")
-    run_p.add_argument("--wait-cost", type=float, default=0.0, help="cost charged per waiting agent per step")
+    run_p.add_argument("--wait-cost", type=_float_arg, default=0.0, help="cost charged per waiting agent per step")
 
     batch_p = subs.add_parser("batch", help="compare methods over seeded trials")
     _add_graph_args(batch_p)
@@ -122,7 +139,7 @@ def _load_graph(args) -> Graph:
         if len(sizes) != 2 or None in sizes:
             raise GraphFormatError(f"--grid expects WxH, got {args.grid!r}")
         return make_grid_graph(*sizes, seed=0)
-    if args.graph.endswith(".graphml"):
+    if args.graph.lower().endswith(".graphml"):
         return load_graphml(args.graph, weight_attr=args.weight_attr)
     with open(args.graph, encoding="utf-8") as handle:
         return load_edge_list(handle.read())
@@ -208,9 +225,8 @@ def _cmd_batch(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _batch_config(args, _load_graph(args), ForceParams(k=args.k))
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    betas = [float(b) for b in args.betas.split(",") if b.strip()]
-    result = sensitivity_sweep(config, alphas, betas, out_path=args.out)
+    result = sensitivity_sweep(config, _float_list("--alphas", args.alphas), _float_list("--betas", args.betas),
+                               out_path=args.out)
     for (alpha, beta), mean in sorted(result.mean_cost.items()):
         print(f"alpha={alpha} beta={beta} mean_cost={mean:.4f} score={result.score[(alpha, beta)]:.3f}")
     if args.out:

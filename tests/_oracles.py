@@ -12,11 +12,13 @@ non-modular baseline's timestep, which the baseline must match step for
 step, and the original lazy grouping of a path set's first hops, which the
 table built with each set must equal, and the original per-query read of a
 lightest path off a distance search, which the per-source first-hop table
-must answer alike.
+must answer alike, and the original breadth-first search from a mission's
+starts, which the graph's component table must answer alike.
 """
 
 import heapq
 import math
+from collections import deque
 
 from modroute.engine import AgentState, MoveIntent, StepRecord, compute_edge_forces, select_edge
 
@@ -69,6 +71,19 @@ def enumerate_simple_paths(graph, src, dst):
     walk(src, [src], 0.0)
     results.sort()
     return results
+
+
+def reachable_from(graph, sources):
+    """Nodes reachable from any source by directed traversal (breadth first)."""
+    seen = set(sources)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for v, _ in graph.out_edges(u):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
 
 
 def random_digraph(rng, max_nodes=10, edge_prob=0.45):

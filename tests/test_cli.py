@@ -121,6 +121,20 @@ class TestValidate:
         assert code == 2
         assert any("unreachable" in d for d in json.loads(out)["diagnostics"])
 
+    def test_graphml_suffix_in_any_case_is_read_as_graphml(self, capsys, tmp_path):
+        # it was read as an edge list and exited 1 on its first line
+        path = tmp_path / "tiny.GraphML"
+        path.write_text(
+            '<graphml><graph><node id="a"/><node id="b"/>'
+            '<edge source="a" target="b"><data key="length">5</data></edge></graph></graphml>'
+        )
+        code, out, _ = run_cli(capsys, "validate", "--graph", str(path), "--starts", "a", "--target-nodes", "b")
+        assert code == 0
+        assert json.loads(out) == {
+            "mission": {"starts": [0], "targets": [1], "start_labels": ["a"], "target_labels": ["b"]},
+            "diagnostics": [],
+        }
+
 
 class TestOracle:
     def test_demo_optimum(self, capsys, demo_graph_file):
@@ -315,6 +329,37 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert flag[2:].split("=")[0].replace("-", "_") in err
+
+    # float() reads these as 10.5 and 1.5
+    @pytest.mark.parametrize("token", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--wait-cost"])
+    def test_float_flag_that_float_would_misread_exits_1(self, capsys, flag, token):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--grid", "4x4", "--agents", "2", f"{flag}={token}"])
+        assert excinfo.value.code == 1
+        assert f"error: argument {flag}: invalid float value: {token!r}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1e3", ".5", "+2.", "-inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--wait-cost"])
+    def test_float_flag_is_read_as_float_reads_it(self, flag, token):
+        args = build_parser().parse_args(["run", "--grid", "4x4", f"{flag}={token}"])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(token)
+
+    @pytest.mark.parametrize("token", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])
+    @pytest.mark.parametrize("flag", ["--alphas", "--betas"])
+    def test_sweep_item_that_float_would_misread_exits_1(self, capsys, flag, token):
+        code, out, err = run_cli(capsys, "sweep", "--grid", "4x4", "--agents", "2", "--trials", "1",
+                                 flag, f"0.5, {token} ")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag}: {token!r} is not a number\n"
+
+    def test_sweep_items_are_stripped_and_read_as_float_reads_them(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--grid", "4x4", "--agents", "2", "--trials", "1",
+                               "--alphas", " 1e-1, .5,", "--betas", "+2., 1E0")
+        assert code == 0
+        assert [line.split(" mean_cost")[0] for line in out.splitlines()] == [
+            f"alpha={a} beta={b}" for a in (0.1, 0.5) for b in (1.0, 2.0)
+        ]
 
     @pytest.mark.parametrize("grid", ["notagrid", "8_0x8", "８x８"])
     def test_bad_grid_string_exits_1(self, capsys, grid):

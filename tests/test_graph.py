@@ -1,9 +1,12 @@
 import math
+import random
 import re
+import sys
 
 import pytest
 
 from modroute import (
+    BatchConfig,
     Graph,
     GraphFormatError,
     Mission,
@@ -18,6 +21,7 @@ from modroute import graph as graph_module
 from modroute.paths import dijkstra, path_weight
 
 from _fixtures import eight_node_graph, eight_node_mission
+from _oracles import random_digraph, reachable_from
 
 GRAPHML_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -67,10 +71,18 @@ class TestEdgeList:
         # int() would read 1_0 as 10, merging it into node 10, and a non-ASCII digit as its value
         ("1_0 2 1.0\n10 3 1.0\n", "line 1: node ids must be integers"),
         ("\u0661 2 1.0\n", "line 1: node ids must be integers"),
+        # float() would read these weights as 10.5, 1.5 and 1.5
+        ("0 1 1_0.5\n", "line 1: weight '1_0.5' is not a number"),
+        ("0 1 \u0661.\u0665\n", "line 1: weight '\u0661.\u0665' is not a number"),
+        ("0 1 \uff11.\uff15\n", "line 1: weight '\uff11.\uff15' is not a number"),
     ])
     def test_malformed_line_rejected(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             load_edge_list(text)
+
+    @pytest.mark.parametrize("token", ["1e3", ".5", "+2.", "2E-1"])
+    def test_weight_is_read_as_float_reads_it(self, token):
+        assert load_edge_list(f"0 1 {token}\n").edges() == [(0, 1, float(token))]
 
     def test_signed_node_id_is_read_as_its_int(self):
         g = load_edge_list("+3 4 1.0")
@@ -138,6 +150,20 @@ class TestGraphml:
         path.write_text(GRAPHML_MINIMAL.replace(">5<", ">five<"))
         with pytest.raises(GraphFormatError, match="non-numeric"):
             load_graphml(str(path))
+
+    # float() would read these as 10.5, 1.5 and 1.5
+    @pytest.mark.parametrize("token", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])
+    def test_weight_that_float_would_misread_is_non_numeric(self, tmp_path, token):
+        path = tmp_path / "bad.graphml"
+        path.write_text(GRAPHML_MINIMAL.replace(">5<", f">{token}<"), encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=f"a->b: non-numeric 'length' value {re.escape(repr(token))}"):
+            load_graphml(str(path))
+
+    @pytest.mark.parametrize("token", ["1e3", ".5", " +2. "])
+    def test_weight_is_read_as_float_reads_it(self, tmp_path, token):
+        path = tmp_path / "tiny.graphml"
+        path.write_text(GRAPHML_MINIMAL.replace(">5<", f">{token}<"))
+        assert load_graphml(str(path)).edges() == [(0, 1, float(token))]
 
     def test_unparseable_xml(self, tmp_path):
         path = tmp_path / "broken.graphml"
@@ -284,6 +310,23 @@ def test_read_int_takes_a_sign_and_ascii_digits_only(token, value):
     assert graph_module.read_int(token) == value
 
 
+@pytest.mark.parametrize("token", [
+    "1e3", ".5", "+2.", "-inf", "0", "-0.0", "7.", "1E+5", "2e-3", "Infinity", "+INF", "nan", "-NaN",
+])
+def test_read_float_reads_what_float_reads(token):
+    value = graph_module.read_float(token)
+    assert type(value) is float and (value == float(token) or math.isnan(value) and math.isnan(float(token)))
+
+
+@pytest.mark.parametrize("token", [
+    # float() reads each of these: 10.5, 1.5, 1.5, and (stripped) 4.0 and inf
+    "1_0.5", "\u0661.\u0665", "\uff11.\uff15", " 4", "inf\n",
+    "", ".", "+", "e3", "1e", "1..2", "--1", "0x1p3", "infin", "\u0131nf",
+])
+def test_read_float_takes_ascii_digits_point_and_exponent_only(token):
+    assert graph_module.read_float(token) is None
+
+
 class TestGraphInvariants:
     def test_graph_without_nodes_rejected(self):
         with pytest.raises(ValueError, match="graph needs at least one node: node_count must be an int >= 1, got 0"):
@@ -385,3 +428,64 @@ class TestValidate:
         g = eight_node_graph()
         dist = dijkstra(g, 0)[0]
         assert dist[6] < math.inf and dist[7] < math.inf
+
+
+class TestComponentTable:
+    # validate reads reachability off the graph's strongly connected
+    # components, built once per Graph; a breadth-first search from the
+    # starts is the oracle.
+    def test_validate_matches_the_search_oracle_on_random_digraphs(self):
+        rng = random.Random(33)
+        split = 0
+        for _ in range(300):
+            m, edges = random_digraph(rng, edge_prob=rng.choice([0.08, 0.15, 0.3, 0.45]))
+            g = Graph(m, edges)
+            split += len(set(g._comp)) > 1
+            for _ in range(4):
+                starts = tuple(rng.sample(range(m), rng.randint(1, 3)))
+                targets = frozenset(rng.sample(range(m), rng.randint(1, m)))
+                reached = reachable_from(g, starts)
+                assert validate(Mission(g, starts, targets)) == [
+                    f"target node {t} unreachable from every start" for t in sorted(targets) if t not in reached
+                ]
+        assert split > 150  # most graphs have several components
+
+    def test_a_target_reached_across_two_condensation_edges(self):
+        # {0,1} -> {2,3} -> {4,5}, each pair joined both ways
+        g = load_edge_list("0 1 1 undirected\n1 2 1\n2 3 1 undirected\n3 4 1\n4 5 1 undirected\n")
+        comp = g._comp
+        assert len(set(comp)) == 3
+        assert g._comp_out[comp[0]] == (comp[2],) and g._comp_out[comp[2]] == (comp[4],)
+        assert validate(Mission(g, (0,), frozenset({5}))) == []
+        assert validate(Mission(g, (3,), frozenset({0, 1, 5}))) == [
+            "target node 0 unreachable from every start",
+            "target node 1 unreachable from every start",
+        ]
+
+    def test_a_target_behind_a_one_way_edge_pointing_away(self):
+        # {0,1} -> {2,3} <- {4,5}: the one edge between the last two points away from 5
+        g = load_edge_list("0 1 1 undirected\n1 2 1\n2 3 1 undirected\n4 3 1\n4 5 1 undirected\n")
+        assert validate(Mission(g, (0,), frozenset({3, 5}))) == ["target node 5 unreachable from every start"]
+        assert validate(Mission(g, (0, 4), frozenset({3, 5}))) == []
+
+    def test_a_grid_is_one_component_with_nothing_to_walk(self):
+        g = make_grid_graph(8, 8, seed=3)
+        assert set(g._comp) == {0} and g._comp_out == ((),)
+
+    def test_a_5000_node_one_way_path_builds_without_recursion(self):
+        m = 5000
+        assert sys.getrecursionlimit() < m
+        g = Graph(m, [(i, i + 1, 1.0) for i in range(m - 1)])
+        assert len(set(g._comp)) == m
+        assert validate(Mission(g, (0,), frozenset({m - 1}))) == []
+        assert validate(Mission(g, (m - 1,), frozenset({0}))) == ["target node 0 unreachable from every start"]
+
+    def test_drawing_100_missions_builds_the_table_once(self, monkeypatch):
+        builds = []
+        components = graph_module._components
+        monkeypatch.setattr(graph_module, "_components",
+                            lambda adj, radj: builds.append(len(adj)) or components(adj, radj))
+        g = make_grid_graph(10, 10, seed=0)
+        missions = BatchConfig(g, 8, 16, trials=100).missions()
+        assert len(missions) == 100 and all(validate(mission) == [] for mission in missions)
+        assert builds == [100]
