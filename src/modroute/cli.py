@@ -45,11 +45,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _float_arg(token: str) -> float:
-    # argparse's own message for a float flag that float() cannot read
-    if (value := read_float(token)) is None:
-        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}")
-    return value
+def _token_arg(read, kind: str):
+    """An argparse type that reads its token by ``read`` (``read_int`` or
+    ``read_float``), with argparse's own message for a token it rejects."""
+    def parse(token: str):
+        if (value := read(token)) is None:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {token!r}")
+        return value
+    return parse
+
+
+_int_arg, _float_arg = _token_arg(read_int, "int"), _token_arg(read_float, "float")
 
 
 def _float_list(flag: str, text: str) -> list[float]:
@@ -62,74 +68,47 @@ def _float_list(flag: str, text: str) -> list[float]:
     return values
 
 
-def _add_graph_args(sub: argparse.ArgumentParser) -> None:
-    src = sub.add_mutually_exclusive_group(required=True)
+def build_parser() -> argparse.ArgumentParser:
+    # Each flag is declared once, on the group of subcommands that takes it;
+    # a subcommand takes its groups' flags as argparse parents.
+    common, explicit, runs, forces, trials = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    src = common.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="path to a GraphML (.graphml) or edge-list file")
     src.add_argument("--grid", metavar="WxH", help="synthetic WxH grid graph")
-    sub.add_argument("--weight-attr", default="length", help="GraphML edge weight attribute")
-
-
-def _add_mission_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--agents", type=int, default=2, help="number of agents")
-    sub.add_argument("--targets", type=int, default=None, help="number of targets (default 2x agents)")
-    sub.add_argument("--seed", type=int, default=BatchConfig.base_seed, help="base random seed")
-
-
-def _add_explicit_mission_args(sub: argparse.ArgumentParser) -> None:
+    common.add_argument("--weight-attr", default="length", help="GraphML edge weight attribute")
+    common.add_argument("--agents", type=_int_arg, default=2, help="number of agents")
+    common.add_argument("--targets", type=_int_arg, default=None, help="number of targets (default 2x agents)")
+    common.add_argument("--seed", type=_int_arg, default=BatchConfig.base_seed, help="base random seed")
     # Only for the one-mission subcommands; batch and sweep draw every mission from the seed.
-    sub.add_argument("--starts", help="comma-separated explicit start nodes (labels or indices)")
-    sub.add_argument("--target-nodes", help="comma-separated explicit target nodes")
+    explicit.add_argument("--starts", help="comma-separated explicit start nodes (labels or indices)")
+    explicit.add_argument("--target-nodes", help="comma-separated explicit target nodes")
+    runs.add_argument("--k", type=_int_arg, default=ForceParams.k, help="sampled cheapest paths per attraction source")
+    runs.add_argument("--max-steps", type=_int_arg, default=None, help="step cap of every run (default 4*m^2)")
+    forces.add_argument("--alpha", type=_float_arg, default=ForceParams.alpha, help="agent-agent attraction scale")
+    forces.add_argument("--beta", type=_float_arg, default=ForceParams.beta, help="agent-target attraction scale")
+    forces.add_argument("--force-sum", action="store_true",
+                        help="sum all sampled paths per candidate edge instead of taking the strongest")
+    trials.add_argument("--trials", type=_int_arg, default=BatchConfig.trials, help="number of seeded trials")
+    trials.add_argument("--out", help="CSV output path")
 
-
-def _add_param_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=_float_arg, default=ForceParams.alpha, help="agent-agent attraction scale")
-    sub.add_argument("--beta", type=_float_arg, default=ForceParams.beta, help="agent-target attraction scale")
-    sub.add_argument("--k", type=int, default=ForceParams.k, help="sampled cheapest paths per attraction source")
-    sub.add_argument("--force-sum", action="store_true",
-                     help="sum all sampled paths per candidate edge instead of taking the strongest")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="modroute", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    run_p = subs.add_parser("run", help="route one mission and print the result")
-    _add_graph_args(run_p)
-    _add_mission_args(run_p)
-    _add_explicit_mission_args(run_p)
-    _add_param_args(run_p)
-    run_p.add_argument("--max-steps", type=int, default=None, help="step cap (default 4*m^2)")
-    run_p.add_argument("--wait-cost", type=_float_arg, default=0.0, help="cost charged per waiting agent per step")
+    def add(name: str, handler, about: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=about, parents=[common, *parents])
+        sub.set_defaults(handler=handler)
+        return sub
 
-    batch_p = subs.add_parser("batch", help="compare methods over seeded trials")
-    _add_graph_args(batch_p)
-    _add_mission_args(batch_p)
-    _add_param_args(batch_p)
-    batch_p.add_argument("--trials", type=int, default=BatchConfig.trials)
-    batch_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
-    batch_p.add_argument("--starts-from", help="comma-separated node labels to sample starts from")
-    batch_p.add_argument("--out", help="CSV output path")
-
-    sweep_p = subs.add_parser("sweep", help="alpha/beta sensitivity sweep")
-    _add_graph_args(sweep_p)
-    _add_mission_args(sweep_p)
-    sweep_p.add_argument("--trials", type=int, default=BatchConfig.trials)
-    sweep_p.add_argument("--k", type=int, default=ForceParams.k)
-    sweep_p.add_argument("--max-steps", type=int, default=None, help="step cap of every run (default 4*m^2)")
-    sweep_p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_SWEEP_GRID))
-    sweep_p.add_argument("--betas", default=",".join(str(b) for b in DEFAULT_SWEEP_GRID))
-    sweep_p.add_argument("--out", help="CSV output path")
-
-    oracle_p = subs.add_parser("oracle", help="exact optimum for a tiny mission")
-    _add_graph_args(oracle_p)
-    _add_mission_args(oracle_p)
-    _add_explicit_mission_args(oracle_p)
-    oracle_p.add_argument("--horizon", type=int, default=8, help="search depth in steps (max 12)")
-
-    val_p = subs.add_parser("validate", help="print mission diagnostics")
-    _add_graph_args(val_p)
-    _add_mission_args(val_p)
-    _add_explicit_mission_args(val_p)
+    add("run", _cmd_run, "route one mission and print the result", explicit, runs, forces).add_argument(
+        "--wait-cost", type=_float_arg, default=0.0, help="cost charged per waiting agent per step")
+    add("batch", _cmd_batch, "compare methods over seeded trials", runs, forces, trials).add_argument(
+        "--starts-from", help="comma-separated node labels to sample starts from")
+    sweep = add("sweep", _cmd_sweep, "alpha/beta sensitivity sweep", runs, trials)
+    sweep.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_SWEEP_GRID))
+    sweep.add_argument("--betas", default=",".join(str(b) for b in DEFAULT_SWEEP_GRID))
+    add("oracle", _cmd_oracle, "exact optimum for a tiny mission", explicit).add_argument(
+        "--horizon", type=_int_arg, default=8, help="search depth in steps (max 12)")
+    add("validate", _cmd_validate, "print mission diagnostics", explicit)
     return parser
 
 
@@ -251,17 +230,9 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "batch": _cmd_batch,
-        "sweep": _cmd_sweep,
-        "oracle": _cmd_oracle,
-        "validate": _cmd_validate,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except InfeasibleMissionError as exc:
         print(f"mission infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

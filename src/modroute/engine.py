@@ -537,6 +537,16 @@ def _check_wait_cost(wait_cost: float) -> None:
         raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
 
 
+def _check_max_steps(max_steps: int | None) -> None:
+    """ValueError unless ``max_steps`` is None or an int >= 0 (a bool is not
+    an int): the one step-cap rule of ``simulate`` and ``BatchConfig``."""
+    if max_steps is not None:
+        if type(max_steps) is not int:  # not check_int: the rule here is "an int or None"
+            raise ValueError(f"max_steps must be an int or None, got {max_steps!r}")
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+
+
 def _cache_for(graph: Graph, cache: PathCache | None) -> PathCache:
     """``cache``, or a new one over ``graph``; ValueError if it serves another graph."""
     if cache is None:
@@ -562,11 +572,7 @@ def simulate(mission: Mission, max_steps: int | None, advance: Callable) -> Miss
     targets remain unreachable. A ``max_steps`` that is not an int (a bool
     included) or is negative raises ValueError.
     """
-    if max_steps is not None:
-        if type(max_steps) is not int:  # not check_int: the rule here is "an int or None"
-            raise ValueError(f"max_steps must be an int or None, got {max_steps!r}")
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    _check_max_steps(max_steps)
     diags = validate(mission)
     if diags:
         raise InfeasibleMissionError("; ".join(diags))

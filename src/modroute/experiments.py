@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import random
 import statistics
 from dataclasses import dataclass, field, replace
 
 from .baselines import run_nonmodular_baseline
-from .engine import ForceParams, run_mission
+from .engine import ForceParams, _check_max_steps, run_mission
 from .graph import Graph, InfeasibleMissionError, Mission, check_int, validate
 from .paths import PathCache
 
@@ -119,11 +118,8 @@ def generate_random_mission(
 
 def mission_hash(mission: Mission) -> str:
     """Stable short digest of (graph edges, starts, targets)."""
-    payload = io.StringIO()
-    payload.write(repr(mission.graph.edges()))
-    payload.write(repr(tuple(mission.starts)))
-    payload.write(repr(sorted(mission.targets)))
-    return hashlib.sha256(payload.getvalue().encode()).hexdigest()[:12]
+    payload = repr(mission.graph.edges()) + repr(tuple(mission.starts)) + repr(sorted(mission.targets))
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,8 @@ class BatchConfig:
     trial with ``trial_seed(trial)``. ``max_steps`` is the step cap of
     every run (the methods' default when None). ``n_agents``, ``n_targets``
     and ``base_seed`` must be ints and ``trials`` an int >= 1
-    (``check_int``): anything else raises ValueError before any mission is
-    drawn.
+    (``check_int``), and ``max_steps`` None or an int >= 0 (``simulate``'s
+    rule): anything else raises ValueError before any mission is drawn.
     """
 
     graph: Graph
@@ -153,6 +149,7 @@ class BatchConfig:
             if name == "n_targets" and self.n_targets is None:
                 object.__setattr__(self, "n_targets", 2 * self.n_agents)
             check_int(name, getattr(self, name))
+        _check_max_steps(self.max_steps)
 
     def trial_seed(self, trial: int) -> int:
         return self.base_seed + trial
@@ -254,10 +251,7 @@ def run_batch(
     result = BatchResult(
         rows=tuple(rows),
         mean_cost={m: statistics.fmean(costs[m]) if costs[m] else math.inf for m in METHODS},
-        variance_cost={
-            m: (statistics.pvariance(costs[m]) if len(costs[m]) > 1 else 0.0) if costs[m] else math.inf
-            for m in METHODS
-        },
+        variance_cost={m: statistics.pvariance(costs[m]) if costs[m] else math.inf for m in METHODS},
         best_frequency={m: 100.0 * wins[m] / config.trials for m in METHODS},
     )
     if out_path is not None:

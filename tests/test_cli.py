@@ -266,6 +266,67 @@ class TestDefaults:
         assert {flag: repr(args[flag]) for flag in flags} == {flag: repr(library[flag]) for flag in flags}
 
 
+class TestParsedArgs:
+    # Every flag of each subcommand, and none of them: the values the
+    # handlers read. The handler itself is left out.
+    @pytest.mark.parametrize("argv, parsed", [
+        ("run --grid 5x4 --weight-attr w --agents 3 --targets 4 --seed 9 --starts 0,1 --target-nodes 6,7"
+         " --alpha 0.25 --beta 2.5 --k 3 --force-sum --max-steps 40 --wait-cost 0.5",
+         {"command": "run", "graph": None, "grid": "5x4", "weight_attr": "w", "agents": 3, "targets": 4,
+          "seed": 9, "starts": "0,1", "target_nodes": "6,7", "alpha": 0.25, "beta": 2.5, "k": 3,
+          "force_sum": True, "max_steps": 40, "wait_cost": 0.5}),
+        ("batch --graph g.graphml --weight-attr w --agents 3 --targets 4 --seed 9 --alpha 0.25 --beta 2.5"
+         " --k 3 --force-sum --trials 6 --max-steps 40 --starts-from 0,1,2 --out b.csv",
+         {"command": "batch", "graph": "g.graphml", "grid": None, "weight_attr": "w", "agents": 3,
+          "targets": 4, "seed": 9, "alpha": 0.25, "beta": 2.5, "k": 3, "force_sum": True, "trials": 6,
+          "max_steps": 40, "starts_from": "0,1,2", "out": "b.csv"}),
+        ("sweep --grid 5x4 --weight-attr w --agents 3 --targets 4 --seed 9 --trials 6 --k 3 --max-steps 40"
+         " --alphas 0.2,0.4 --betas 1,2 --out s.csv",
+         {"command": "sweep", "graph": None, "grid": "5x4", "weight_attr": "w", "agents": 3, "targets": 4,
+          "seed": 9, "trials": 6, "k": 3, "max_steps": 40, "alphas": "0.2,0.4", "betas": "1,2",
+          "out": "s.csv"}),
+        ("oracle --grid 3x3 --weight-attr w --agents 2 --targets 3 --seed 9 --starts 0,1 --target-nodes 6,7"
+         " --horizon 5",
+         {"command": "oracle", "graph": None, "grid": "3x3", "weight_attr": "w", "agents": 2, "targets": 3,
+          "seed": 9, "starts": "0,1", "target_nodes": "6,7", "horizon": 5}),
+        ("validate --graph g.edges --weight-attr w --agents 3 --targets 4 --seed 9 --starts 0,1"
+         " --target-nodes 6,7",
+         {"command": "validate", "graph": "g.edges", "grid": None, "weight_attr": "w", "agents": 3,
+          "targets": 4, "seed": 9, "starts": "0,1", "target_nodes": "6,7"}),
+        ("run --grid 4x4",
+         {"command": "run", "graph": None, "grid": "4x4", "weight_attr": "length", "agents": 2,
+          "targets": None, "seed": 0, "starts": None, "target_nodes": None, "alpha": 0.5, "beta": 1.0,
+          "k": 5, "force_sum": False, "max_steps": None, "wait_cost": 0.0}),
+        ("batch --grid 4x4",
+         {"command": "batch", "graph": None, "grid": "4x4", "weight_attr": "length", "agents": 2,
+          "targets": None, "seed": 0, "alpha": 0.5, "beta": 1.0, "k": 5, "force_sum": False,
+          "trials": 100, "max_steps": None, "starts_from": None, "out": None}),
+        ("sweep --grid 4x4",
+         {"command": "sweep", "graph": None, "grid": "4x4", "weight_attr": "length", "agents": 2,
+          "targets": None, "seed": 0, "trials": 100, "k": 5, "max_steps": None,
+          "alphas": "0.1,0.3,0.5,0.7,0.9", "betas": "0.1,0.3,0.5,0.7,0.9", "out": None}),
+        ("oracle --grid 4x4",
+         {"command": "oracle", "graph": None, "grid": "4x4", "weight_attr": "length", "agents": 2,
+          "targets": None, "seed": 0, "starts": None, "target_nodes": None, "horizon": 8}),
+        ("validate --grid 4x4",
+         {"command": "validate", "graph": None, "grid": "4x4", "weight_attr": "length", "agents": 2,
+          "targets": None, "seed": 0, "starts": None, "target_nodes": None}),
+    ])
+    def test_each_subcommand_parses_to_these_values(self, argv, parsed):
+        args = vars(build_parser().parse_args(argv.split()))
+        args.pop("handler", None)
+        assert {name: repr(value) for name, value in args.items()} == {
+            name: repr(value) for name, value in parsed.items()}
+
+
+# Each int flag on every subcommand that takes it
+INT_FLAGS = [(command, flag) for command in ("run", "batch", "sweep", "oracle", "validate")
+             for flag in ("--agents", "--targets", "--seed")] + [
+    ("run", "--k"), ("batch", "--k"), ("sweep", "--k"), ("batch", "--trials"), ("sweep", "--trials"),
+    ("run", "--max-steps"), ("batch", "--max-steps"), ("sweep", "--max-steps"), ("oracle", "--horizon"),
+]
+
+
 class TestBadInput:
     def test_unknown_node_exits_1(self, capsys, demo_graph_file):
         code, _, err = run_cli(
@@ -329,6 +390,21 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert flag[2:].split("=")[0].replace("-", "_") in err
+
+    # int() reads these as 10, 2 and 7
+    @pytest.mark.parametrize("token", ["1_0", "\uff12", " 7"])
+    @pytest.mark.parametrize("command, flag", INT_FLAGS)
+    def test_int_flag_that_int_would_misread_exits_1(self, capsys, command, flag, token):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--grid", "4x4", flag, token])
+        assert excinfo.value.code == 1
+        assert f"error: argument {flag}: invalid int value: {token!r}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["+3", "007", "-1"])
+    @pytest.mark.parametrize("command, flag", INT_FLAGS)
+    def test_int_flag_is_read_as_int_reads_it(self, command, flag, token):
+        args = build_parser().parse_args([command, "--grid", "4x4", flag, token])
+        assert repr(getattr(args, flag[2:].replace("-", "_"))) == repr(int(token))
 
     # float() reads these as 10.5 and 1.5
     @pytest.mark.parametrize("token", ["1_0.5", "\u0661.\u0665", "\uff11.\uff15"])

@@ -164,6 +164,28 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
             BatchConfig(graph=make_grid_graph(4, 4), trials=2, **fields)
 
+    @pytest.mark.parametrize("max_steps, message", [
+        (1.5, "max_steps must be an int or None, got 1.5"),
+        (True, "max_steps must be an int or None, got True"),
+        ("3", "max_steps must be an int or None, got '3'"),
+        (-1, "max_steps must be >= 0, got -1"),
+    ])
+    def test_step_cap_is_checked_before_any_mission_is_drawn(self, monkeypatch, max_steps, message):
+        # these once built, and run_batch drew every mission before the
+        # first run raised simulate's message
+        monkeypatch.setattr(experiments, "generate_random_mission", None)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BatchConfig(make_grid_graph(4, 4), 2, trials=2, max_steps=max_steps)
+
+    @pytest.mark.parametrize("max_steps", [None, 0, 7])
+    def test_step_cap_none_or_an_int_from_zero_is_accepted(self, max_steps):
+        assert BatchConfig(make_grid_graph(4, 4), 2, trials=2, max_steps=max_steps).max_steps == max_steps
+
+    def test_one_completed_trial_has_zero_variance(self):
+        result = run_batch(BatchConfig(make_grid_graph(6, 6, seed=0), 2, trials=1, base_seed=1))
+        assert all(row["completed"] for row in result.rows)
+        assert result.variance_cost == {FORCE_BASED: 0.0, NONMODULAR: 0.0}
+
     def test_n_targets_defaults_to_twice_agents(self):
         config = BatchConfig(graph=make_grid_graph(6, 6, seed=0), n_agents=3)
         assert config.n_targets == 6
@@ -326,3 +348,8 @@ class TestMissionHash:
         assert mission_hash(m1) == mission_hash(m2)
         other = Mission(m1.graph, (0, 2), m1.targets)
         assert mission_hash(other) != mission_hash(m1)
+
+    def test_pinned_digests(self):
+        # the sweep CSV's mission_hash column: a change here changes its bytes
+        drawn = generate_random_mission(make_grid_graph(6, 6, seed=0), 3, 6, 11)
+        assert (mission_hash(eight_node_mission()), mission_hash(drawn)) == ("a3f81b5c4c56", "114ba5a1267b")
