@@ -159,6 +159,30 @@ def _build_mission(args) -> Mission:
     return BatchConfig(graph, args.agents, args.targets, trials=1, base_seed=args.seed).missions()[0]
 
 
+def _unread_flags(args, argv: list[str]) -> list[str]:
+    """One line per reason that flags given in ``argv`` would go unread.
+
+    With ``--starts`` and ``--target-nodes`` nothing is drawn, so
+    ``--agents`` and ``--targets`` are not read, nor is ``--seed`` outside
+    ``run``, which seeds its run with it; and only a GraphML file has a
+    ``--weight-attr`` to read. A flag counts as given when a token is the
+    flag or starts with it and ``=``: with abbreviations off and no
+    positional arguments, argparse takes no other token for a flag's name
+    and lets no such token through as a value.
+    """
+    rules = []
+    if getattr(args, "starts", None) and args.target_nodes:
+        drawn = ("--agents", "--targets") if args.command == "run" else ("--agents", "--targets", "--seed")
+        rules.append((drawn, "the mission is given by --starts and --target-nodes"))
+    if not (args.graph and args.graph.lower().endswith(".graphml")):
+        rules.append((("--weight-attr",), "only a GraphML file has edge attributes"))
+    lines = []
+    for flags, why in rules:
+        if given := [flag for flag in flags if any(token == flag or token.startswith(flag + "=") for token in argv)]:
+            lines.append(f"{', '.join(given)} not read: {why}")
+    return lines
+
+
 def _print_json(mission: Mission, **fields) -> None:
     graph, targets = mission.graph, sorted(mission.targets)
     print(json.dumps({"mission": {
@@ -230,7 +254,11 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    if unread := _unread_flags(args, argv):
+        print(f"error: {'; '.join(unread)}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.handler(args)
     except InfeasibleMissionError as exc:

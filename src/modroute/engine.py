@@ -175,12 +175,16 @@ class MoveIntent:
 
 @dataclass(frozen=True, slots=True)
 class StepRecord:
-    """Edges traversed at one timestep and the cost charged for them."""
+    """The moves of one timestep and the cost charged for them."""
 
     t: int
-    traversed: frozenset[tuple[int, int]]
     intents: tuple[MoveIntent, ...]
     step_cost: float
+
+    @property
+    def traversed(self) -> frozenset[tuple[int, int]]:
+        """The deduplicated edges crossed at this step, derived from the intents."""
+        return frozenset((i.src, i.dst) for i in self.intents if i.src != i.dst)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,10 +205,11 @@ class MissionResult:
 # are plain dicts, emptied when full, whose keys compare by == alone, so 1
 # and True, or 0 and 0.0, would share an entry. An AgentState is keyed on its
 # fields, which the kernel fills with int ids, a bool and an int target or
-# None. A StepRecord is keyed on each intent's (agent_id, src, dst,
-# waiting), which fix its traversed set, and on t and its step cost, each
-# with its type: ``simulate`` numbers its steps with ints, but ``step`` takes
-# any t, and an int wait_cost of 0 with no edge crossed gives an int 0 cost.
+# None. A StepRecord stores no traversed set, only what derives it: it is
+# keyed on each intent's (agent_id, src, dst, waiting), and on t and its
+# step cost, each with its type: ``simulate`` numbers its steps with ints,
+# but ``step`` takes any t, and an int wait_cost of 0 with no edge crossed
+# gives an int 0 cost.
 # Inside any container 1 and True compare equal, which is why ``validate``
 # admits only int node ids.
 _INTERNED = 1 << 14
@@ -713,14 +718,13 @@ def _timestep(
         next_agents.append(agent)
         under.add(dst)
 
-    traversed = frozenset(edges)
     weight = cache.graph._weights.__getitem__
     if wait_cost is None:
         step_cost = sum(map(weight, edges), 0.0)
     else:
-        step_cost = sum(map(weight, sorted(traversed))) + wait_cost * n_waiting
+        step_cost = sum(map(weight, sorted(set(edges)))) + wait_cost * n_waiting
     key = (*intent_fields, t, type(t), step_cost, type(step_cost))
-    record = _records.get(key) or _intern(_records, key, StepRecord(t, traversed, tuple(intents), step_cost))
+    record = _records.get(key) or _intern(_records, key, StepRecord(t, tuple(intents), step_cost))
     return next_agents, frozenset(unvisited) - under, record
 
 

@@ -15,7 +15,9 @@ style surcharge is applied by the simulation layer, not the graph.
 from __future__ import annotations
 
 import functools
+import math
 import re
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -66,7 +68,8 @@ class Graph:
 
     Invariants enforced at construction: ``node_count`` is an int >= 1
     (``check_int``), endpoints are node ids, weights strictly positive
-    and finite, no stored self-loops, at most one edge per (src, dst) pair.
+    and finite with a finite sum (``_finite_sum``), no stored self-loops, at
+    most one edge per (src, dst) pair.
     Instances are safe to share across concurrent mission runs; all
     mutation happens before construction.
 
@@ -107,6 +110,8 @@ class Graph:
         for (src, dst), w in sorted(weights.items()):
             adj[src].append((dst, w))
             radj[dst].append((src, w))
+        if not _finite_sum(w for out in adj for _, w in out):
+            raise ValueError(f"edge weights must have a finite sum (at most {sys.float_info.max!r})")
         self._adj = tuple(tuple(lst) for lst in adj)
         self._radj = tuple(tuple(lst) for lst in radj)
         self._weights = weights
@@ -163,6 +168,17 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _finite_sum(weights) -> bool:
+    """Whether ``math.fsum(weights)`` is a finite float; fsum raises
+    OverflowError once its exact partial sum leaves the float range.
+    ``paths._shrink_factor`` sums a Graph's weights in the same order, so it
+    cannot raise on one."""
+    try:
+        return math.fsum(weights) < math.inf
+    except OverflowError:
+        return False
 
 
 def _components(adj, radj) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

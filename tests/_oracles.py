@@ -275,7 +275,7 @@ def reference_step(cache, agents, unvisited, params, rng, *, t=1, wait_cost=0.0,
     traversed = frozenset((i.src, i.dst) for i in intents if i.src != i.dst)
     n_waiting = sum(1 for i in intents if i.waiting)
     step_cost = sum(cache.graph.weight(u, v) for u, v in sorted(traversed)) + wait_cost * n_waiting
-    return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
+    return next_agents, unvisited, StepRecord(t, tuple(intents), step_cost)
 
 
 def reference_baseline_step(cache, agents, unvisited, *, t=1):
@@ -307,8 +307,7 @@ def reference_baseline_step(cache, agents, unvisited, *, t=1):
         for a in staged
     ]
     unvisited = frozenset(unvisited) - {a.position for a in next_agents}
-    traversed = frozenset((i.src, i.dst) for i in intents)
-    return next_agents, unvisited, StepRecord(t, traversed, tuple(intents), step_cost)
+    return next_agents, unvisited, StepRecord(t, tuple(intents), step_cost)
 
 
 def _reference_assign_targets(agents, unvisited, cache):

@@ -454,6 +454,47 @@ class TestBadInput:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_weights_whose_sum_overflows_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.edges"
+        path.write_text("0 1 1e308\n1 2 1e308\n")
+        code, out, err = run_cli(capsys, command, "--graph", str(path), "--starts", "0", "--target-nodes", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: edge weights must have a finite sum")
+
+
+class TestUnreadFlags:
+    # A flag the command would not read exits 1 instead of being ignored.
+    def test_every_unread_flag_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--grid", "4x4", "--starts", "0", "--target-nodes", "3",
+                                 "--agents", "7", "--targets", "9", "--weight-attr", "nosuch")
+        assert (code, out) == (1, "")
+        assert err == ("error: --agents, --targets not read: the mission is given by --starts and "
+                       "--target-nodes; --weight-attr not read: only a GraphML file has edge attributes\n")
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "validate"])
+    @pytest.mark.parametrize("flag", ["--agents=2", "--targets=3", "--seed=4"])
+    def test_draw_flags_with_an_explicit_mission(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, "--grid", "3x3", flag, "--starts", "0", "--target-nodes", "8")
+        if command == "run" and flag == "--seed=4":  # the run's own seed
+            assert code == 0 and json.loads(out)["completed"]
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {flag.split('=')[0]} not read: the mission is given by --starts")
+
+    @pytest.mark.parametrize("command", ["run", "batch", "sweep", "oracle", "validate"])
+    @pytest.mark.parametrize("source", ["grid", "edge list"])
+    def test_weight_attr_without_graphml(self, capsys, demo_graph_file, command, source):
+        graph = ["--grid", "3x3"] if source == "grid" else ["--graph", demo_graph_file]
+        code, out, err = run_cli(capsys, command, *graph, "--weight-attr", "length")
+        assert (code, out) == (1, "")
+        assert err == "error: --weight-attr not read: only a GraphML file has edge attributes\n"
+
+    def test_draw_flags_of_a_drawn_mission_are_read(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--grid", "4x4", "--agents", "3", "--targets", "4", "--seed", "5")
+        mission = json.loads(out)["mission"]
+        assert code == 0 and (len(mission["starts"]), len(mission["targets"])) == (3, 4)
+
 
 class TestOutputBytes:
     # Other tests parse the printed JSON, so they would not see a change in

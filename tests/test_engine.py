@@ -966,7 +966,7 @@ class TestSlottedInternedRecords:
         AgentState(0, 1),
         EdgeForces(0, {}),
         MoveIntent(0, 1, 2),
-        StepRecord(1, frozenset(), (), 0.0),
+        StepRecord(1, (), 0.0),
         MissionResult(((0,),), (), 0.0, True, 0),
         Path((0, 1), 1.0),
     ], ids=lambda record: type(record).__name__)
@@ -977,6 +977,17 @@ class TestSlottedInternedRecords:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, getattr(record, name))
 
+    def test_step_record_stores_no_edge_set(self):
+        assert [f.name for f in dataclasses.fields(StepRecord)] == ["t", "intents", "step_cost"]
+
+    def test_traversed_counts_a_shared_edge_once_and_skips_waits(self):
+        res = run_mission(shared_corridor_mission(), SHARED_CORRIDOR_PARAMS, seed=0)
+        record = res.steps[1]
+        assert [(i.src, i.dst, i.waiting) for i in record.intents] == [(1, 3, False), (1, 3, False), (3, 3, True)]
+        assert record.traversed == frozenset({(1, 3)}) and record.step_cost == 2.0
+        for record in res.steps:
+            assert record.traversed == frozenset((i.src, i.dst) for i in record.intents if i.src != i.dst)
+
     def test_run_records_match_fresh_ones(self):
         mission = shared_corridor_mission()
         res = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
@@ -986,7 +997,7 @@ class TestSlottedInternedRecords:
             for intent, new in zip(record.intents, fresh):
                 assert intent is not new
                 assert intent == new and hash(intent) == hash(new) and repr(intent) == repr(new)
-            rebuilt = StepRecord(record.t, record.traversed, fresh, record.step_cost)
+            rebuilt = StepRecord(record.t, fresh, record.step_cost)
             assert record == rebuilt and hash(record) == hash(rebuilt) and repr(record) == repr(rebuilt)
         agents = [AgentState(i, s) for i, s in enumerate(mission.starts)]
         agents, _, _ = step(PathCache(mission.graph), agents, mission.targets,
@@ -1001,7 +1012,7 @@ class TestSlottedInternedRecords:
         b = run_mission(mission, SHARED_CORRIDOR_PARAMS, seed=0)
         assert a == b
         for ra, rb in zip(a.steps, b.steps, strict=True):
-            assert ra is rb and ra.traversed is rb.traversed
+            assert ra is rb
             assert all(ia is ib for ia, ib in zip(ra.intents, rb.intents, strict=True))
 
     def test_replay_shares_every_equal_record_and_path(self):
@@ -1021,9 +1032,7 @@ class TestSlottedInternedRecords:
                 assert first.setdefault(value, value) is value
             assert len(first) < len(values)
         for record in records:
-            traversed = frozenset((i.src, i.dst) for i in record.intents if i.src != i.dst)
-            fresh = StepRecord(record.t, traversed, tuple(_fresh_intent(i) for i in record.intents),
-                               record.step_cost)
+            fresh = StepRecord(record.t, tuple(_fresh_intent(i) for i in record.intents), record.step_cost)
             assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
         for path in paths:
             fresh = tuple(list(path))

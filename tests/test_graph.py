@@ -15,6 +15,8 @@ from modroute import (
     load_edge_list,
     load_graphml,
     make_grid_graph,
+    run_mission,
+    run_nonmodular_baseline,
     validate,
 )
 from modroute import graph as graph_module
@@ -58,6 +60,13 @@ class TestEdgeList:
             load_edge_list("0 1 0.0")
         with pytest.raises(GraphFormatError, match="positive"):
             load_edge_list("0 1 -3")
+
+    @pytest.mark.parametrize("text", ["0 1 1e308\n1 2 1e308\n", "0 1 1e308 undirected\n"])
+    def test_weights_whose_sum_overflows_rejected(self, text):
+        # each weight is finite, but the path layer's fsum of them once raised
+        # OverflowError at the first run
+        with pytest.raises(ValueError, match="edge weights must have a finite sum"):
+            load_edge_list(text)
 
     def test_bad_direction_field(self):
         with pytest.raises(GraphFormatError, match="direction"):
@@ -357,6 +366,19 @@ class TestGraphInvariants:
             Graph(2, [(0, 1, -1.0)])
         with pytest.raises(ValueError, match="duplicate"):
             Graph(2, [(0, 1, 1.0), (0, 1, 2.0)])
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (sys.float_info.max, 2.0**970)])
+    def test_constructor_rejects_weights_whose_sum_overflows(self, weights):
+        # the second pair sums to exactly halfway above the largest float
+        with pytest.raises(ValueError, match="edge weights must have a finite sum"):
+            Graph(3, [(0, 1, weights[0]), (1, 2, weights[1])])
+
+    def test_weights_with_a_finite_sum_near_the_largest_float_run(self):
+        g = Graph(3, [(0, 1, 5e307), (1, 0, 5e307), (1, 2, 5e307)])
+        assert math.fsum(w for _, _, w in g.edges()) == 1.5e308
+        result = run_mission(Mission(g, (0,), frozenset({2})))
+        assert result.completed and result.total_cost == 1e308
+        assert run_nonmodular_baseline(Mission(g, (0,), frozenset({2}))).total_cost == 1e308
 
     def test_all_loaded_weights_positive(self):
         g = eight_node_graph()
