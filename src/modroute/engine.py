@@ -117,7 +117,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .graph import Graph, InfeasibleMissionError, Mission, check_int, validate
+from .graph import Graph, InfeasibleMissionError, Mission, check_float, check_int, validate
 from .paths import PathCache
 
 
@@ -126,10 +126,11 @@ class ForceParams:
     """Tuning constants for the attraction model.
 
     ``alpha`` scales agent-agent attraction, ``beta`` agent-target
-    attraction, and ``k`` is the number of cheapest loopless paths sampled
-    per attraction source, an int >= 1 (``check_int``). With ``force_sum``
-    every sampled path through a candidate edge contributes, instead of
-    only the strongest one.
+    attraction, each an int or a float (``check_float``), finite and
+    non-negative, not both 0; ``k`` is the number of cheapest loopless
+    paths sampled per attraction source, an int >= 1 (``check_int``). With
+    ``force_sum`` every sampled path through a candidate edge contributes,
+    instead of only the strongest one.
     """
 
     alpha: float = 0.5
@@ -138,7 +139,8 @@ class ForceParams:
     force_sum: bool = False
 
     def __post_init__(self) -> None:
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):  # also rejects NaN
+        alpha, beta = check_float("alpha", self.alpha), check_float("beta", self.beta)
+        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):  # also rejects NaN
             raise ValueError(f"alpha and beta must be finite and non-negative, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both be zero")
@@ -394,6 +396,11 @@ def _choose_edge(
     the next pass scores that source exactly. Once no source is left to
     fetch, or when some bound is inf (as for a source outside the graph),
     the reference decides; by then its queries all hit.
+
+    The exact tier reads a source's k-set with one lookup,
+    ``cache.cached_k_shortest``, which returns the cached set or None and
+    computes nothing, so ``k_shortest`` stays the one place that builds
+    sets.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
     sources = _sources(agent, others, params)
@@ -411,7 +418,7 @@ def _choose_edge(
     ranked.sort(reverse=True)
     if ranked[0][0] < inf:  # else no bound is trusted
         widen = 1.0 + (4 * len(ranked) + k) * _SLACK_UNIT
-        cached, adj = cache.k_shortest_keys, cache.graph._adj[position]
+        cached, adj = cache.cached_k_shortest, cache.graph._adj[position]
         while True:
             rests, rest = [0.0], 0.0  # rests.pop(): the fold of the bounds not yet scored
             for source in ranked[:0:-1]:
@@ -422,8 +429,9 @@ def _choose_edge(
             lead_hop, lead, rival = None, 0.0, 0.0  # the largest partial, and the largest of another hop
             fetch = None  # the strongest source scored from bounds
             for bound, dest, scale in ranked:
-                if (position, dest, k) in cached:
-                    groups = cache.k_shortest(position, dest, k).first_hops
+                kset = cached((position, dest, k))
+                if kset is not None:
+                    groups = kset.first_hops
                 elif dist[dest] < inf:  # the certain term of h0, and extra terms
                     groups = cache.k_shortest(position, dest, 1).first_hops  # ((h0, (W0,)),)
                     h0 = groups[0][0]
@@ -536,9 +544,10 @@ def resolve_waits(
 
 
 def _check_wait_cost(wait_cost: float) -> None:
-    """ValueError unless ``wait_cost`` is finite and non-negative: the one
-    check of ``run_mission`` and ``step``."""
-    if not 0 <= wait_cost < math.inf:  # also rejects NaN
+    """ValueError unless ``wait_cost`` is an int or a float (``check_float``),
+    finite and non-negative: the one check of ``run_mission`` and ``step``."""
+    value = wait_cost if type(wait_cost) is float else check_float("wait_cost", wait_cost)  # step checks it each time
+    if not 0 <= value < math.inf:  # also rejects NaN
         raise ValueError(f"wait_cost must be finite and >= 0, got {wait_cost}")
 
 

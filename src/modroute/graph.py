@@ -4,8 +4,9 @@ Node ids are dense integers in ``[0, m)``: ``Graph.node_problem`` holds that
 rule, and every layer that takes a node id from its caller asks it.
 ``check_int`` holds the rule for every other int a caller passes (a node
 count, grid size, agent or target count, k, trial count, seed or horizon),
-and ``read_int`` and ``read_float`` the rules for reading an int or a float
-from a text token.
+``check_float`` the rule for every float a caller passes (an edge weight,
+alpha, beta or a wait cost), and ``read_int`` and ``read_float`` the rules
+for reading an int or a float from a text token.
 External identifiers (raw ids from an edge list, GraphML node ids) are kept
 in ``Graph.node_labels`` for reporting. Waiting in place is always allowed
 and free, so self-loops are implicit and never stored; a ``--wait-cost``
@@ -46,6 +47,21 @@ def check_int(name: str, value: object, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an int{' >= ' + str(low) if low is not None else ''}, got {value!r}")
 
 
+def check_float(name: str, value: object) -> float:
+    """``float(value)``, or ValueError naming ``value`` unless it is an int or
+    a float whose float conversion does not overflow. A bool is neither, as
+    in ``check_int``: ``True`` would pass as 1.0 while printing as itself.
+    A str or a complex would raise TypeError at the first comparison, and an
+    int past the float range OverflowError at the first float operation.
+    The caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an int or a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range, got an int of {value.bit_length()} bits") from None
+
+
 def read_int(token: str) -> int | None:
     """The int that ``token`` spells with an optional sign and ASCII digits
     0-9, or None. ``int()`` also reads ``"1_0"`` as 10 and ``"１"`` (a
@@ -67,8 +83,9 @@ class Graph:
     """Immutable weighted directed graph.
 
     Invariants enforced at construction: ``node_count`` is an int >= 1
-    (``check_int``), endpoints are node ids, weights strictly positive
-    and finite with a finite sum (``_finite_sum``), no stored self-loops, at
+    (``check_int``), endpoints are node ids, weights ints or floats
+    (``check_float``) that are strictly positive and finite with a finite
+    sum (``_finite_sum``), no stored self-loops, at
     most one edge per (src, dst) pair.
     Instances are safe to share across concurrent mission runs; all
     mutation happens before construction.
@@ -102,11 +119,13 @@ class Graph:
                 raise ValueError(f"edge ({src!r},{dst!r}) endpoint {problem}")
             if src == dst:
                 raise ValueError(f"self-loop ({src},{src}) cannot be stored; waiting is implicit")
+            if type(w) is not float:  # check_float returns a float as it is
+                w = check_float(f"edge ({src},{dst}) weight", w)
             if not (w > 0.0 and w != float("inf")):
                 raise ValueError(f"edge ({src},{dst}) weight must be positive and finite, got {w}")
             if (src, dst) in weights:
                 raise ValueError(f"duplicate edge ({src},{dst})")
-            weights[(src, dst)] = float(w)
+            weights[(src, dst)] = w
         for (src, dst), w in sorted(weights.items()):
             adj[src].append((dst, w))
             radj[dst].append((src, w))

@@ -113,10 +113,12 @@ How the k-shortest search is made fast without changing any answer:
   end at the destination, so neither is a prefix of the other, and
   ``p[c] != prev[c]``. p shares ``prev``'s first i + 1 nodes exactly when
   i < c, and for i < c - 1 its next hop is ``prev[i + 1]``. So each round
-  bans ``prev[i + 1]`` at every index i and adds ``p[c]`` at index c - 1
-  for each other found path p: one prefix scan per found path per round
-  builds the whole table. Entries below the spur index ``start`` go
-  unused.
+  bans ``prev[i + 1]`` at every index i, which the scan of the spur's
+  out-edges tests inline, and ``p[c]`` at index c - 1 for each other found
+  path p. Only the second kind needs a table: one prefix scan per found
+  path per round fills ``extra``, a dict from index c - 1 to those further
+  hops, with entries only where some found path deviated and none for a
+  c - 1 below the spur index ``start``, so no set is built per index.
 * **Bounded spur search.** With r = k - (paths found) outputs still to
   come, ``bound`` is the weight of the r-th lightest queued candidate (inf
   while fewer than r are queued). A path heavier than ``bound`` is never
@@ -163,7 +165,9 @@ How the k-shortest search is made fast without changing any answer:
   ones, with the same sums (``0.0 + w == w``). ``yen_k_shortest`` builds
   that heap in its one scan of the spur's out-edges, before it copies
   ``h``, hands it to ``_lex_shortest`` and skips a search whose heap is
-  empty: that search would return None at once. In a 100-trial 8x8 ``run_batch`` with
+  empty: that search would return None at once. That scan, like the
+  relaxation loop of ``_lex_shortest``, passes over a closed, unreachable
+  or banned neighbour before it computes a key. In a 100-trial 8x8 ``run_batch`` with
   n = 5 (grid seed 3, missions 3000-3099) 38,082 of 61,986 spur heaps are
   empty.
 
@@ -176,7 +180,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from collections.abc import Callable, KeysView
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graph import Graph, check_int
@@ -221,11 +225,12 @@ class PathSet:
     paths: tuple[Path, ...]
 
     def __post_init__(self) -> None:
-        hops: dict[int, list[float]] = {}
+        hops: dict[int, tuple[float, ...]] = {}
         for path in self.paths:
-            if len(path.nodes) > 1:
-                hops.setdefault(path.nodes[1], []).append(path.total_weight)
-        object.__setattr__(self, "first_hops", tuple((hop, tuple(weights)) for hop, weights in hops.items()))
+            nodes = path.nodes
+            if len(nodes) > 1:
+                hops[nodes[1]] = hops.get(nodes[1], ()) + (path.total_weight,)
+        object.__setattr__(self, "first_hops", tuple(hops.items()))
 
     def __reduce__(self):
         return PathSet, (self.origin, self.destination, self.paths)
@@ -352,10 +357,12 @@ def _lex_shortest(
             return nodes, g
         h[u] = inf
         for v, w in adj[u]:
-            ng = g + w
-            key = ng + h[v]
-            if key <= limit and h[v] != inf:
-                push(heap, (key, ng, nodes + (v,)))
+            hv = h[v]
+            if hv != inf:  # else closed, settled or unable to reach dst
+                ng = g + w
+                key = ng + hv
+                if key <= limit:
+                    push(heap, (key, ng, nodes + (v,)))
     return None
 
 
@@ -400,40 +407,43 @@ def yen_k_shortest(
         found.append((prev, w))
         if len(found) == k:
             break
-        # banned[i]: the spur at prev[i]'s banned next hops, for i >= start
-        # (see Lawler in the module docstring)
-        banned = [None] * start + [{v} for v in prev[start + 1 :]]
+        # extra[i]: the spur at prev[i]'s banned next hops besides prev[i + 1],
+        # for i >= start (see Lawler in the module docstring)
+        extra: dict[int, list[int]] = {}
         for p, _ in found[:-1]:
             c = 0  # length of p's common prefix with prev
             while p[c] == prev[c]:
                 c += 1
             if c > start:
-                banned[c - 1].add(p[c])
+                extra.setdefault(c - 1, []).append(p[c])
         open_h = h[:]  # h with the root's nodes closed
         root_w = 0.0  # left-to-right fold of the root's edge weights
         for i in range(len(prev) - 1):
-            spur = prev[i]
+            spur, nxt = prev[i], prev[i + 1]
             open_h[spur] = inf
             if i >= start:
                 limit = bound - root_w + slack * bound
-                banned_i = banned[i]
+                more = extra.get(i, ())
                 heap = []  # the spur search's first heap; a comprehension would make open_h a cell
                 for v, w in adj[spur]:
-                    key = w + open_h[v]
-                    if key <= limit and open_h[v] != inf and v not in banned_i:
-                        heap.append((key, w, (spur, v)))
+                    hv = open_h[v]
+                    if hv != inf and v != nxt and v not in more:
+                        key = w + hv
+                        if key <= limit:
+                            heap.append((key, w, (spur, v)))
                 spur_result = None  # with an empty heap, the search would return None at once
                 if heap:
                     spur_result = _lex_shortest(graph, dst, open_h[:], heap, limit)
                 if spur_result is not None and (total := prev[:i] + (spur_nodes := spur_result[0])) not in seen:
-                    total_w = root_w
-                    for u, v in zip(spur_nodes, spur_nodes[1:]):
+                    total_w, u = root_w, spur
+                    for v in spur_nodes[1:]:
                         total_w += weights[u, v]
+                        u = v
                     bisect.insort(candidates, (total_w, total, i))
                     seen.add(total)
                     if len(found) + len(candidates) >= k:
                         bound = candidates[k - len(found) - 1][0]
-            root_w += weights[spur, prev[i + 1]]
+            root_w += weights[spur, nxt]
 
     return PathSet(src, dst, tuple(Path(nodes, w) for nodes, w in found))
 
@@ -458,8 +468,8 @@ class PathCache:
         self._dist: dict[int, tuple[list[float], list[int | None]]] = {}  # dijkstra's (dist, pred)
         self._declined: dict[int, bytearray] = {}  # per source, each node's read state (_lightest_path)
         self._kpaths: dict[tuple[int, int, int], PathSet] = {}
-        # a live view of the (src, dst, k) queries that k_shortest answers from the cache
-        self.k_shortest_keys: KeysView[tuple[int, int, int]] = self._kpaths.keys()
+        # the set k_shortest keeps for a (src, dst, k) key, or None; it computes nothing
+        self.cached_k_shortest: Callable[[tuple[int, int, int]], PathSet | None] = self._kpaths.get
         self._to: dict[int, list[float]] = {}
         self._factor = _shrink_factor(graph)
         # every edge has a reverse edge of equal weight: a search over in-edges is one over out-edges
@@ -490,11 +500,13 @@ class PathCache:
         else reads it off the distance search from src. A k=1 miss whose
         read succeeds is that path's set, built without Yen. Any other miss
         runs Yen, handed that path as its first; Yen then searches only
-        when k > 1 or the read declined. Every caller of the path layer
-        comes through here: the router's exact tier reads the k-set, and its
-        bounded tier and the baseline read the k=1 set, whose one path is
-        the first path of the k-set for every k. A hit returns the same
-        instance. Raises ValueError, before any search, for a k that is not
+        when k > 1 or the read declined. Every path set is built here: the
+        router fetches its k-sets here, and its bounded tier and the
+        baseline read the k=1 set, whose one path is the first path of the
+        k-set for every k. Its exact tier reads k-sets already built with
+        ``cached_k_shortest``, a dict lookup by ``(src, dst, k)`` that
+        returns the kept set or None and computes nothing. A hit returns the
+        same instance. Raises ValueError, before any search, for a k that is not
         an int >= 1 (``check_int``; a bool or a float equal to a cached k is
         never a hit), and on a miss for a src or dst that is not a node id.
         """
@@ -503,7 +515,7 @@ class PathCache:
         if cached is None or type(k) is not int:  # the hit guard: check_int below raises for a non-int k
             _check_nodes(self.graph, src, dst)
             check_int("k", k, 1)
-            lightest = self._kpaths.get((src, dst, 1))
+            lightest = self._kpaths.get((src, dst, 1)) if k > 1 else None  # k = 1 is the key just missed
             if lightest is None:
                 first = self._lightest_path(src, dst)
             else:  # empty when dst is unreachable; then Yen's own search finds nothing too

@@ -79,6 +79,16 @@ class TestForceParams:
         with pytest.raises(ValueError, match="alpha and beta must be finite and non-negative"):
             ForceParams(**{scale: value})
 
+    @pytest.mark.parametrize("scale", ["alpha", "beta"])
+    @pytest.mark.parametrize("value, message", [
+        (10**400, "within the float range"),
+        (True, "an int or a float, got True"),
+        ("0.5", "an int or a float, got '0.5'"),
+    ])
+    def test_rejects_a_scale_that_is_not_an_int_or_a_float(self, scale, value, message):
+        with pytest.raises(ValueError, match=f"{scale} must be {message}"):
+            ForceParams(**{scale: value})
+
 
 class TestAttractiveForce:
     def test_inverse_square_values(self):
@@ -205,18 +215,31 @@ def _fleet_states(rng, m, count):
 
 
 class _CountingCache(PathCache):
-    """A PathCache that counts its k-shortest queries and misses by k."""
+    """A PathCache that counts its k-shortest queries and misses by k. A
+    ``cached_k_shortest`` lookup that finds a set counts as a query, as the
+    ``k_shortest`` hit it stands in for would; one that finds none computes
+    nothing and is not counted."""
 
     queries = 0
 
     def __init__(self, graph):
         super().__init__(graph)
         self.by_k, self.misses = collections.Counter(), collections.Counter()
+        lookup = self.cached_k_shortest
+
+        def counted_lookup(key):
+            found = lookup(key)
+            if found is not None:
+                self.queries += 1
+                self.by_k[key[2]] += 1
+            return found
+
+        self.cached_k_shortest = counted_lookup
 
     def k_shortest(self, src, dst, k):
         self.queries += 1
         self.by_k[k] += 1
-        self.misses[k] += (src, dst, k) not in self.k_shortest_keys
+        self.misses[k] += (src, dst, k) not in self._kpaths
         return super().k_shortest(src, dst, k)
 
     @property
@@ -360,6 +383,26 @@ class TestTwoTierEdgeChoice:
         graph = Graph(36, edges)
         assert _shrink_factor(graph) == 0.0
         self._check([(graph, rng)], force_sum, 60)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_weights_whose_squares_overflow(self, force_sum, scale):
+        # A 6x6 grid's weights lie in [0.5, 1.5) times scale. At 1e150 no path
+        # weight squares past the float range; at 1e200 and 1e300 every one
+        # squares to inf, so every force and bound is fl(c / inf) = 0: no
+        # lead passes the stop rule, and the reference picks among all-zero
+        # totals. Either way both tiers give the reference's move.
+        graph = Graph(36, [(u, v, w * scale) for u, v, w in make_grid_graph(6, 6, seed=1).edges()])
+        reference, seen, wrong, all_zero = _CountingCache(graph), collections.Counter(), [], 0
+        fresh = {k: _CountingCache(graph) for _, _, k in self.PARAMS}
+        for agent, others in _fleet_states(random.Random(f"overflow-{scale}"), 36, 40):
+            for alpha, beta, k in self.PARAMS:
+                params = ForceParams(alpha, beta, k, force_sum)
+                if not _choose_on_both_tiers(reference, fresh[k], agent, others, params, seen):
+                    wrong.append((agent, others, params))
+                totals = compute_edge_forces(reference, agent, others, params).entries.values()
+                all_zero += bool(totals) and not any(totals)
+        assert wrong == []
+        assert (all_zero > 0) == (scale > 1e150)
 
 
 @pytest.mark.parametrize("force_sum", [False, True], ids=["max", "force_sum"])
@@ -792,7 +835,7 @@ class TestStep:
         assert record.step_cost == moved + 0.25 * n_wait
         assert n_wait >= 1
 
-    @pytest.mark.parametrize("wait_cost", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("wait_cost", [math.inf, math.nan, -1.0, "0", True, 10**400])
     def test_bad_wait_cost_raises_value_error(self, wait_cost):
         # an inf or NaN wait_cost would make the cost NaN even with no agent waiting
         agents = [AgentState(0, 0), AgentState(1, 1)]
@@ -845,7 +888,7 @@ class TestRunMission:
         with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
             run_mission(Mission(g, (0,), frozenset({2})), ForceParams(force_sum=True), seed=0)
 
-    @pytest.mark.parametrize("wait_cost", [-5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("wait_cost", [-5.0, math.nan, math.inf, "0", True, 10**400])
     def test_bad_wait_cost_raises_value_error(self, wait_cost):
         with pytest.raises(ValueError, match="wait_cost"):
             run_mission(eight_node_mission(), EIGHT_NODE_PARAMS, wait_cost=wait_cost)

@@ -367,6 +367,20 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    @pytest.mark.parametrize("weight, message", [
+        (10**400, "must be within the float range, got an int of 1329 bits"),
+        ("1.0", "must be an int or a float, got '1.0'"),
+        (1j, "must be an int or a float, got 1j"),
+        (True, "must be an int or a float, got True"),
+    ])
+    def test_constructor_rejects_a_weight_that_is_not_an_int_or_a_float(self, weight, message):
+        with pytest.raises(ValueError, match=rf"edge \(0,1\) weight {message}"):
+            Graph(2, [(0, 1, weight)])
+
+    def test_constructor_stores_an_int_weight_as_a_float(self):
+        g = Graph(2, [(0, 1, 3), (1, 0, 10**300)])
+        assert [type(w) for _, _, w in g.edges()] == [float, float] and g.weight(1, 0) == 1e300
+
     @pytest.mark.parametrize("weights", [(1e308, 1e308), (sys.float_info.max, 2.0**970)])
     def test_constructor_rejects_weights_whose_sum_overflows(self, weights):
         # the second pair sums to exactly halfway above the largest float

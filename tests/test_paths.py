@@ -686,7 +686,7 @@ class TestFirstPathsFromTheDistanceSearch:
         cache, mission = PathCache(g), generate_random_mission(g, 5, 10, seed=3)
         run_mission(mission, ForceParams(), seed=3, cache=cache)
         run_nonmodular_baseline(mission, cache=cache)
-        assert {k for _, _, k in cache.k_shortest_keys} == {1, 5}
+        assert {k for _, _, k in cache._kpaths} == {1, 5}
         assert calls and all(calls)
 
     def test_a_baseline_run_on_a_float_grid_builds_no_heuristic(self):
@@ -694,7 +694,7 @@ class TestFirstPathsFromTheDistanceSearch:
         g = make_grid_graph(8, 8, seed=3)
         cache = PathCache(g)
         result = run_nonmodular_baseline(generate_random_mission(g, 5, 10, seed=3), cache=cache)
-        assert result.completed and len(cache.k_shortest_keys) > 10
+        assert result.completed and len(cache._kpaths) > 10
         assert cache._to == {}
 
     def test_a_unit_weight_grid_still_searches_some_first_paths(self, monkeypatch):
