@@ -104,7 +104,10 @@ integer multiple k * x of a subnormal x that stays subnormal).
 
 A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
 bound, which it cannot trust, returns the reference itself, so the move
-and the underflow ``ValueError`` are the reference's.
+and the underflow ``ValueError`` are the reference's. A choice that meets
+neither has ``fl(D * D) > 0`` for every source, and every path weight of a
+source's k=1 set or k-set is at least D (point 1), so no force it computes
+from a path squares to 0, and it needs no underflow guard of its own.
 """
 
 from __future__ import annotations
@@ -451,11 +454,9 @@ def _choose_edge(
                     if force_sum:
                         force = 0.0
                         for d in weights:
-                            d2 = d * d
-                            force += scale / d2 if d2 else attractive_force(scale, d)
+                            force += scale / (d * d)
                     else:
-                        d2 = weights[0] * weights[0]
-                        force = scale / d2 if d2 else attractive_force(scale, weights[0])
+                        force = scale / (weights[0] * weights[0])
                     total = partial[hop] = partial.get(hop, 0.0) + force
                     if hop == lead_hop:
                         lead = total

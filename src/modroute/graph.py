@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ _NOT_INT = "is not an int"
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _FLOAT_TOKEN = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)", re.A | re.I)
 _XS_BOOLEAN = {"true": True, "1": True, "false": False, "0": False}
+_MAX_WEIGHT_SUM = 2.0**511  # the largest edge-weight sum a Graph admits (Graph docstring)
 
 
 class GraphFormatError(ValueError):
@@ -84,9 +84,13 @@ class Graph:
 
     Invariants enforced at construction: ``node_count`` is an int >= 1
     (``check_int``), endpoints are node ids, weights ints or floats
-    (``check_float``) that are strictly positive and finite with a finite
-    sum (``_finite_sum``), no stored self-loops, at
-    most one edge per (src, dst) pair.
+    (``check_float``) that are strictly positive with a ``math.fsum`` of at
+    most ``2**511`` (about 6.7e153), no stored self-loops, at most one edge
+    per (src, dst) pair. A loopless path weighs at most that sum, up to the
+    rounding of its fold, so every path weight squares to a finite float and
+    no inverse-square force is 0 for want of range. The constructor keeps
+    the sum and the smallest weight (inf without edges), the two facts
+    ``paths._shrink_factor`` compares.
     Instances are safe to share across concurrent mission runs; all
     mutation happens before construction.
 
@@ -100,7 +104,8 @@ class Graph:
     costs about 10 ms once.
     """
 
-    __slots__ = ("node_count", "node_labels", "_adj", "_radj", "_weights", "_comp", "_comp_out")
+    __slots__ = ("node_count", "node_labels", "_adj", "_radj", "_weights", "_weight_sum", "_min_weight",
+                 "_comp", "_comp_out")
 
     def __init__(
         self,
@@ -129,8 +134,14 @@ class Graph:
         for (src, dst), w in sorted(weights.items()):
             adj[src].append((dst, w))
             radj[dst].append((src, w))
-        if not _finite_sum(w for out in adj for _, w in out):
-            raise ValueError(f"edge weights must have a finite sum (at most {sys.float_info.max!r})")
+        try:  # fsum raises OverflowError once its exact partial sum leaves the float range
+            total = math.fsum(weights.values())
+        except OverflowError:
+            total = math.inf
+        if not total <= _MAX_WEIGHT_SUM:
+            raise ValueError(f"edge weights must sum to at most 2**511 ({_MAX_WEIGHT_SUM:.3g}), "
+                             "so that every path weight squares to a finite float")
+        self._weight_sum, self._min_weight = total, min(weights.values(), default=math.inf)
         self._adj = tuple(tuple(lst) for lst in adj)
         self._radj = tuple(tuple(lst) for lst in radj)
         self._weights = weights
@@ -174,7 +185,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int, float]]:
         """All stored edges as (src, dst, weight), sorted."""
-        return sorted((s, d, w) for (s, d), w in self._weights.items())
+        return [(s, d, w) for s, out in enumerate(self._adj) for d, w in out]
 
     def same_edges(self, other: Graph) -> bool:
         """Whether ``other`` has the same node count and weighted edges; labels are ignored."""
@@ -187,17 +198,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
-
-
-def _finite_sum(weights) -> bool:
-    """Whether ``math.fsum(weights)`` is a finite float; fsum raises
-    OverflowError once its exact partial sum leaves the float range.
-    ``paths._shrink_factor`` sums a Graph's weights in the same order, so it
-    cannot raise on one."""
-    try:
-        return math.fsum(weights) < math.inf
-    except OverflowError:
-        return False
 
 
 def _components(adj, radj) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

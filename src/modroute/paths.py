@@ -31,8 +31,9 @@ How the k-shortest search is made fast without changing any answer:
   larger than L(y), so L(y) wins. Rounding is monotone, so it is enough
   that the exact sums satisfy ``g_x + h'_x <= g_y + h'_y``. Let u = 2**-53
   (unit roundoff), e = 2**-10, W the sum of all edge weights and w_min the
-  smallest weight. Dijkstra guarantees ``h_x <= fl(h_y + w)``. Writing each
-  rounding as a factor (1 +- u) gives the sufficient condition
+  smallest weight, both kept by ``Graph``. Dijkstra guarantees ``h_x <=
+  fl(h_y + w)``. Writing each rounding as a factor (1 +- u) gives the
+  sufficient condition
   ``e * w >= u * (g_x + 3 * h_y + 3 * w) + O(u**2 * W)``. Both ``g_x + w``
   and ``h_y + w`` are sums over distinct edges, rounded, so at most
   W(1 + 2**-12), and the right side is at most 4.01 * u * W. The condition
@@ -306,11 +307,9 @@ def _check_nodes(graph: Graph, *nodes: int) -> None:
 
 
 def _shrink_factor(graph: Graph) -> float:
-    """Heuristic scale: 1 - 2**-10 if ties provably survive rounding, else 0."""
-    weights = [w for u in range(graph.node_count) for _, w in graph.out_edges(u)]
-    if min(weights, default=math.inf) >= _MIN_WEIGHT_SHARE * math.fsum(weights):
-        return _SHRINK
-    return 0.0
+    """Heuristic scale: 1 - 2**-10 if ties provably survive rounding, else 0.
+    It compares the smallest weight and the weight sum that ``Graph`` keeps."""
+    return _SHRINK if graph._min_weight >= _MIN_WEIGHT_SHARE * graph._weight_sum else 0.0
 
 
 def _heuristic(graph: Graph, dst: int, factor: float) -> list[float]:

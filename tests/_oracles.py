@@ -13,7 +13,9 @@ step, and the original lazy grouping of a path set's first hops, which the
 table built with each set must equal, and the original per-query read of a
 lightest path off a distance search, which the per-source first-hop table
 must answer alike, and the original breadth-first search from a mission's
-starts, which the graph's component table must answer alike.
+starts, which the graph's component table must answer alike, and the
+original heuristic shrink factor, which listed and summed every edge weight
+and which the factor read off the weight facts ``Graph`` keeps must equal.
 """
 
 import heapq
@@ -200,6 +202,16 @@ def reference_lightest_path(graph, dist, pred, dst):
         nodes.append(x)
         y = x
     return tuple(reversed(nodes)), d
+
+
+def reference_shrink_factor(graph):
+    """``paths._shrink_factor`` as it first was: every weight listed in
+    out-edge order, then 1 - 2**-10 if the smallest is at least 2**-40 of
+    their ``math.fsum`` (inf without edges), else 0."""
+    weights = [w for u in range(graph.node_count) for _, w in graph.out_edges(u)]
+    if min(weights, default=math.inf) >= 2.0**-40 * math.fsum(weights):
+        return 1.0 - 2.0**-10
+    return 0.0
 
 
 def reference_edge_forces(cache, agent, others, params):

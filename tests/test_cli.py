@@ -456,11 +456,14 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_weights_whose_sum_overflows_exit_1(self, capsys, tmp_path, command):
+        # the first sum overflows the float range; the second is finite but
+        # past 2**511, and its run once exited 0 after a blind walk
         path = tmp_path / "huge.edges"
-        path.write_text("0 1 1e308\n1 2 1e308\n")
-        code, out, err = run_cli(capsys, command, "--graph", str(path), "--starts", "0", "--target-nodes", "2")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: edge weights must have a finite sum")
+        for text in ("0 1 1e308\n1 2 1e308\n", "0 1 1e154\n1 2 1e154\n"):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, command, "--graph", str(path), "--starts", "0", "--target-nodes", "2")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: edge weights must sum to at most 2**511")
 
 
 class TestUnreadFlags:

@@ -63,9 +63,8 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("text", ["0 1 1e308\n1 2 1e308\n", "0 1 1e308 undirected\n"])
     def test_weights_whose_sum_overflows_rejected(self, text):
-        # each weight is finite, but the path layer's fsum of them once raised
-        # OverflowError at the first run
-        with pytest.raises(ValueError, match="edge weights must have a finite sum"):
+        # each weight is finite, but their sum is past the float range
+        with pytest.raises(ValueError, match=r"edge weights must sum to at most 2\*\*511"):
             load_edge_list(text)
 
     def test_bad_direction_field(self):
@@ -378,21 +377,30 @@ class TestGraphInvariants:
             Graph(2, [(0, 1, weight)])
 
     def test_constructor_stores_an_int_weight_as_a_float(self):
-        g = Graph(2, [(0, 1, 3), (1, 0, 10**300)])
-        assert [type(w) for _, _, w in g.edges()] == [float, float] and g.weight(1, 0) == 1e300
+        g = Graph(2, [(0, 1, 3), (1, 0, 10**150)])
+        assert [type(w) for _, _, w in g.edges()] == [float, float] and g.weight(1, 0) == 1e150
 
     @pytest.mark.parametrize("weights", [(1e308, 1e308), (sys.float_info.max, 2.0**970)])
     def test_constructor_rejects_weights_whose_sum_overflows(self, weights):
         # the second pair sums to exactly halfway above the largest float
-        with pytest.raises(ValueError, match="edge weights must have a finite sum"):
+        with pytest.raises(ValueError, match=r"edge weights must sum to at most 2\*\*511 \(6.7e\+153\)"):
             Graph(3, [(0, 1, weights[0]), (1, 2, weights[1])])
 
-    def test_weights_with_a_finite_sum_near_the_largest_float_run(self):
-        g = Graph(3, [(0, 1, 5e307), (1, 0, 5e307), (1, 2, 5e307)])
-        assert math.fsum(w for _, _, w in g.edges()) == 1.5e308
-        result = run_mission(Mission(g, (0,), frozenset({2})))
-        assert result.completed and result.total_cost == 1e308
-        assert run_nonmodular_baseline(Mission(g, (0,), frozenset({2}))).total_cost == 1e308
+    def test_weights_summing_just_under_2_511_run(self):
+        # the largest float below 2**511 is 2**511 - 2**458; the route 0-1-2
+        # weighs 1.5 * 2**510 - 2**458, whose square is finite
+        weights = [(0, 1, 2.0**510), (1, 0, 2.0**509), (1, 2, 2.0**509 - 2.0**458)]
+        g = Graph(3, weights)
+        assert g._weight_sum == math.nextafter(2.0**511, 0) and g._min_weight == 2.0**509 - 2.0**458
+        mission = Mission(g, (0,), frozenset({2}))
+        result = run_mission(mission)
+        assert result.completed and result.total_cost == 1.5 * 2.0**510 - 2.0**458
+        assert run_nonmodular_baseline(mission).total_cost == result.total_cost
+        # a sum one float past the bound, and one of 1.5e308, are rejected
+        for weights in ([(0, 1, 2.0**510), (1, 0, 2.0**510), (1, 2, 2.0**459)],
+                        [(0, 1, 5e307), (1, 0, 5e307), (1, 2, 5e307)]):
+            with pytest.raises(ValueError, match=r"edge weights must sum to at most 2\*\*511"):
+                Graph(3, weights)
 
     def test_all_loaded_weights_positive(self):
         g = eight_node_graph()
@@ -405,6 +413,65 @@ class TestGraphInvariants:
         assert g.weight(4, 5) == 2.0
         with pytest.raises(ValueError, match="no edge"):
             g.weight(0, 6)
+
+
+def _extreme_digraph(rng):
+    """A random digraph with no isolated node and weights whose binary
+    exponents are drawn uniformly, from 5e-324 up to about 2**511 over the
+    edge count, so that their sum stays within the bound; one graph in four
+    also has one weight of 2**510, with the others below 2**510 over it."""
+    m = rng.randint(2, 9)
+    pairs = {(u, v) for u in range(m) for v in range(m) if u != v and rng.random() < 0.3}
+    for node in range(m):  # give every node an edge, in a random direction
+        if not any(node in pair for pair in pairs):
+            other = rng.choice([v for v in range(m) if v != node])
+            pairs.add((node, other) if rng.random() < 0.5 else (other, node))
+    pairs = sorted(pairs)
+    big = rng.random() < 0.25
+    top = (510 if big else 511) - len(pairs).bit_length()
+    weights = [max(5e-324, math.ldexp(rng.random(), rng.randint(-1074, top))) for _ in pairs]
+    if big:
+        weights[rng.randrange(len(weights))] = 2.0**510
+    return Graph(m, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+
+
+class TestExtremeWeights:
+    # Graph admits weights whose fsum is at most 2**511, so that every path
+    # weight squares to a finite float and no force is 0 for want of range.
+    @staticmethod
+    def _graphml(edges):
+        rows = "".join(f'<edge source="{u}" target="{v}"><data key="d0">{w!r}</data></edge>' for u, v, w in edges)
+        nodes = "".join(f'<node id="{n}"/>' for n in sorted({n for u, v, _ in edges for n in (u, v)}))
+        return (f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><key id="d0" for="edge" '
+                f'attr.name="length"/><graph edgedefault="directed">{nodes}{rows}</graph></graphml>')
+
+    def test_a_grid_scaled_past_the_bound_is_rejected_by_every_entry(self, tmp_path):
+        # times 1e154 every weight of this grid is past 2**511 (6.7e153), and
+        # 17 of 20 missions on it once ran to the step cap
+        grid = make_grid_graph(6, 6, seed=1)
+        edges = [(u, v, w * 1e154) for u, v, w in grid.edges()]
+        message = r"edge weights must sum to at most 2\*\*511"
+        with pytest.raises(ValueError, match=message):
+            Graph(36, edges)
+        with pytest.raises(ValueError, match=message):
+            load_edge_list("".join(f"{u} {v} {w!r}\n" for u, v, w in edges))
+        path = tmp_path / "huge.graphml"
+        path.write_text(self._graphml(edges))
+        with pytest.raises(ValueError, match=message):
+            load_graphml(str(path))
+        path.write_text(self._graphml(grid.edges()))  # the same file unscaled loads
+        assert load_graphml(str(path)).same_edges(grid)
+
+    def test_dump_and_load_keep_extreme_weights(self, tmp_path):
+        rng, path, sizes = random.Random("extreme-weights"), tmp_path / "g.graphml", set()
+        for _ in range(200):
+            g = _extreme_digraph(rng)
+            assert g._weight_sum <= 2.0**511
+            dump_graphml(g, str(path))
+            assert load_edge_list(dump_edge_list(g)).edges() == g.edges()
+            assert load_graphml(str(path)).edges() == g.edges()
+            sizes.add(g.node_count)
+        assert sizes == set(range(2, 10))
 
 
 class TestValidate:

@@ -24,7 +24,14 @@ from modroute import paths
 from modroute.paths import _heuristic, _lex_shortest, _shrink_factor
 
 from _fixtures import PATH_READ_FAMILIES, eight_node_graph, family_graph, unit_grid
-from _oracles import enumerate_simple_paths, floyd_warshall, random_digraph, reference_lightest_path, reference_yen
+from _oracles import (
+    enumerate_simple_paths,
+    floyd_warshall,
+    random_digraph,
+    reference_lightest_path,
+    reference_shrink_factor,
+    reference_yen,
+)
 
 
 class TestDijkstra:
@@ -535,6 +542,27 @@ def _chain(pred, dst):
     while (y := pred[y]) is not None:
         nodes.append(y)
     return nodes[::-1]
+
+
+class TestKeptWeightFacts:
+    """``Graph`` keeps its weight sum and smallest weight, and its sorted
+    adjacency; the shrink factor and ``edges()`` read them instead of
+    rescanning every edge."""
+
+    @pytest.mark.parametrize("family", ["float", "integer_1_3", "one_way"])
+    def test_shrink_factor_equals_the_rescanning_one(self, family):
+        rng, factors = random.Random(f"kept-{family}"), set()
+        for _ in range(60):
+            g = family_graph(family, rng.randint(2, 12), rng.choice((0.1, 0.3, 0.6)), rng)
+            assert _shrink_factor(g) == reference_shrink_factor(g)
+            assert g.edges() == sorted((s, d, w) for (s, d), w in g._weights.items())
+            factors.add(_shrink_factor(g))
+        assert factors == {paths._SHRINK}  # none of these families fails the bound
+
+    def test_shrink_factor_on_a_failing_grid_and_without_edges(self):
+        for g, factor in ((_shrink_failing_grid(6, 6, random.Random("shrink")), 0.0), (Graph(3, []), paths._SHRINK)):
+            assert _shrink_factor(g) == reference_shrink_factor(g) == factor
+            assert g.edges() == sorted((s, d, w) for (s, d), w in g._weights.items())
 
 
 class TestFirstPathsFromTheDistanceSearch:
