@@ -31,7 +31,10 @@ _MAX_WEIGHT_SUM = 2.0**511  # the largest edge-weight sum a Graph admits (Graph 
 
 
 class GraphFormatError(ValueError):
-    """Edge-list or GraphML input that cannot be parsed into a valid graph."""
+    """Edge-list or GraphML input that cannot be parsed into a valid graph:
+    ``load_edge_list`` and ``load_graphml`` raise it for every rule a file
+    breaks, its syntax's or ``Graph``'s, the ``2**511`` weight-sum bound
+    included. ``Graph(...)`` itself raises plain ValueError."""
 
 
 class InfeasibleMissionError(ValueError):
@@ -269,29 +272,47 @@ class Mission:
         return tuple(_diagnose(self))
 
 
-def _collapse_duplicates(
-    directed: list[tuple[int, int, float]],
-    labels: dict[int, str],
-) -> list[tuple[int, int, float]]:
-    """Collapse repeated (src, dst) pairs to the minimum weight.
+def _add_file_edge(edges: list[tuple[int, int, float]], where: str, src: int, dst: int, w: float,
+                   directed: bool) -> None:
+    """Append to ``edges`` what a file's edge ``src -> dst`` of weight ``w``
+    stores: itself, and ``dst -> src`` too unless ``directed``. A weight
+    that is not positive and finite raises GraphFormatError; a self-loop,
+    implicit as waiting, is skipped with the warning ``"<where>: ignoring
+    self-loop"``. ``where`` names the edge as its loader does (``line N``,
+    ``edge a->b``)."""
+    if not (w > 0.0 and w != math.inf):
+        raise GraphFormatError(f"{where}: weight must be positive, got {w}")
+    if src == dst:
+        warnings.warn(f"{where}: ignoring self-loop", stacklevel=3)
+        return
+    edges.append((src, dst, w))
+    if not directed:
+        edges.append((dst, src, w))
 
-    Exact repeats (same weight) collapse silently; conflicting weights keep
-    the minimum and emit a warning, naming the pair by its endpoints'
-    ``labels`` (the file's own node ids), since downstream loopless-path
-    logic assumes simple edge identity.
+
+def _file_graph(labels: list[str], edges: list[tuple[int, int, float]], empty: str) -> Graph:
+    """The Graph of a loaded file: node ``i`` labelled ``labels[i]``, and
+    ``edges`` as ``_add_file_edge`` lists them.
+
+    No edges raises GraphFormatError(``empty``). Repeated (src, dst) pairs
+    collapse to the minimum weight, since downstream loopless-path logic
+    assumes simple edge identity: exact repeats silently, conflicting
+    weights with a warning that names the pair by its labels (the file's own
+    node ids). A rule only ``Graph`` checks, the ``2**511`` weight-sum bound,
+    raises its ValueError as GraphFormatError.
     """
+    if not edges:
+        raise GraphFormatError(empty)
     out: dict[tuple[int, int], float] = {}
-    for src, dst, w in directed:
-        key = (src, dst)
-        if key in out and out[key] != w:
-            warnings.warn(
-                f"duplicate edge {labels[src]}->{labels[dst]} with conflicting weights; keeping the minimum",
-                stacklevel=3,
-            )
-            out[key] = min(out[key], w)
-        else:
-            out.setdefault(key, w)
-    return [(s, d, w) for (s, d), w in out.items()]
+    for src, dst, w in edges:
+        if out.setdefault((src, dst), w) != w:
+            warnings.warn(f"duplicate edge {labels[src]}->{labels[dst]} with conflicting weights; "
+                          "keeping the minimum", stacklevel=3)
+            out[(src, dst)] = min(out[(src, dst)], w)
+    try:
+        return Graph(len(labels), [(s, d, w) for (s, d), w in out.items()], dict(enumerate(labels)))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def load_edge_list(text: str) -> Graph:
@@ -301,8 +322,10 @@ def load_edge_list(text: str) -> Graph:
     with non-negative integer node ids (``read_int`` tokens) and a positive
     finite weight (a ``read_float`` token). The direction field defaults to
     ``directed``; ``undirected`` lines produce two directed edges of equal
-    weight. ``#`` starts a comment. Node ids are compacted to dense indices;
-    the raw ids are kept as labels.
+    weight. ``#`` starts a comment. Node ids are compacted to dense indices,
+    an id that only a self-loop names dropped; the raw ids are kept as
+    labels. Every rule the text breaks, the weight-sum bound of ``Graph``
+    included, raises GraphFormatError.
     """
     raw_edges: list[tuple[int, int, float]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -321,25 +344,14 @@ def load_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: node ids must be non-negative")
         if (w := read_float(fields[2])) is None:
             raise GraphFormatError(f"line {lineno}: weight {fields[2]!r} is not a number")
-        if not (w > 0.0 and w != float("inf")):
-            raise GraphFormatError(f"line {lineno}: weight must be positive, got {fields[2]}")
         mode = fields[3].lower() if len(fields) == 4 else "directed"
         if mode not in ("directed", "undirected"):
             raise GraphFormatError(f"line {lineno}: direction must be 'directed' or 'undirected'")
-        if src == dst:
-            warnings.warn(f"line {lineno}: ignoring explicit self-loop at node {src}", stacklevel=2)
-            continue
-        raw_edges.append((src, dst, w))
-        if mode == "undirected":
-            raw_edges.append((dst, src, w))
-    if not raw_edges:
-        raise GraphFormatError("no edges")
-
+        _add_file_edge(raw_edges, f"line {lineno}", src, dst, w, mode == "directed")
     raw_ids = sorted({n for s, d, _ in raw_edges for n in (s, d)})
     index = {raw: i for i, raw in enumerate(raw_ids)}
-    labels = {i: str(raw) for raw, i in index.items()}
-    directed = [(index[s], index[d], w) for s, d, w in raw_edges]
-    return Graph(len(raw_ids), _collapse_duplicates(directed, labels), labels)
+    edges = [(index[s], index[d], w) for s, d, w in raw_edges]
+    return _file_graph([str(raw) for raw in raw_ids], edges, "no edges")
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -362,8 +374,9 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     ``directed="false"`` or ``"0"`` overrides) expand to directed edge
     pairs; any other ``edgedefault`` than ``directed`` or ``undirected``, or
     ``directed`` value than the four ``xs:boolean`` spellings, is rejected.
-    GraphML node ids become labels over dense indices; a repeated node id
-    is rejected.
+    GraphML node ids become labels over dense indices, every declared node
+    kept; a repeated node id is rejected. Every rule the file breaks, the
+    weight-sum bound of ``Graph`` included, raises GraphFormatError.
     """
     try:
         tree = ET.parse(path)
@@ -388,7 +401,6 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
         raise GraphFormatError(f"edgedefault must be 'directed' or 'undirected', got {edgedefault!r}")
 
     index: dict[str, int] = {}
-    labels: dict[int, str] = {}
     for el in graph_el.iter():
         if _localname(el.tag) != "node":
             continue
@@ -398,11 +410,10 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
         if node_id in index:
             raise GraphFormatError(f"duplicate node id {node_id!r}")
         index[node_id] = len(index)
-        labels[index[node_id]] = node_id
     if not index:
         raise GraphFormatError(f"no nodes in {path}")
 
-    directed: list[tuple[int, int, float]] = []
+    edges: list[tuple[int, int, float]] = []
     for el in graph_el.iter():
         if _localname(el.tag) != "edge":
             continue
@@ -417,23 +428,13 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
                 break
         if value is None:
             raise GraphFormatError(f"edge {src_id}->{dst_id} missing weight attribute {weight_attr!r}")
-        if not (value > 0.0 and value != float("inf")):
-            raise GraphFormatError(f"edge {src_id}->{dst_id}: weight must be positive, got {value}")
         per_edge = el.get("directed")
         if per_edge is None:
             is_directed = edgedefault == "directed"
         elif (is_directed := _XS_BOOLEAN.get(per_edge)) is None:
             raise GraphFormatError(f"edge {src_id}->{dst_id}: directed={per_edge!r} is not true, false, 1 or 0")
-        src, dst = index[src_id], index[dst_id]
-        if src == dst:
-            warnings.warn(f"ignoring self-loop at GraphML node {src_id!r}", stacklevel=2)
-            continue
-        directed.append((src, dst, value))
-        if not is_directed:
-            directed.append((dst, src, value))
-    if not directed:
-        raise GraphFormatError(f"no edges in {path}")
-    return Graph(len(index), _collapse_duplicates(directed, labels), labels)
+        _add_file_edge(edges, f"edge {src_id}->{dst_id}", index[src_id], index[dst_id], value, is_directed)
+    return _file_graph(list(index), edges, f"no edges in {path}")
 
 
 def dump_graphml(graph: Graph, path: str, weight_attr: str = "length") -> None:

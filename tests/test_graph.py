@@ -61,10 +61,11 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError, match="positive"):
             load_edge_list("0 1 -3")
 
-    @pytest.mark.parametrize("text", ["0 1 1e308\n1 2 1e308\n", "0 1 1e308 undirected\n"])
+    @pytest.mark.parametrize("text", ["0 1 1e308\n1 2 1e308\n", "0 1 1e308 undirected\n", "0 1 1e154\n1 2 1e154\n"])
     def test_weights_whose_sum_overflows_rejected(self, text):
-        # each weight is finite, but their sum is past the float range
-        with pytest.raises(ValueError, match=r"edge weights must sum to at most 2\*\*511"):
+        # each weight is finite, but their sum is past the float range, or
+        # (2e154) past Graph's bound, which Graph(...) raises as a plain ValueError
+        with pytest.raises(GraphFormatError, match=r"edge weights must sum to at most 2\*\*511"):
             load_edge_list(text)
 
     def test_bad_direction_field(self):
@@ -119,6 +120,12 @@ class TestEdgeList:
         with pytest.warns(UserWarning, match="self-loop"):
             g = load_edge_list("0 0 1.0\n0 1 1.0")
         assert g.edges() == [(0, 1, 1.0)]
+
+    def test_an_id_only_a_self_loop_names_is_dropped(self):
+        with pytest.warns(UserWarning, match="^line 1: ignoring self-loop$"):
+            g = load_edge_list("5 5 1.0\n0 1 1.0")
+        assert g.node_count == 2
+        assert [g.label(i) for i in range(g.node_count)] == ["0", "1"]
 
     def test_roundtrip_preserves_edge_multiset(self):
         g = eight_node_graph()
@@ -211,11 +218,26 @@ class TestGraphml:
         path = tmp_path / "loop.graphml"
         loop = '<edge source="a" target="a"><data key="d0">1</data></edge>'
         path.write_text(GRAPHML_MINIMAL.replace("</graph>", loop + "</graph>"))
-        with pytest.warns(UserWarning, match="ignoring self-loop at GraphML node 'a'"):
+        with pytest.warns(UserWarning, match="^edge a->a: ignoring self-loop$"):
             g = load_graphml(str(path))
         assert g.edges() == [(0, 1, 5.0)]
         path.write_text(GRAPHML_MINIMAL.replace('target="b"', 'target="a"'))
         with pytest.warns(UserWarning, match="self-loop"), pytest.raises(GraphFormatError, match="no edges in"):
+            load_graphml(str(path))
+
+    def test_a_declared_node_whose_only_edge_is_a_self_loop_stays_a_node(self, tmp_path):
+        path = tmp_path / "loop.graphml"
+        extra = '<node id="c"/><edge source="c" target="c"><data key="d0">1</data></edge>'
+        path.write_text(GRAPHML_MINIMAL.replace("</graph>", extra + "</graph>"))
+        with pytest.warns(UserWarning, match="^edge c->c: ignoring self-loop$"):
+            g = load_graphml(str(path))
+        assert g.node_count == 3 and g.label(2) == "c"
+        assert g.edges() == [(0, 1, 5.0)]
+
+    def test_weights_whose_sum_passes_2_511_raise_graph_format_error(self, tmp_path):
+        path = tmp_path / "huge.graphml"
+        path.write_text(TestExtremeWeights._graphml([(0, 1, 1e154), (1, 2, 1e154)]))
+        with pytest.raises(GraphFormatError, match=r"edge weights must sum to at most 2\*\*511"):
             load_graphml(str(path))
 
     def test_conflicting_duplicate_is_named_by_its_node_ids(self, tmp_path):
