@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args) -> Graph:
-    if args.grid:
+    if args.grid is not None:
         sizes = [read_int(part.strip()) for part in args.grid.lower().split("x")]
         if len(sizes) != 2 or None in sizes:
             raise GraphFormatError(f"--grid expects WxH, got {args.grid!r}")

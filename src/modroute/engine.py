@@ -17,7 +17,8 @@ strongest possible one down and stops once the rest cannot change the
 winner. A source whose k-shortest set is not cached is first scored from
 its lightest path alone (point 4), and its k-set is fetched only when that
 cannot settle the move. The move is bit for bit
-``select_edge(compute_edge_forces(...))``. Write u = 2**-53 for the unit
+``select_edge(compute_edge_forces(...))``; those two stay public as the
+reference the tests compare the choice against. Write u = 2**-53 for the unit
 roundoff and fl() for a rounded operation; rounding to nearest is
 monotone, and ``fl(a + b)`` of non-negative a and b lies within factors
 1 - u and 1 + u of ``a + b`` (a subnormal sum is exact, and so is an
@@ -31,6 +32,8 @@ integer multiple k * x of a subnormal x that stays subnormal).
    monotone rounding gives ``W_i >= fl(d[v_{i-1}] + w_i) >= d[v_i]``. So
    D = d[s] is at most the weight of every path to s, exactly, and
    ``PathCache.k_shortest`` reports left-fold weights.
+   ``tests/test_properties.py`` checks this on random digraphs with
+   uniform, integer 1-3 and 0.1/0.2/0.3 weights.
 2. **Bound on one source.** Each path weight d to a source of scale c has
    d >= D, so ``fl(d * d) >= fl(D * D)``. If ``fl(D * D) > 0`` then
    ``fl(c / fl(d * d)) <= ub = fl(c / fl(D * D))``: no force of the source
@@ -39,6 +42,8 @@ integer multiple k * x of a subnormal x that stays subnormal).
    j <= k of them, at most ``(1 + u)**(k-1) * k * ub``. Its bound is B = ub,
    or ``B = fl(k * ub) >= (1 - u) * k * ub``; either way it adds at most
    ``(1 + u)**(k+1) * B`` to any edge. A D of inf gives B = 0: no path.
+   The bound costs one read of a distance list that ``assign_targets``
+   has already cached.
 3. **Slack.** The n sources are scored in decreasing B. A scored source s
    gives each hop b a certain term ``c_s(b)`` and an extra term ``x_s(b)
    >= 0`` (0 where it names none) around the term ``r_s(b)`` that
@@ -77,7 +82,8 @@ integer multiple k * x of a subnormal x that stays subnormal).
    source scored exactly there are no extra terms, and ``rival`` is the
    largest certain partial of another edge.
 4. **Bounds from the lightest path.** The one path of the k=1 set
-   ``cache.k_shortest(p, s, 1)``, which the baseline steps along too, is
+   ``cache.k_shortest(p, s, 1)``, which the baseline steps along too (so
+   the two methods share one lightest-path record per pair), is
    the k-set's first path: Yen's first path, read off the distance search,
    with A* only on exact ties, which is the same path for every k and
    weighs D (point 1). Its ``first_hops`` are the one group ``((h0,
@@ -101,6 +107,8 @@ integer multiple k * x of a subnormal x that stays subnormal).
    L_v))``, or ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if
    the square is 0); its certain term is 0. A node with ``h' = inf`` cannot
    reach the source, so no path goes through it: both terms are 0.
+   ``tests/test_properties.py`` checks that no sampled path through v
+   weighs less than L_v.
 
 A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
 bound, which it cannot trust, returns the reference itself, so the move
@@ -180,7 +188,10 @@ class MoveIntent:
 
 @dataclass(frozen=True, slots=True)
 class StepRecord:
-    """The moves of one timestep and the cost charged for them."""
+    """The moves of one timestep and the cost charged for them.
+
+    Two records are equal only when their step numbers, intents in order
+    and step costs are, so equal records cross the same edges."""
 
     t: int
     intents: tuple[MoveIntent, ...]
@@ -216,7 +227,10 @@ class MissionResult:
 # but ``step`` takes any t, and an int wait_cost of 0 with no edge crossed
 # gives an int 0 cost.
 # Inside any container 1 and True compare equal, which is why ``validate``
-# admits only int node ids.
+# admits only int node ids. Equal records share one object across runs as
+# well as within one. The tables pay where runs repeat one another, as the
+# cells of a sensitivity sweep do; a batch of fresh missions repeats little,
+# and there they mostly hold values that are never reused.
 _INTERNED = 1 << 14
 _intent = functools.lru_cache(maxsize=_INTERNED, typed=True)(MoveIntent)
 _path = functools.lru_cache(maxsize=_INTERNED)(tuple)
@@ -259,6 +273,13 @@ def assign_targets(
     An agent maps to None, and will stop for good, when it can reach no
     unvisited target or every unvisited target is already claimed while
     none of its nearest ones is free.
+
+    The nearest targets and their exact ties are found in one pass over the
+    sorted targets, once per occupied node, not once per agent. A
+    platoon's later members find their nearest target claimed by the first,
+    as most assignments of a warm replay do; such an agent scans the sorted
+    targets only up to the first free, reachable one, and builds no list of
+    them.
     """
     result: dict[int, int | None] = {}
     claimed: set[int] = set()
@@ -299,7 +320,7 @@ def attractive_force(scale: float, d: float) -> float:
     """Inverse-square attraction ``scale / d**2`` for a path of weight d.
 
     Raises ValueError for ``d <= 0`` and for a positive d so small that
-    ``d * d`` underflows to 0.
+    ``d * d`` underflows to 0 (below about 1.6e-162).
     """
     if d <= 0:
         raise ValueError(f"attraction undefined for non-positive distance {d}")
@@ -324,7 +345,11 @@ def compute_edge_forces(
     counts (all of them with ``force_sum``); the per-edge totals fold over
     sources, the target first and the others in id order. Edges that start
     no sampled path are absent from the map. ``others`` may include the
-    agent itself, which is skipped by id.
+    agent itself, which is skipped by id. So the totals, their order and
+    their float bits are those of a loop over every sampled path, whatever
+    order the caller passes the fleet in; ``tests/test_engine.py`` compares
+    the two on seeded 8x8 states, the fleet also reversed, against a frozen
+    copy of that loop in ``tests/_oracles.py``.
 
     The paths come grouped by first edge from ``PathSet.first_hops``, each
     group's weights ascending. ``fl(scale / fl(d * d))`` never grows with
@@ -396,9 +421,12 @@ def _choose_edge(
     source scored from bounds also adds its extra terms. After each source
     the pass tries the stop rule of point 3. A pass that ends without a
     move fetches the k-set of its strongest source scored from bounds, and
-    the next pass scores that source exactly. Once no source is left to
-    fetch, or when some bound is inf (as for a source outside the graph),
-    the reference decides; by then its queries all hit.
+    the next pass scores that source exactly, so a k-set is fetched only
+    for a move the bounds leave open, and in rank order. Once no source is
+    left to fetch, or when some bound is inf (as for a source outside the
+    graph), the reference decides; by then its queries all hit. A lone
+    source goes through the same steps as any other, and ``step`` passes
+    the fleet in the order it stands.
 
     The exact tier reads a source's k-set with one lookup,
     ``cache.cached_k_shortest``, which returns the cached set or None and
@@ -504,8 +532,9 @@ def resolve_waits(
     current intents, so an agent already converted to waiting lands on no
     one. Waiting only ever switches landings off, so the pairs of the
     original intents are all the pass needs. Distances are read only for a
-    pair where some side still lands. Two intents for one agent raise
-    ValueError, and an intent of no agent KeyError, before any draw.
+    pair where some side still lands. The intents may come in any order.
+    Two intents for one agent raise ValueError, and an intent of no agent
+    KeyError, before any draw.
     """
     by_id = {a.agent_id: a for a in agents}
     current = {i.agent_id: i for i in intents}
@@ -640,9 +669,11 @@ def step(
     Pipeline: claim targets (``assign_targets``), pick each agent's
     strongest edge (``_choose_edge``), defuse swaps (``resolve_waits``,
     called only when some move lands on an agent's node, as no pair
-    triggers otherwise), then move every agent simultaneously. Agents
-    without a claimable target are marked finished and stop moving. After
-    movement any unvisited target standing under an agent becomes visited.
+    triggers otherwise; a test wraps it in seeded runs and checks that every
+    call has a landing and some call a wait), then move every agent
+    simultaneously. Agents without a claimable target are marked finished
+    and stop moving. After movement any unvisited target standing under an
+    agent becomes visited.
     The step cost sums the weights of the deduplicated traversed edge set,
     from ``cache.graph``, plus ``wait_cost`` per waiting agent. As in every
     layer function, the cache is the only handle on the graph, so paths and
@@ -651,7 +682,8 @@ def step(
 
     Co-located agents with the same target form a platoon that is scored
     once: they skip each other and see the same other agents, so every
-    member's forces and chosen edge are the first member's, bit for bit.
+    member's forces and chosen edge are the first member's, bit for bit,
+    and the others copy its intent under their own ids.
     The claiming, moving and costing are ``_timestep``'s, the kernel the
     baseline's timestep runs too; only the edge choice above is the
     router's own.
@@ -695,10 +727,16 @@ def _timestep(
     none finishes) and collects the active ones; ``choose(active)`` is the
     method's edge choice and returns their intents. One loop over the
     intents collects the moves, the traversed edges and the waits, and one
-    over the agents moves them and drops the targets under them. A
-    ``wait_cost`` of None pays every move's edge, in intent order, as
-    non-joining vehicles do; otherwise the step pays each traversed edge
-    once, in sorted order, plus ``wait_cost`` per wait.
+    over the agents moves them and drops the targets under them. The loops
+    are plain, with no comprehension or generator, each of which would cost
+    a new frame on every step. A ``wait_cost`` of None pays every move's
+    edge, in intent order, as non-joining vehicles do; otherwise the step
+    pays each traversed edge once, in sorted order, plus ``wait_cost`` per
+    wait. Both costs are the builtin ``sum()``, which Python 3.12 made
+    compensated for floats, so costs on 3.12 and later can differ in the
+    last bits from 3.10 and 3.11, while the trajectories pinned in
+    ``tests/test_simulate.py`` stay the same; a plain left fold would give
+    every interpreter the same bits.
     """
     staged, active = [], []
     for agent in agents:

@@ -99,12 +99,13 @@ class Graph:
 
     Reachability is a fact of the graph alone, so the constructor also
     builds its component table once (``_components``): each node's strongly
-    connected component and each component's out-neighbour components.
-    ``validate`` answers every mission on the graph from it, with no search
-    of its own: on a 100x100 grid (Python 3.11.7, 2-vCPU VM), drawing 100
-    missions of 8 agents and 16 targets took 0.73-0.90 s of CPU with a
-    breadth-first search per mission and takes 0.003-0.006 s, and the table
-    costs about 10 ms once.
+    connected component and each component's out-neighbour components. A
+    connected graph whose edges all go both ways, such as a grid, is one
+    component, with nothing to walk. ``validate`` answers every mission on
+    the graph from it, with no search of its own: on a 100x100 grid
+    (Python 3.11.7, 2-vCPU VM), drawing 100 missions of 8 agents and 16
+    targets took 0.73-0.90 s of CPU with a breadth-first search per mission
+    and takes 0.003-0.006 s, and the table costs about 10 ms once.
     """
 
     __slots__ = ("node_count", "node_labels", "_adj", "_radj", "_weights", "_weight_sum", "_min_weight",
@@ -281,7 +282,7 @@ def _add_file_edge(edges: list[tuple[int, int, float]], where: str, src: int, ds
     self-loop"``. ``where`` names the edge as its loader does (``line N``,
     ``edge a->b``)."""
     if not (w > 0.0 and w != math.inf):
-        raise GraphFormatError(f"{where}: weight must be positive, got {w}")
+        raise GraphFormatError(f"{where}: weight must be positive and finite, got {w}")
     if src == dst:
         warnings.warn(f"{where}: ignoring self-loop", stacklevel=3)
         return

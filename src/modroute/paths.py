@@ -79,7 +79,9 @@ How the k-shortest search is made fast without changing any answer:
   whichever reads came before. Where the read declines, Yen runs its
   first search as before. The read needs no heuristic, so it also holds
   on graphs that fail the shrink bound. Random float weights almost never
-  tie; integer and unit weights often do. A k=1 read is the whole answer:
+  tie; integer and unit weights often do: a fifth to a quarter of the pairs
+  of small random graphs need the search, and most pairs of a large
+  unit-weight grid do. A k=1 read is the whole answer:
   ``PathCache`` builds that one-path set itself and calls no Yen. Yen's
   first path is the same for every k, so a k > 1 miss whose k=1 set is
   cached hands Yen that set's one path, whether the read gave it or a
@@ -97,7 +99,8 @@ How the k-shortest search is made fast without changing any answer:
   and each node costs one Dijkstra instead of two. Grids and undirected
   files are symmetric. The test is all or nothing: a graph with a single
   one-way edge, such as a road network with one-way streets, keeps the
-  reverse search for every destination.
+  reverse search for every destination. Every perfbench workload runs on a
+  symmetric grid, so none times that side.
 * **Lawler's deviation pruning.** Yen's method spurs a new path from each
   of its nodes. Each candidate remembers the spur index i it was first
   generated at, and when it becomes a result it is spurred only from i
@@ -130,7 +133,9 @@ How the k-shortest search is made fast without changing any answer:
   at one time is thus heavier at every later time too. Each spur search
   gets ``limit = fl(fl(bound - root_w) + fl(s * bound))``, where ``root_w``
   is the fold of the root's edges and s = 8 * N * u with N the node
-  count. It stops once a popped key exceeds ``limit``. Keys pop in
+  count. It stops once a popped key exceeds ``limit``. A candidate's
+  weight continues ``root_w``'s fold over the spur's edges, which gives the
+  bits of the whole path's left fold. Keys pop in
   non-decreasing order: with ``h'`` shrunk by the bound proved above, and
   trivially with ``h = 0`` since ``fl(g + w) >= g``. The destination's key
   is ``fl(g + 0) = g``. So a cut search's path P has spur weight
@@ -168,12 +173,15 @@ How the k-shortest search is made fast without changing any answer:
   ``h``, hands it to ``_lex_shortest`` and skips a search whose heap is
   empty: that search would return None at once. That scan, like the
   relaxation loop of ``_lex_shortest``, passes over a closed, unreachable
-  or banned neighbour before it computes a key. In a 100-trial 8x8 ``run_batch`` with
-  n = 5 (grid seed 3, missions 3000-3099) 38,082 of 61,986 spur heaps are
-  empty.
+  or banned neighbour before it computes a key. In a 100-trial 8x8
+  ``run_batch`` with n = 5 (grid seed 3, missions 3000-3099) 6,245 of
+  11,260 spur heaps are empty.
 
 The output is therefore the same path sets, in the same order and with the
 same weights, as plain Yen over plain Dijkstra keyed on (g, nodes).
+``tests/test_paths.py`` checks this against a frozen copy of that search
+(``tests/_oracles.py``) on random graphs with integer, tie-prone and
+extreme-spread weights.
 """
 
 from __future__ import annotations
@@ -218,7 +226,9 @@ class PathSet:
     it; the paths are sorted by weight, so each ``weights`` ascends. The
     table is built with the set and kept on the instance, outside the
     dataclass fields, so equality, hashing, repr and pickling ignore it (a
-    pickle holds the fields, and loading it builds the table again).
+    pickle holds the fields, and loading it builds the table again). On the
+    README's worked example, ``k_shortest(0, 6, 3).first_hops`` is
+    ``((4, (4.0,)), (2, (5.0,)), (3, (5.0,)))``.
     """
 
     origin: int

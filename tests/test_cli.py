@@ -437,7 +437,7 @@ class TestBadInput:
             f"alpha={a} beta={b}" for a in (0.1, 0.5) for b in (1.0, 2.0)
         ]
 
-    @pytest.mark.parametrize("grid", ["notagrid", "8_0x8", "８x８"])
+    @pytest.mark.parametrize("grid", ["notagrid", "8_0x8", "８x８", ""])
     def test_bad_grid_string_exits_1(self, capsys, grid):
         code, out, err = run_cli(capsys, "run", "--grid", grid, "--agents", "1")
         assert (code, out) == (1, "")

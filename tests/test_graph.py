@@ -61,6 +61,10 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError, match="positive"):
             load_edge_list("0 1 -3")
 
+    def test_infinite_weight_rejected_with_the_whole_rule(self):
+        with pytest.raises(GraphFormatError, match="line 1: weight must be positive and finite, got inf"):
+            load_edge_list("0 1 inf\n")
+
     @pytest.mark.parametrize("text", ["0 1 1e308\n1 2 1e308\n", "0 1 1e308 undirected\n", "0 1 1e154\n1 2 1e154\n"])
     def test_weights_whose_sum_overflows_rejected(self, text):
         # each weight is finite, but their sum is past the float range, or
@@ -189,8 +193,11 @@ class TestGraphml:
     @pytest.mark.parametrize("old, new, message", [
         ('<node id="b"/>', "<node/>", "node without id"),
         ('target="b"', 'target="c"', "edge a->c references unknown node"),
-        (">5<", ">0<", "edge a->b: weight must be positive, got 0.0"),
-        (">5<", ">-2.5<", "edge a->b: weight must be positive, got -2.5"),
+        (">5<", ">0<", "edge a->b: weight must be positive and finite, got 0.0"),
+        (">5<", ">-2.5<", "edge a->b: weight must be positive and finite, got -2.5"),
+        (">5<", ">inf<", "edge a->b: weight must be positive and finite, got inf"),
+        (">5<", ">-inf<", "edge a->b: weight must be positive and finite, got -inf"),
+        (">5<", ">nan<", "edge a->b: weight must be positive and finite, got nan"),
         ('<edge source="a" target="b"><data key="d0">5</data></edge>', "", "no edges in"),
         ('<node id="b"/>', '<node id="b"/>\n    <node id="a"/>', "duplicate node id 'a'"),
         ('target="b"', 'target="b" directed="False"', "edge a->b: directed='False' is not true, false, 1 or 0"),
