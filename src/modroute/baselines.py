@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .engine import MissionResult, _cache_for, _intent, _timestep, assign_targets, simulate
+from .engine import MissionResult, _bill, _cache_for, _intent, _timestep, assign_targets, simulate
 from .graph import InfeasibleMissionError, Mission, check_int, validate
 from .paths import PathCache
 
@@ -65,12 +65,14 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
     """Exhaustive minimum over joint action sequences up to ``horizon`` steps.
 
     Every agent either waits or crosses one out-edge per step; edges shared
-    within a step are paid once. Returns infinity with no witness when no
-    sequence covers all targets in time. Pruning: abandon branches whose
-    partial cost meets the incumbent, and memoize the best partial cost per
-    (positions, visited, t) state. Hard instance limits keep the search at
-    desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A horizon
-    that is not an int (``check_int``) or is negative raises ValueError.
+    within a step are paid once, by the router's billing rule
+    (``engine._bill`` with no wait cost). Returns infinity with no witness
+    when no sequence covers all targets in time. Pruning: abandon branches
+    whose partial cost meets the incumbent, and memoize the best partial
+    cost per (positions, visited, t) state. Hard instance limits keep the
+    search at desk scale: n <= 3 agents, m <= 12 nodes, horizon <= 12. A
+    horizon that is not an int (``check_int``) or is negative raises
+    ValueError.
     """
     check_int("horizon", horizon)
     graph = mission.graph
@@ -116,9 +118,8 @@ def brute_force_optimal(mission: Mission, horizon: int) -> OracleResult:
         # First agent slowest: the witness kept among equal-cost optima and the
         # explored-state count depend on this order.
         for move in itertools.product(*(moves_from[p] for p in positions)):
-            edges = {(u, v) for u, v in zip(positions, move) if u != v}
-            search(move, visited | (targets & set(move)), cost + sum(map(weight, sorted(edges))),
-                   actions + (move,))
+            edges = [(u, v) for u, v in zip(positions, move) if u != v]
+            search(move, visited | (targets & set(move)), cost + _bill(weight, edges, 0, 0), actions + (move,))
 
     search(start_positions, start_visited, 0.0, ())
 

@@ -711,6 +711,27 @@ def step(
     return _timestep(cache, agents, unvisited, assign_targets(cache, agents, unvisited), choose, t, wait_cost)
 
 
+def _bill(weight: Callable, edges: list[tuple[int, int]], wait_cost: float | None, waits: int) -> float:
+    """The cost of one step's moves: the one billing rule of the router, the
+    baseline and the exact oracle.
+
+    ``edges`` holds the edge of every move, in move order, and ``weight``
+    maps an edge to its weight. A ``wait_cost`` of None bills per agent, as
+    non-joining vehicles pay (the baseline): every move's edge, in move
+    order, from a float 0.0. Otherwise the moves are joined (the router, and
+    the oracle with ``wait_cost`` and ``waits`` both 0): each distinct edge
+    is paid once, in sorted order, plus ``wait_cost`` per wait; with no edge
+    and an int ``wait_cost`` the cost stays an int 0. Both sums are the
+    builtin ``sum()``, which Python 3.12 made compensated for floats, so
+    costs on 3.12 and later can differ in the last bits from 3.10 and 3.11,
+    while the trajectories pinned in ``tests/test_simulate.py`` stay the
+    same; a plain left fold would give every interpreter the same bits.
+    """
+    if wait_cost is None:
+        return sum(map(weight, edges), 0.0)
+    return sum(map(weight, sorted(set(edges)))) + wait_cost * waits
+
+
 def _timestep(
     cache: PathCache,
     agents: list[AgentState],
@@ -729,14 +750,8 @@ def _timestep(
     intents collects the moves, the traversed edges and the waits, and one
     over the agents moves them and drops the targets under them. The loops
     are plain, with no comprehension or generator, each of which would cost
-    a new frame on every step. A ``wait_cost`` of None pays every move's
-    edge, in intent order, as non-joining vehicles do; otherwise the step
-    pays each traversed edge once, in sorted order, plus ``wait_cost`` per
-    wait. Both costs are the builtin ``sum()``, which Python 3.12 made
-    compensated for floats, so costs on 3.12 and later can differ in the
-    last bits from 3.10 and 3.11, while the trajectories pinned in
-    ``tests/test_simulate.py`` stay the same; a plain left fold would give
-    every interpreter the same bits.
+    a new frame on every step. ``_bill`` costs the step from the moves'
+    edges and the waits, by the rule ``wait_cost`` selects.
     """
     staged, active = [], []
     for agent in agents:
@@ -766,11 +781,7 @@ def _timestep(
         next_agents.append(agent)
         under.add(dst)
 
-    weight = cache.graph._weights.__getitem__
-    if wait_cost is None:
-        step_cost = sum(map(weight, edges), 0.0)
-    else:
-        step_cost = sum(map(weight, sorted(set(edges)))) + wait_cost * n_waiting
+    step_cost = _bill(cache.graph._weights.__getitem__, edges, wait_cost, n_waiting)
     key = (*intent_fields, t, type(t), step_cost, type(step_cost))
     record = _records.get(key) or _intern(_records, key, StepRecord(t, tuple(intents), step_cost))
     return next_agents, frozenset(unvisited) - under, record

@@ -22,6 +22,7 @@ from modroute import (
     run_mission,
     run_nonmodular_baseline,
 )
+from modroute import engine
 from modroute.experiments import DEFAULT_SWEEP_GRID
 
 from _fixtures import chain_mission, unit_grid
@@ -91,6 +92,27 @@ def test_pinned_trajectories_at_road_scale():
             table_bytes += sum(map(len, cache._declined.values()))
     assert h.hexdigest() == PINNED_ROAD_SCALE_DIGEST
     assert known < table_bytes / 10  # the reads fill only the chains they walk
+
+
+def test_every_router_timestep_goes_through_the_module_attribute_step(monkeypatch):
+    # perfbench times the router's steps by wrapping ``engine.step``, so a run
+    # loop that reached the timestep kernel another way would stop its timer
+    # and report 0 ms steps, which its gate would read as a gain.
+    mission = generate_random_mission(make_grid_graph(8, 8, seed=0), 5, 10, seed=300)
+    unwrapped = run_mission(mission, seed=3)
+    calls, step = [], engine.step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["t"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", counted)
+    wrapped = run_mission(mission, seed=3)
+    assert calls == list(range(1, wrapped.steps_taken + 1)) and wrapped.steps_taken > 1
+    assert wrapped == unwrapped
+    calls.clear()
+    run_nonmodular_baseline(mission)
+    assert calls == []
 
 
 def test_without_waiting_a_swap_deadlock_runs_to_the_step_cap():
