@@ -35,13 +35,14 @@ integer multiple k * x of a subnormal x that stays subnormal).
    ``tests/test_properties.py`` checks this on random digraphs with
    uniform, integer 1-3 and 0.1/0.2/0.3 weights.
 2. **Bound on one source.** Each path weight d to a source of scale c has
-   d >= D, so ``fl(d * d) >= fl(D * D)``. If ``fl(D * D) > 0`` then
-   ``fl(c / fl(d * d)) <= ub = fl(c / fl(D * D))``: no force of the source
-   exceeds ub, and none of its path squares is 0, so it raises nothing. The
-   source adds one such force to an edge, or with ``force_sum`` a fold of
-   j <= k of them, at most ``(1 + u)**(k-1) * k * ub``. Its bound is B = ub,
-   or ``B = fl(k * ub) >= (1 - u) * k * ub``; either way it adds at most
-   ``(1 + u)**(k+1) * B`` to any edge. A D of inf gives B = 0: no path.
+   d >= D, so ``fl(d * d) >= fl(D * D)``. A D other than 0 and inf is at
+   least ``Graph``'s weight floor ``2**-511``, so ``fl(D * D) >= 2**-1022``
+   is a normal float, and ``fl(c / fl(d * d)) <= ub = fl(c / fl(D * D))``:
+   no force of the source exceeds ub. The source adds one such force to an
+   edge, or with ``force_sum`` a fold of j <= k of them, at most ``(1 +
+   u)**(k-1) * k * ub``. Its bound is B = ub, or ``B = fl(k * ub) >= (1 -
+   u) * k * ub``; either way it adds at most ``(1 + u)**(k+1) * B`` to any
+   edge. A D of inf gives B = 0: no path.
    The bound costs one read of a distance list that ``assign_targets``
    has already cached.
 3. **Slack.** The n sources are scored in decreasing B. A scored source s
@@ -104,18 +105,21 @@ integer multiple k * x of a subnormal x that stays subnormal).
    and the fold only grows. So every
    loopless path through v weighs at least L_v, and as in point 2 r_s(v) is
    at most ``(1 + u)**(k+1)`` times the extra term ``fl(c / fl(L_v *
-   L_v))``, or ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum`` (inf if
-   the square is 0); its certain term is 0. A node with ``h' = inf`` cannot
-   reach the source, so no path goes through it: both terms are 0.
+   L_v))``, or ``fl(k * fl(c / fl(L_v * L_v)))`` with ``force_sum``, where
+   ``L_v >= w >= 2**-511`` squares to a normal float as D does in point 2;
+   its certain term is 0. A node with ``h' = inf`` cannot reach the
+   source, so no path goes through it: both terms are 0.
    ``tests/test_properties.py`` checks that no sampled path through v
    weighs less than L_v.
 
-A choice that never stops, or that meets a ``fl(D * D)`` of 0 or an inf
-bound, which it cannot trust, returns the reference itself, so the move
-and the underflow ``ValueError`` are the reference's. A choice that meets
-neither has ``fl(D * D) > 0`` for every source, and every path weight of a
-source's k=1 set or k-set is at least D (point 1), so no force it computes
-from a path squares to 0, and it needs no underflow guard of its own.
+A choice that never stops, or that meets an inf bound, which it cannot
+trust, returns the reference itself, so the move and any ``ValueError`` are
+the reference's. A bound is inf where D is 0, for a source at the agent's
+node or outside the graph (which the reference rejects), or where ``c /
+fl(D * D)`` overflows. ``Graph``'s weight floor of ``2**-511`` keeps every
+other square, of a D, an ``L_v`` or a path weight, at least ``2**-1022``, a
+normal float, so neither the choice nor the reference needs an underflow
+guard.
 """
 
 from __future__ import annotations
@@ -320,7 +324,8 @@ def attractive_force(scale: float, d: float) -> float:
     """Inverse-square attraction ``scale / d**2`` for a path of weight d.
 
     Raises ValueError for ``d <= 0`` and for a positive d so small that
-    ``d * d`` underflows to 0 (below about 1.6e-162).
+    ``d * d`` underflows to 0 (below about 1.6e-162), which no path of a
+    ``Graph`` weighs.
     """
     if d <= 0:
         raise ValueError(f"attraction undefined for non-positive distance {d}")
@@ -356,8 +361,9 @@ def compute_edge_forces(
     d, so the strongest path of a group is its first, bit for bit. The
     forces of the group's paths with ``force_sum``, and of its first alone
     without, are folded onto 0.0 in path order; ``fl(0.0 + f)`` is f. Each
-    force is ``attractive_force`` inline: path weights are positive, so
-    only a square that underflows to 0 calls it, for its ValueError.
+    force is ``attractive_force`` inline with no check: a path weighs at
+    least ``Graph``'s weight floor of ``2**-511``, so its square is a normal
+    float.
     """
     position, k, force_sum = agent.position, params.k, params.force_sum
     entries: dict[tuple[int, int], float] = {}
@@ -365,10 +371,8 @@ def compute_edge_forces(
         for hop, weights in cache.k_shortest(position, dest, k).first_hops:
             force = 0.0
             for d in weights if force_sum else weights[:1]:
-                d2 = d * d
-                force += scale / d2 if d2 else attractive_force(scale, d)
-            edge = (position, hop)
-            entries[edge] = entries.get(edge, 0.0) + force
+                force += scale / (d * d)
+            entries[position, hop] = entries.get((position, hop), 0.0) + force
     return EdgeForces(agent.agent_id, entries)
 
 
@@ -474,8 +478,7 @@ def _choose_edge(
                     for hop, w in adj:
                         if hop != h0 and h[hop] != inf:  # else no path goes through it
                             low = w + h[hop]
-                            d2 = low * low
-                            extra[hop] = extra.get(hop, 0.0) + (scale / d2 * terms if d2 else inf)
+                            extra[hop] = extra.get(hop, 0.0) + scale / (low * low) * terms
                 else:  # no path, and the source adds nothing
                     groups = ()
                 for hop, weights in groups:  # ``compute_edge_forces``'s forces, unrolled

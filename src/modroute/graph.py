@@ -27,14 +27,16 @@ _NOT_INT = "is not an int"
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _FLOAT_TOKEN = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)", re.A | re.I)
 _XS_BOOLEAN = {"true": True, "1": True, "false": False, "0": False}
+_MIN_WEIGHT = 2.0**-511  # the smallest edge weight a Graph admits (Graph docstring)
 _MAX_WEIGHT_SUM = 2.0**511  # the largest edge-weight sum a Graph admits (Graph docstring)
 
 
 class GraphFormatError(ValueError):
     """Edge-list or GraphML input that cannot be parsed into a valid graph:
     ``load_edge_list`` and ``load_graphml`` raise it for every rule a file
-    breaks, its syntax's or ``Graph``'s, the ``2**511`` weight-sum bound
-    included. ``Graph(...)`` itself raises plain ValueError."""
+    breaks, its syntax's or ``Graph``'s, the ``2**-511`` weight floor and the
+    ``2**511`` weight-sum bound included. ``Graph(...)`` itself raises plain
+    ValueError."""
 
 
 class InfeasibleMissionError(ValueError):
@@ -87,13 +89,14 @@ class Graph:
 
     Invariants enforced at construction: ``node_count`` is an int >= 1
     (``check_int``), endpoints are node ids, weights ints or floats
-    (``check_float``) that are strictly positive with a ``math.fsum`` of at
-    most ``2**511`` (about 6.7e153), no stored self-loops, at most one edge
-    per (src, dst) pair. A loopless path weighs at most that sum, up to the
-    rounding of its fold, so every path weight squares to a finite float and
-    no inverse-square force is 0 for want of range. The constructor keeps
-    the sum and the smallest weight (inf without edges), the two facts
-    ``paths._shrink_factor`` compares.
+    (``check_float``) that are finite and at least ``2**-511`` (about
+    1.5e-154) with a ``math.fsum`` of at most ``2**511`` (about 6.7e153), no
+    stored self-loops, at most one edge per (src, dst) pair. A loopless path
+    weighs at least its lightest edge and at most that sum, up to the
+    rounding of its fold, so every path weight squares to a normal float:
+    never 0, which leaves an inverse-square force undefined, and never inf,
+    which makes it 0. The constructor keeps the sum and the smallest weight
+    (inf without edges), the two facts ``paths._shrink_factor`` compares.
     Instances are safe to share across concurrent mission runs; all
     mutation happens before construction.
 
@@ -130,8 +133,9 @@ class Graph:
                 raise ValueError(f"self-loop ({src},{src}) cannot be stored; waiting is implicit")
             if type(w) is not float:  # check_float returns a float as it is
                 w = check_float(f"edge ({src},{dst}) weight", w)
-            if not (w > 0.0 and w != float("inf")):
-                raise ValueError(f"edge ({src},{dst}) weight must be positive and finite, got {w}")
+            if not _MIN_WEIGHT <= w < math.inf:  # also rejects NaN
+                raise ValueError(f"edge ({src},{dst}) weight must be finite and at least 2**-511 "
+                                 f"({_MIN_WEIGHT:.3g}), so that every path weight squares to a normal float, got {w}")
             if (src, dst) in weights:
                 raise ValueError(f"duplicate edge ({src},{dst})")
             weights[(src, dst)] = w
@@ -277,8 +281,9 @@ def _add_file_edge(edges: list[tuple[int, int, float]], where: str, src: int, ds
                    directed: bool) -> None:
     """Append to ``edges`` what a file's edge ``src -> dst`` of weight ``w``
     stores: itself, and ``dst -> src`` too unless ``directed``. A weight
-    that is not positive and finite raises GraphFormatError; a self-loop,
-    implicit as waiting, is skipped with the warning ``"<where>: ignoring
+    that is not positive and finite raises GraphFormatError, and a positive
+    one below ``Graph``'s floor is left to ``Graph``; a self-loop, implicit
+    as waiting, is skipped with the warning ``"<where>: ignoring
     self-loop"``. ``where`` names the edge as its loader does (``line N``,
     ``edge a->b``)."""
     if not (w > 0.0 and w != math.inf):
@@ -299,8 +304,9 @@ def _file_graph(labels: list[str], edges: list[tuple[int, int, float]], empty: s
     collapse to the minimum weight, since downstream loopless-path logic
     assumes simple edge identity: exact repeats silently, conflicting
     weights with a warning that names the pair by its labels (the file's own
-    node ids). A rule only ``Graph`` checks, the ``2**511`` weight-sum bound,
-    raises its ValueError as GraphFormatError.
+    node ids). A rule only ``Graph`` checks, the ``2**-511`` weight floor or
+    the ``2**511`` weight-sum bound, raises its ValueError as
+    GraphFormatError.
     """
     if not edges:
         raise GraphFormatError(empty)
@@ -325,8 +331,8 @@ def load_edge_list(text: str) -> Graph:
     ``directed``; ``undirected`` lines produce two directed edges of equal
     weight. ``#`` starts a comment. Node ids are compacted to dense indices,
     an id that only a self-loop names dropped; the raw ids are kept as
-    labels. Every rule the text breaks, the weight-sum bound of ``Graph``
-    included, raises GraphFormatError.
+    labels. Every rule the text breaks, the weight floor and sum bound of
+    ``Graph`` included, raises GraphFormatError.
     """
     raw_edges: list[tuple[int, int, float]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -377,7 +383,7 @@ def load_graphml(path: str, weight_attr: str = "length") -> Graph:
     ``directed`` value than the four ``xs:boolean`` spellings, is rejected.
     GraphML node ids become labels over dense indices, every declared node
     kept; a repeated node id is rejected. Every rule the file breaks, the
-    weight-sum bound of ``Graph`` included, raises GraphFormatError.
+    weight floor and sum bound of ``Graph`` included, raises GraphFormatError.
     """
     try:
         tree = ET.parse(path)

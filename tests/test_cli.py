@@ -465,6 +465,19 @@ class TestBadInput:
             assert (code, out) == (1, "")
             assert err.startswith("error: edge weights must sum to at most 2**511")
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_weight_below_the_floor_exits_1(self, capsys, tmp_path, command):
+        edge_list, graphml = tmp_path / "tiny.edges", tmp_path / "tiny.graphml"
+        edge_list.write_text("0 1 1e-160\n1 2 1\n")
+        graphml.write_text('<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><key id="d0" for="edge" '
+                           'attr.name="length"/><graph><node id="0"/><node id="1"/><node id="2"/>'
+                           '<edge source="0" target="1"><data key="d0">1e-160</data></edge>'
+                           '<edge source="1" target="2"><data key="d0">1</data></edge></graph></graphml>')
+        for path in (edge_list, graphml):
+            code, out, err = run_cli(capsys, command, "--graph", str(path), "--starts", "0", "--target-nodes", "2")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: edge (0,1) weight must be finite and at least 2**-511 (1.49e-154)")
+
 
 class TestUnreadFlags:
     # A flag the command would not read exits 1 instead of being ignored.

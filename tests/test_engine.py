@@ -469,13 +469,9 @@ class TestBoundedEdgeChoice:
         assert _choose_edge(cache, AgentState(3, 1), [AgentState(4, 1)], params).waiting
 
     @pytest.mark.parametrize("others", [[], [AgentState(1, 2)]], ids=["lone", "two_sources"])
-    def test_underflow_and_bad_nodes_raise_the_reference_error(self, force_sum, others):
-        w = 1e-170
-        cache = PathCache(Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)]))
+    def test_bad_nodes_raise_the_reference_error(self, force_sum, others):
+        cache = PathCache(Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]))
         params = ForceParams(force_sum=force_sum)
-        agent = AgentState(0, 0, assigned_target=2)
-        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
-            _choose_edge(cache, agent, others, params)
         stray = AgentState(0, 0, assigned_target=-1)
         with pytest.raises(ValueError, match="node -1 out of range"):
             compute_edge_forces(cache, stray, others, params)
@@ -897,18 +893,33 @@ class TestRunMission:
                 runs += plain.completed
         assert runs == 60
 
-    def test_underflowing_force_raises_value_error(self):
-        # a valid path graph whose path weights square to 0 in floating point
-        w = 1e-170
-        g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
-        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
-            run_mission(Mission(g, (0,), frozenset({2})), seed=0)
+    @staticmethod
+    def _square_with_a_chord(w):
+        """0-1-2-3 at weight w and 0-3 at 3w, each edge both ways."""
+        return Graph(4, [e for u, v, x in [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, 3 * w)]
+                         for e in ((u, v, x), (v, u, x))])
 
-    def test_underflowing_force_sum_raises_value_error(self):
-        w = 1e-170
-        g = Graph(3, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w)])
-        with pytest.raises(ValueError, match="distance 2e-170 squared underflows to 0"):
-            run_mission(Mission(g, (0,), frozenset({2})), ForceParams(force_sum=True), seed=0)
+    def test_weights_at_the_floor_route_as_unscaled(self):
+        # Graph's weight floor is 2**-511: the lightest path square is
+        # 2**-1022, still a normal float, and every force stays finite here
+        starts, targets = (0, 3), frozenset({1, 2})
+        plain = Mission(self._square_with_a_chord(1.0), starts, targets)
+        tiny = Mission(self._square_with_a_chord(2.0**-511), starts, targets)
+        for force_sum in (False, True):
+            params = ForceParams(force_sum=force_sum)
+            want, got = run_mission(plain, params, seed=0), run_mission(tiny, params, seed=0)
+            assert want.completed and got.per_agent_paths == want.per_agent_paths
+            assert got.total_cost == want.total_cost * 2.0**-511
+        assert run_nonmodular_baseline(tiny).total_cost == 2.0 * 2.0**-511
+
+    @pytest.mark.parametrize("w", [1e-158, 1e-170])
+    def test_weights_below_the_floor_are_rejected(self, w):
+        # Both graphs once loaded. At 1e-158 every path square was subnormal
+        # and every force inf, so the router orbited to its 64-step cap
+        # while the baseline finished in one step; at 1e-170 the squares
+        # underflowed to 0 and the router raised.
+        with pytest.raises(ValueError, match=rf"weight must be finite and at least 2\*\*-511 .*, got {w}"):
+            self._square_with_a_chord(w)
 
     @pytest.mark.parametrize("wait_cost", [-5.0, math.nan, math.inf, "0", True, 10**400])
     def test_bad_wait_cost_raises_value_error(self, wait_cost):

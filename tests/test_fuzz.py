@@ -11,9 +11,10 @@ direction in one file. A graph that loads keeps its ``edges()`` through a
 dump and a reload. The two warnings a loader gives, a skipped self-loop and
 a conflicting duplicate, are the only ones this module lets pass.
 
-Runs: a graph whose weights span the subnormals up to the ``2**511`` sum
-bound, with a mission that ``validate`` accepts, runs under both methods to
-a finite ``total_cost`` or raises ValueError, never another exception.
+Runs: a graph whose weights span ``Graph``'s range, from the ``2**-511``
+floor up to the ``2**511`` sum bound, with a mission that ``validate``
+accepts, runs under both methods to a finite ``total_cost`` and raises
+nothing.
 
 Command lines: argv drawn from ``cli.build_parser()``'s own subcommands and
 flags, with valid values and tokens that are easy to misread. ``cli.main``
@@ -146,9 +147,9 @@ def test_graphml_loads_or_raises_graph_format_error(path, text):
 
 
 # The extremes of the weight range, drawn often: a float strategy alone
-# seldom reaches the subnormals or the bound.
-RUN_WEIGHTS = st.one_of(st.floats(min_value=5e-324, max_value=2.0**511),
-                        st.sampled_from([5e-324, 2.0**-1022, 1e-162, 1.0, 2.0**509, 2.0**511]))
+# seldom reaches the floor or the bound.
+RUN_WEIGHTS = st.one_of(st.floats(min_value=2.0**-511, max_value=2.0**511),
+                        st.sampled_from([2.0**-511, 1.0, 2.0**509, 2.0**511]))
 
 
 @st.composite
@@ -173,15 +174,9 @@ def runnable_missions(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(runnable_missions())
-def test_a_mission_that_validates_runs_or_raises_value_error(mission):
-    # The router raises ValueError where a distance squared underflows to 0,
-    # as on graphs whose lightest weight is about 1e-162 or less.
+def test_a_mission_that_validates_runs_to_a_finite_cost(mission):
     for method in (run_mission, run_nonmodular_baseline):
-        try:
-            result = method(mission)
-        except ValueError:
-            continue
-        assert math.isfinite(result.total_cost)
+        assert math.isfinite(method(mission).total_cost)
 
 
 SUBCOMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices

@@ -390,7 +390,7 @@ class TestGraphInvariants:
             Graph(2, [(0, 1.0, 1.0)])
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, [(1, 1, 1.0)])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"edge \(0,1\) weight must be finite and at least 2\*\*-511"):
             Graph(2, [(0, 1, -1.0)])
         with pytest.raises(ValueError, match="duplicate"):
             Graph(2, [(0, 1, 1.0), (0, 1, 2.0)])
@@ -446,9 +446,10 @@ class TestGraphInvariants:
 
 def _extreme_digraph(rng):
     """A random digraph with no isolated node and weights whose binary
-    exponents are drawn uniformly, from 5e-324 up to about 2**511 over the
-    edge count, so that their sum stays within the bound; one graph in four
-    also has one weight of 2**510, with the others below 2**510 over it."""
+    exponents are drawn uniformly, from the floor 2**-511 up to about 2**511
+    over the edge count, so that their sum stays within the bound; one graph
+    in four also has one weight of 2**510, with the others below 2**510 over
+    it."""
     m = rng.randint(2, 9)
     pairs = {(u, v) for u in range(m) for v in range(m) if u != v and rng.random() < 0.3}
     for node in range(m):  # give every node an edge, in a random direction
@@ -458,15 +459,15 @@ def _extreme_digraph(rng):
     pairs = sorted(pairs)
     big = rng.random() < 0.25
     top = (510 if big else 511) - len(pairs).bit_length()
-    weights = [max(5e-324, math.ldexp(rng.random(), rng.randint(-1074, top))) for _ in pairs]
+    weights = [max(2.0**-511, math.ldexp(rng.random(), rng.randint(-511, top))) for _ in pairs]
     if big:
         weights[rng.randrange(len(weights))] = 2.0**510
     return Graph(m, [(u, v, w) for (u, v), w in zip(pairs, weights)])
 
 
 class TestExtremeWeights:
-    # Graph admits weights whose fsum is at most 2**511, so that every path
-    # weight squares to a finite float and no force is 0 for want of range.
+    # Graph admits weights of at least 2**-511 whose fsum is at most 2**511,
+    # so that every path weight squares to a normal float.
     @staticmethod
     def _graphml(edges):
         rows = "".join(f'<edge source="{u}" target="{v}"><data key="d0">{w!r}</data></edge>' for u, v, w in edges)
@@ -491,11 +492,28 @@ class TestExtremeWeights:
         path.write_text(self._graphml(grid.edges()))  # the same file unscaled loads
         assert load_graphml(str(path)).same_edges(grid)
 
+    def test_a_grid_scaled_below_the_floor_is_rejected_by_every_entry(self, tmp_path):
+        # times 1e-160 every path square of this grid is subnormal, and the
+        # router once read every force as inf
+        grid = make_grid_graph(6, 6, seed=1)
+        edges = [(u, v, w * 1e-160) for u, v, w in grid.edges()]
+        message = r"weight must be finite and at least 2\*\*-511 \(1.49e-154\)"
+        with pytest.raises(ValueError, match=message):
+            Graph(36, edges)
+        with pytest.raises(GraphFormatError, match=message):
+            load_edge_list("".join(f"{u} {v} {w!r}\n" for u, v, w in edges))
+        path = tmp_path / "tiny.graphml"
+        path.write_text(self._graphml(edges))
+        with pytest.raises(GraphFormatError, match=message):
+            load_graphml(str(path))
+        path.write_text(self._graphml(grid.edges()))  # the same file unscaled loads
+        assert load_graphml(str(path)).same_edges(grid)
+
     def test_dump_and_load_keep_extreme_weights(self, tmp_path):
         rng, path, sizes = random.Random("extreme-weights"), tmp_path / "g.graphml", set()
         for _ in range(200):
             g = _extreme_digraph(rng)
-            assert g._weight_sum <= 2.0**511
+            assert g._weight_sum <= 2.0**511 and g._min_weight >= 2.0**-511
             dump_graphml(g, str(path))
             assert load_edge_list(dump_edge_list(g)).edges() == g.edges()
             assert load_graphml(str(path)).edges() == g.edges()
